@@ -27,7 +27,9 @@
 //	{"experiments": ["CHURN-broadcast", "L3.2-hitting"], "trials": 3, "seed": 7}
 //	{"scenario": {"side": 4, "seed": 9, "gen": {"epochs": 2, "epochLen": 30, "leaves": 1}}}
 //
-// An empty spec ({}) runs the whole registry, like `dgbench -all`.
+// An empty spec ({}) runs the whole registry, like `dgbench -all`. Spec
+// bodies are capped at 1 MiB (413 beyond it), and request headers must
+// arrive within 10 s.
 package main
 
 import (
@@ -62,7 +64,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	srv := &http.Server{Addr: *addr, Handler: newServer(svc)}
+	srv := &http.Server{Addr: *addr, Handler: newServer(svc), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "dgserved: listening on %s\n", *addr)
@@ -83,6 +85,15 @@ func main() {
 	}
 	svc.Close()
 }
+
+// Request bounds. A spec naming every registry experiment is well under a
+// kilobyte, so the body cap only ever turns away a mistaken or hostile
+// upload before it is buffered; the header timeout keeps a slow or stalled
+// client from holding a connection open indefinitely.
+const (
+	maxSpecBytes      = 1 << 20
+	readHeaderTimeout = 10 * time.Second
+)
 
 // newServer builds the daemon's handler around a run service. Split from
 // main so tests drive the full HTTP surface through httptest.
@@ -112,9 +123,14 @@ type submitResponse struct {
 }
 
 func (s *server) submit(w http.ResponseWriter, r *http.Request) {
-	spec, err := runsvc.ParseSpec(r.Body)
+	spec, err := runsvc.ParseSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, err)
 		return
 	}
 	run, existing, err := s.svc.Submit(spec)

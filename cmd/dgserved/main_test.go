@@ -229,11 +229,13 @@ func TestServeValidation(t *testing.T) {
 
 	for _, tc := range []struct {
 		name, body, want string
+		code             int
 	}{
-		{"not json", `nonsense`, "invalid"},
-		{"unknown field", `{"experiemnts": ["L3.2-hitting"]}`, "unknown field"},
-		{"unknown experiment", `{"experiments": ["F1"]}`, `unknown experiment "F1"`},
-		{"bad scenario", `{"scenario": {"side": 1}}`, "side 1"},
+		{"not json", `nonsense`, "invalid", http.StatusBadRequest},
+		{"unknown field", `{"experiemnts": ["L3.2-hitting"]}`, "unknown field", http.StatusBadRequest},
+		{"unknown experiment", `{"experiments": ["F1"]}`, `unknown experiment "F1"`, http.StatusBadRequest},
+		{"bad scenario", `{"scenario": {"side": 1}}`, "side 1", http.StatusBadRequest},
+		{"over cap", `{"experiments": ["` + strings.Repeat("x", maxSpecBytes) + `"]}`, "too large", http.StatusRequestEntityTooLarge},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(tc.body))
@@ -241,8 +243,8 @@ func TestServeValidation(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status %d, want 400", resp.StatusCode)
+			if resp.StatusCode != tc.code {
+				t.Fatalf("status %d, want %d", resp.StatusCode, tc.code)
 			}
 			var er errorResponse
 			if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {

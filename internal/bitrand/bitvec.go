@@ -4,11 +4,13 @@ import "math/bits"
 
 // Word-parallel bit-vector helpers for the engine's bitset delivery path: a
 // set of n nodes is a []uint64 of WordsFor(n) words, bit i marking node i.
-// The kernel the delivery loop runs per listener is IntersectOne — "does the
-// transmitter set intersect my neighbor mask in exactly one node, and which
-// one" — which is precisely the radio reception rule (one transmitting
-// neighbor delivers; zero is silence; two or more is a collision, and the
-// two are indistinguishable to the listener).
+// The question the delivery loop asks per listener — "does the transmitter
+// set intersect my neighbor mask in exactly one node, and which one" — is
+// precisely the radio reception rule (one transmitting neighbor delivers;
+// zero is silence; two or more is a collision, and the two are
+// indistinguishable to the listener). The engine's kernel,
+// IntersectOneIndexed, asks it of a block-sparse row; IntersectOne asks it
+// of a full row and is the reference the kernel is tested against.
 
 // WordsFor returns the number of 64-bit words that hold n bits.
 func WordsFor(n int) int { return (n + 63) >> 6 }
@@ -35,8 +37,9 @@ func OnesCount(w []uint64) int {
 // each (b must be at least as long). It returns (0, -1) for an empty
 // intersection, (1, i) when bit i is the single common bit, and (2, -1) for
 // two or more common bits — the count saturates, and the scan exits as soon
-// as a second bit is seen, so dense intersections cost only a prefix of the
-// row.
+// as a second bit is seen. It is the full-row reference for
+// IntersectOneIndexed: a row and its nonzero blocks must classify every
+// transmitter vector identically.
 func IntersectOne(a, b []uint64) (count, idx int) {
 	var single uint64
 	idx = -1
@@ -57,11 +60,11 @@ func IntersectOne(a, b []uint64) (count, idx int) {
 	return 1, idx
 }
 
-// IntersectOneIndexed is IntersectOne over a block-sparse row: idx lists the
-// row's nonzero block indices (ascending) and words the matching block
-// values, while b is a dense vector the blocks index into. Classification and
-// early exit are identical to IntersectOne; the returned bit index is in b's
-// dense bit space.
+// IntersectOneIndexed is IntersectOne over a block-sparse row, and the
+// engine's per-listener delivery kernel: idx lists the row's nonzero block
+// indices (ascending) and words the matching block values, while b is a
+// full vector the blocks index into. Classification and early exit are
+// identical to IntersectOne; the returned bit index is in b's bit space.
 func IntersectOneIndexed(idx []int32, words []uint64, b []uint64) (count, bitIdx int) {
 	var single uint64
 	bitIdx = -1

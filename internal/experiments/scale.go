@@ -7,12 +7,12 @@ package experiments
 // for. The substrates deliberately straddle the auto-plan boundaries
 // (internal/radio/bitmap.go): n = 10³ sits below the bitmap node floor
 // (scalar CSR walk), the dense n = 10⁴ circulant clears both the node and
-// density gates (dense word-parallel rounds, 64 candidate senders per word),
-// and the sparse n = 10⁵ and 10⁶ ring-with-chords substrates sit above the
-// dense-mask node cap with sparse-mask footprints far under the byte budget
-// (block-sparse rounds with batched coin fills). The measured tables are
-// plan-invariant — the differential equivalence tests pin that bit for bit —
-// so the rows read as one scaling curve, not three code paths.
+// density gates, and the sparse n = 10⁵ and 10⁶ ring-with-chords substrates
+// sit above the density gate's node cap with mask footprints far under the
+// byte budget. Both bitmap regimes run block-sparse rounds, 64 candidate
+// senders per word. The measured tables are plan-invariant — the
+// differential equivalence tests pin that bit for bit — so the rows read as
+// one scaling curve, not two code paths.
 //
 // All large configurations state MaxRounds explicitly: above the engine's
 // default-budget threshold (4096 nodes) the 64·n² fallback is refused as a
@@ -241,7 +241,7 @@ func runScale(cfg Config) (*Result, error) {
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("decay median grows %.1fx while n grows %.0fx; round robin pays %.0fx decay at n=10000",
 			largest/decaySmall, sizeRatio, rrLarge/decayAtRR),
-		"substrates straddle the delivery-plan boundaries (scalar at 10^3, dense bitmap at 10^4, block-sparse bitmap at 10^5 and 10^6); tables are plan-invariant",
+		"substrates straddle the delivery-plan boundaries (scalar at 10^3, block-sparse bitmap at 10^4, 10^5 and 10^6); tables are plan-invariant",
 		verdict(res.Pass))
 	return res, nil
 }

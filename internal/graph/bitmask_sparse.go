@@ -7,14 +7,16 @@ import (
 	"repro/internal/bitrand"
 )
 
-// SparseNeighborMasks is the block-sparse counterpart of NeighborMasks: each
-// node's bitmap row stores only its nonzero 64-bit blocks — a block index
-// array plus the packed block words, CSR-style over one flat backing pair —
-// instead of the full ⌈n/64⌉-word slab. Storage is proportional to the edge
-// count (at most one entry per directed edge, far fewer once neighbors share
-// blocks), where the dense slab is quadratic in n: at n = 10⁶ the dense
-// layout needs ~125 GB while the sparse rows of a ring-with-chords network
-// fit in tens of megabytes.
+// SparseNeighborMasks is the word-parallel adjacency representation of a
+// graph: bit v of node u's bitmap row is set iff (u, v) is an edge, and the
+// engine's bitmap delivery path intersects a row with the round's
+// transmitter bitmap to classify reception 64 candidate senders per word.
+// Each row stores only its nonzero 64-bit blocks — a block index array plus
+// the packed block words, CSR-style over one flat backing pair — instead of
+// the full ⌈n/64⌉ words. Storage is proportional to the edge count (at most
+// one entry per directed edge, far fewer once neighbors share blocks), where
+// full rows would be quadratic in n: ~125 GB at n = 10⁶, against tens of
+// megabytes for the block rows of a ring-with-chords network.
 //
 // Rows are stored in the cluster-major id space of a ClusterOrder, so that
 // the neighbors of nearby nodes pack into the same blocks and adjacent rows
@@ -114,7 +116,8 @@ func BuildSparseNeighborMasks(g *Graph, ord *ClusterOrder) *SparseNeighborMasks 
 	return m
 }
 
-// W returns the dense row stride the sparse rows index into: WordsFor(n).
+// W returns the width in words of the bit space the rows index into:
+// WordsFor(n), the length of a transmitter bitmap.
 func (m *SparseNeighborMasks) W() int { return m.w }
 
 // RegionShift returns the summary granularity: region j covers block indices
@@ -132,8 +135,8 @@ func (m *SparseNeighborMasks) Bytes() int {
 
 // BlockRow returns cluster-major node u's nonzero blocks as zero-copy views:
 // ascending block indices and the matching block words. Like
-// NeighborMasks.Row, the views are shared, read-only, and only as alive as
-// the graph they came from.
+// Graph.Neighbors, the views are shared, read-only, and only as alive as the
+// graph they came from.
 func (m *SparseNeighborMasks) BlockRow(u NodeID) (idx []int32, words []uint64) {
 	return m.idx[m.offs[u]:m.offs[u+1]], m.words[m.offs[u]:m.offs[u+1]]
 }
@@ -190,7 +193,7 @@ type sparseMaskCache struct {
 
 // SparseMasksOf returns the dual's block-sparse mask set, computed once per
 // (immutable) network and shared by every trial and epoch revisit — the same
-// memoization contract as NeighborMasksOf, keyed on the Dual because the
+// memoization contract as CliqueCoverOf, keyed on the Dual because the
 // cluster-major order must be shared between the G and G' rows.
 func SparseMasksOf(d *Dual) *SparseMaskSet {
 	d.sparse.once.Do(func() {

@@ -37,9 +37,6 @@ type Graph struct {
 	// immutable, so the cover is computed at most once per graph and shared
 	// by every trial that runs on it.
 	cover coverCache
-	// masks memoizes BuildNeighborMasks(g) (see NeighborMasksOf) under the
-	// same immutability contract.
-	masks maskCache
 	// decomp memoizes BuildDecomposition(g) (see DecompositionOf), again per
 	// immutable graph.
 	decomp decompCache

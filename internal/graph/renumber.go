@@ -47,7 +47,7 @@ type orderCache struct {
 }
 
 // ClusterOrderOf returns BuildClusterOrder(g), computed once per graph and
-// shared afterwards — the same memoization contract as NeighborMasksOf:
+// shared afterwards — the same memoization contract as CliqueCoverOf:
 // graphs are immutable, so every trial (and every epoch revisit) of the same
 // revision shares one order. The returned arrays are read-only and live as
 // long as the graph.

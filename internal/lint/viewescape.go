@@ -31,19 +31,17 @@ var ViewEscape = &Analyzer{
 	Run:  runViewEscape,
 }
 
-// viewMethodNames are the view-returning accessors of the graph API. Row and
-// Rows are the NeighborMasks accessors; BlockRow, Rows and Summaries are
-// their block-sparse counterparts on SparseNeighborMasks: mask rows are
-// per-graph storage with exactly the CSR views' lifetime, so a stashed row
-// goes just as stale at an epoch swap.
+// viewMethodNames are the view-returning accessors of the graph API.
+// BlockRow, Rows and Summaries are the SparseNeighborMasks accessors: mask
+// rows are per-network storage with exactly the CSR views' lifetime, so a
+// stashed row goes just as stale at an epoch swap.
 var viewMethodNames = map[string]bool{
 	"Neighbors":      true,
 	"ExtraNeighbors": true,
 	"CSR":            true,
 	"ExtraCSR":       true,
-	"Row":            true,
-	"Rows":           true,
 	"BlockRow":       true,
+	"Rows":           true,
 	"Summaries":      true,
 }
 
@@ -89,8 +87,7 @@ func isViewCall(pass *Pass, e ast.Expr) bool {
 	}
 	obj := named.Obj()
 	name := obj.Name()
-	return (name == "Graph" || name == "Dual" || name == "NeighborMasks" ||
-		name == "SparseNeighborMasks") &&
+	return (name == "Graph" || name == "Dual" || name == "SparseNeighborMasks") &&
 		obj.Pkg() != nil && obj.Pkg().Name() == "graph"
 }
 

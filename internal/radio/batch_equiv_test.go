@@ -8,13 +8,15 @@ import (
 	"repro/internal/graph"
 )
 
-// The batched transmit-coin fill (stepBatch) must be bit-for-bit identical
-// to the per-node bulk loop: same coins from the same per-node streams in
-// the same ascending order, same transmitters, same deliveries, same energy
-// profile. These tests run identical configurations with the batch enabled
-// and disabled (via the disableCoinBatch hook) and require identical
-// Results — including rounds where the batch path reconstructs the
-// transmitter list for the scalar fallback (rebuildTx).
+// The recorder-free production path must be bit-for-bit identical to the
+// scalar walk. With every process a BulkStepper and the bitmap plan active,
+// the engine draws the round's coins itself in one ascending pass over the
+// per-node streams and delivers through the mask rows; PlanScalar steps
+// every process and walks the CSR. These tests run identical configurations
+// under PlanScalar, PlanAuto and PlanBitmap with no recorder attached — a
+// recorder pins PlanAuto to the scalar walk, so the differential harness in
+// bitmap_equiv_test.go never reaches PlanAuto's bitmap epochs — and require
+// identical Results.
 //
 // The probe algorithm is defined here rather than borrowed from
 // internal/core (which imports this package): informed nodes flood with a
@@ -67,8 +69,8 @@ func (a batchAlg) NewProcesses(net *graph.Dual, spec Spec, _ *bitrand.Source) []
 	return procs
 }
 
-// staticAllLink commits the all-edges schedule, lighting up the G' sparse
-// rows under the batch path.
+// staticAllLink commits the all-edges schedule, lighting up the G' mask
+// rows.
 type staticAllLink struct{}
 
 func (staticAllLink) CommitSchedule(*Env) Schedule {
@@ -76,8 +78,8 @@ func (staticAllLink) CommitSchedule(*Env) Schedule {
 }
 
 // staticPartialLink commits a fixed partial selector, which has no
-// precomputed sparse rows: sparse-plan rounds under it must rebuild the
-// transmitter list and fall back to the scalar walk.
+// precomputed mask rows: bitmap-plan rounds under it take the scalar walk
+// with the bulk-drawn transmitter list.
 type staticPartialLink struct{}
 
 func (staticPartialLink) CommitSchedule(*Env) Schedule {
@@ -86,75 +88,70 @@ func (staticPartialLink) CommitSchedule(*Env) Schedule {
 	}}
 }
 
-// runBatched runs cfg with the batched coin fill forced on or off.
-func runBatched(t *testing.T, cfg Config, disable bool) Result {
-	t.Helper()
-	prev := disableCoinBatch
-	disableCoinBatch = disable
-	defer func() { disableCoinBatch = prev }()
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
 func TestBatchCoinEquivalence(t *testing.T) {
 	var src bitrand.Source
 	src.Reseed(0xba7c4)
-	sparseNet := graph.UniformDual(graph.RingChords(&src, 3000, 6000))
-	sparseLinked := graph.AugmentDual(&src, graph.RingChords(&src, 2000, 4000), 3000)
+	// The circulant clears PlanAuto's density gate and the ring+chords
+	// network sits above its 2¹⁵-node density cap, so PlanAuto resolves to
+	// the bitmap plan on both substrates.
 	denseNet := graph.UniformDual(graph.Circulant(2500, 320))
+	sparseLinked := graph.AugmentDual(&src, graph.RingChords(&src, 40000, 80000), 40000)
 
 	cases := []struct {
 		name string
 		cfg  Config
 	}{
-		// Forced plans keep every eligible round on a bitmap kernel; the
-		// high-probability runs exercise the dense word-register fill and the
-		// sparse scattered fill, while the low-probability runs spend most
-		// rounds under bitmapTxMin on the auto plan and so exercise
-		// rebuildTx.
+		// A flood keeps most rounds above PlanAuto's bitmapTxMin, so both
+		// bitmap plans run them through the kernel.
 		{"dense-flood", Config{
 			Net: denseNet, Algorithm: batchAlg{p: 0.4},
 			Spec: Spec{Problem: LocalBroadcast, Broadcasters: []graph.NodeID{1, 700, 1900}},
-			Seed: 41, MaxRounds: 96, Plan: PlanBitmap, IgnoreCompletion: true,
+			Seed: 41, MaxRounds: 96, IgnoreCompletion: true,
 		}},
-		// Auto on the dense circulant keeps bitmapTxMin = WordsFor(n): the
-		// trickle's early rounds fall under it and take the rebuildTx →
-		// scalar-walk fallback, later rounds clear it and take the kernel.
+		// A trickle's early rounds fall under PlanAuto's bitmapTxMin =
+		// WordsFor(n) and take the scalar walk; later rounds clear it and
+		// take the kernel.
 		{"dense-auto-trickle", Config{
 			Net: denseNet, Algorithm: batchAlg{p: 0.02},
 			Spec: Spec{Problem: GlobalBroadcast, Source: 7},
-			Seed: 42, MaxRounds: 256, Plan: PlanAuto,
+			Seed: 42, MaxRounds: 256,
 		}},
 		{"sparse-flood", Config{
-			Net: sparseNet, Algorithm: batchAlg{p: 0.5},
+			Net: sparseLinked, Algorithm: batchAlg{p: 0.5},
 			Spec: Spec{Problem: GlobalBroadcast, Source: 11},
-			Seed: 43, MaxRounds: 400, Plan: PlanBitmapSparse,
+			Seed: 43, MaxRounds: 40,
 		}},
 		{"sparse-flood-linked", Config{
 			Net: sparseLinked, Algorithm: batchAlg{p: 0.35},
 			Spec: Spec{Problem: LocalBroadcast, Broadcasters: []graph.NodeID{0, 500, 1500}},
 			Link: staticAllLink{},
-			Seed: 44, MaxRounds: 96, Plan: PlanBitmapSparse, IgnoreCompletion: true,
+			Seed: 44, MaxRounds: 40, IgnoreCompletion: true,
 		}},
-		// A committed partial selector has no sparse rows: every round takes
-		// rebuildTx (cluster-major bits sorted back to ascending ids) into
-		// the scalar walk.
+		// A committed partial selector has no mask rows: every round takes
+		// the scalar walk over the bulk-drawn transmitter list.
 		{"sparse-static-partial", Config{
 			Net: sparseLinked, Algorithm: batchAlg{p: 0.3},
 			Spec: Spec{Problem: LocalBroadcast, Broadcasters: []graph.NodeID{0, 500, 1500}},
 			Link: staticPartialLink{},
-			Seed: 45, MaxRounds: 96, Plan: PlanBitmapSparse, IgnoreCompletion: true,
+			Seed: 45, MaxRounds: 40, IgnoreCompletion: true,
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			batched := runBatched(t, tc.cfg, false)
-			perNode := runBatched(t, tc.cfg, true)
-			if !reflect.DeepEqual(batched, perNode) {
-				t.Errorf("results differ:\n batched:  %+v\n per-node: %+v", batched, perNode)
+			var want Result
+			for _, plan := range []DeliveryPlan{PlanScalar, PlanAuto, PlanBitmap} {
+				cfg := tc.cfg
+				cfg.Plan = plan
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("%v: %v", plan, err)
+				}
+				if plan == PlanScalar {
+					want = res
+				} else if !reflect.DeepEqual(res, want) {
+					t.Errorf("%v result differs from PlanScalar (rounds %d vs %d, transmissions %d vs %d, deliveries %d vs %d)",
+						plan, res.Rounds, want.Rounds, res.Transmissions, want.Transmissions, res.Deliveries, want.Deliveries)
+				}
 			}
 		})
 	}

@@ -1,8 +1,6 @@
 package radio
 
 import (
-	"math/bits"
-	"slices"
 	"strconv"
 
 	"repro/internal/bitrand"
@@ -18,31 +16,23 @@ type DeliveryPlan int
 
 const (
 	// PlanAuto (the zero value) re-derives the plan at every epoch commit:
-	// the dense bitmap path when the epoch's n and G' density clear the
-	// thresholds below, the block-sparse bitmap path when n outgrows the
-	// dense mask slab but the sparse masks fit the memory budget, and the
-	// CSR walk otherwise (always with a recorder or clique cover attached).
-	// Within a bitmap epoch, rounds with fewer transmitters than the bitmap
-	// row width fall back to the CSR walk per round — the scalar walk is
-	// O(Σ deg(tx)) and beats the row scans on sparse rounds.
+	// the bitmap path when the epoch's n, G' density, and estimated mask
+	// footprint clear the gates below, and the CSR walk otherwise (always
+	// with a recorder or clique cover attached). Within a bitmap epoch,
+	// rounds with fewer transmitters than the bitmap width in words fall
+	// back to the CSR walk per round — the scalar walk is O(Σ deg(tx)) and
+	// beats the row scans on sparse rounds.
 	PlanAuto DeliveryPlan = iota
 	// PlanScalar forces the CSR walk.
 	PlanScalar
 	// PlanBitmap forces the word-parallel path for every round, at any n:
-	// the dense mask slab up to denseMaskMaxNodes nodes, the block-sparse
-	// layout beyond it (the dense n·⌈n/64⌉ slab would need ~125 GB at
-	// n = 10⁶). With a Recorder attached, deliveries are reported in
-	// ascending node order (dense) or cluster-major order (sparse) rather
-	// than the CSR walk's discovery order (the set of deliveries is
-	// identical).
+	// per-node nonzero mask blocks under a cluster-major renumbering (see
+	// graph.SparseMasksOf), with per-row and per-round occupancy summaries
+	// pruning the kernel. Rounds whose selector is neither all nor none have
+	// no precomputed rows and fall back to the CSR walk. With a Recorder
+	// attached, deliveries are reported in cluster-major order rather than
+	// the CSR walk's discovery order (the set of deliveries is identical).
 	PlanBitmap
-	// PlanBitmapSparse forces the block-sparse word-parallel path for every
-	// round, at any n: per-node nonzero mask blocks under a cluster-major
-	// renumbering (see graph.SparseMasksOf), with per-row and per-round
-	// occupancy summaries pruning the kernel. Rounds whose selector is
-	// neither all nor none have no precomputed sparse rows and fall back to
-	// the CSR walk.
-	PlanBitmapSparse
 )
 
 // String implements fmt.Stringer.
@@ -54,24 +44,21 @@ func (p DeliveryPlan) String() string {
 		return "PlanScalar"
 	case PlanBitmap:
 		return "PlanBitmap"
-	case PlanBitmapSparse:
-		return "PlanBitmapSparse"
 	}
 	return "DeliveryPlan(" + strconv.Itoa(int(p)) + ")"
 }
 
-// Auto-plan thresholds. The dense bitmap path costs n·W words per round (W =
-// WordsFor(n)) against the scalar walk's Σ_x deg(x) adds, so it wins when
-// the average transmitting neighborhood clears ~n/64 — hence the density
-// gate avg G' degree ≥ n/64 (E(G') ≥ n²/128). Below bitmapMinNodes the
-// rounds are too cheap for the plan to matter. Above denseMaskMaxNodes the
-// n²/64-bit dense masks (128 MiB per graph at the cap) cost more memory than
-// the speedup is worth, so PlanAuto switches to the block-sparse layout,
-// gated on its estimated footprint (proportional to the edge count, not n²)
-// fitting sparseMaskMaxBytes.
+// Auto-plan thresholds. Below bitmapMinNodes the rounds are too cheap for
+// the plan to matter. Up to densityGateMaxNodes the gate is density: a
+// bitmap round visits every listener's row while the scalar walk costs
+// Σ_x deg(x) adds over the transmitters, so the rows are taken only when the
+// average G' degree clears n/64 (E(G') ≥ n²/128). Above it the gate is the
+// estimated mask footprint (proportional to the edge count, not n²) fitting
+// sparseMaskMaxBytes: at those sizes the region summaries reject most
+// listeners in one AND, so the rows pay off on sparse graphs too.
 const (
-	bitmapMinNodes    = 2048
-	denseMaskMaxNodes = 1 << 15
+	bitmapMinNodes      = 2048
+	densityGateMaxNodes = 1 << 15
 	// sparseMaskMaxBytes caps the estimated block-sparse mask footprint
 	// (graph.EstimateSparseMaskBytes) PlanAuto will commit to: 2 GiB covers
 	// hundreds of millions of edges while keeping a runaway-dense G' from
@@ -79,139 +66,49 @@ const (
 	sparseMaskMaxBytes = int64(1) << 31
 )
 
-// disableCoinBatch turns the batched transmit-coin fill off, forcing the
-// per-node bulk loop even when the batch conditions hold. Tests and
-// benchmarks toggle it to pin the bit-for-bit equivalence of the two fill
-// orders and to measure the batch win; it is never set in production paths.
-var disableCoinBatch = false
-
 // setupPlan derives the delivery plan for the current epoch's topology:
 // called once at engine construction and again at every epoch swap, so churn
-// re-plans at O(revision) cost (masks memoize per graph revision; repeated
-// trials and revisits share one build). It hoists the epoch's mask rows —
-// dense slab rows or block-sparse row views plus the cluster-major
-// permutation — and, for a committed static selector on the dense path,
-// rebuilds the combined selector mask.
+// re-plans at O(revision) cost (masks memoize per network; repeated trials
+// and revisits share one build). On the bitmap plan it hoists the epoch's
+// block-sparse row views and the cluster-major permutation they are stored
+// under.
 func (e *engine) setupPlan() {
 	e.plan = PlanScalar
 	e.bitmapTxMin = 0
-	e.gRows, e.gpRows, e.staticRows = nil, nil, nil
 	e.sparseG, e.sparseGP = nil, nil
 	e.newID, e.oldID = nil, nil
-	e.batchCoins = false
-	sparse := false
 	switch e.cfg.Plan {
 	case PlanScalar:
 		return
 	case PlanAuto:
-		if e.cfg.UseCliqueCover || e.cfg.Recorder != nil {
+		if e.cfg.UseCliqueCover || e.cfg.Recorder != nil || e.n < bitmapMinNodes {
 			return
 		}
-		if e.n < bitmapMinNodes {
+		if e.n <= densityGateMaxNodes {
+			if e.net.GPrime().NumEdges() < e.n*e.n/128 {
+				return
+			}
+		} else if graph.EstimateSparseMaskBytes(e.net, e.cfg.Link != nil) > sparseMaskMaxBytes {
 			return
 		}
 		e.bitmapTxMin = bitrand.WordsFor(e.n)
-		if e.n <= denseMaskMaxNodes {
-			// Dense region: worth the n²/64-bit slab only on dense G'.
-			if e.net.GPrime().NumEdges() < e.n*e.n/128 {
-				e.bitmapTxMin = 0
-				return
-			}
-		} else {
-			// Sparse region: the gate is the estimated mask footprint, not n.
-			if graph.EstimateSparseMaskBytes(e.net, e.cfg.Link != nil) > sparseMaskMaxBytes {
-				e.bitmapTxMin = 0
-				return
-			}
-			sparse = true
-		}
-	case PlanBitmap:
-		sparse = e.n > denseMaskMaxNodes
-	case PlanBitmapSparse:
-		sparse = true
 	}
-	e.maskW = bitrand.WordsFor(e.n)
-	e.txWords = e.sc.txBitmap(e.maskW)
-	if sparse {
-		e.plan = PlanBitmapSparse
-		set := graph.SparseMasksOf(e.net)
-		e.sparseG = set.G
-		if e.cfg.Link != nil {
-			e.sparseGP = set.GPrimeMasks()
-		}
-		//dglint:allow viewescape: engine-owned hoist, re-synced by swapEpoch at every epoch boundary
-		e.newID, e.oldID = set.Order.NewID, set.Order.OldID
-		e.sumShift = e.sparseG.RegionShift()
-	} else {
-		e.plan = PlanBitmap
-		//dglint:allow viewescape: engine-owned hoist, re-synced by swapEpoch at every epoch boundary
-		e.gRows = graph.NeighborMasksOf(e.net.G()).Rows()
-		if e.cfg.Link != nil {
-			//dglint:allow viewescape: engine-owned hoist, re-synced by swapEpoch at every epoch boundary
-			e.gpRows = graph.NeighborMasksOf(e.net.GPrime()).Rows()
-		}
-		if e.staticSel != nil {
-			e.buildStaticRows()
-		}
+	e.plan = PlanBitmap
+	e.txWords = e.sc.txBitmap(bitrand.WordsFor(e.n))
+	set := graph.SparseMasksOf(e.net)
+	e.sparseG = set.G
+	if e.cfg.Link != nil {
+		e.sparseGP = set.GPrimeMasks()
 	}
-	// Batched coin fills: with every process a BulkStepper and no consumer of
-	// the per-round transmitter list before delivery (no adaptive adversary
-	// wanting lastTx views, no offline adversary reading the realized set, no
-	// recorder), the engine draws the round's coins straight into the
-	// transmitter bitmap and skips building e.tx. The draws come from the
-	// same per-node streams in the same ascending order, so the fill is
-	// bit-for-bit identical to the per-node path (the batch equivalence test
-	// pins this).
-	e.batchCoins = e.allBulk && e.online == nil && e.offline == nil &&
-		e.cfg.Recorder == nil && !disableCoinBatch
+	//dglint:allow viewescape: engine-owned hoist, re-synced by swapEpoch at every epoch boundary
+	e.newID, e.oldID = set.Order.NewID, set.Order.OldID
+	e.sumShift = e.sparseG.RegionShift()
 }
 
-// buildStaticRows materializes the round topology of a committed static
-// selector as dense mask rows: the G rows with the selected E'\E edges ORed
-// in. Built once per epoch into the pooled slab (the committed selector
-// never changes mid-execution), so each round intersects one precomputed row
-// set instead of re-filtering extra edges per transmitter. The sparse plan
-// has no static-row analogue: static-selector rounds fall back to the CSR
-// walk there.
-func (e *engine) buildStaticRows() {
-	w := e.maskW
-	rows := e.sc.staticMask(e.n, w)
-	copy(rows, e.gRows)
-	offs, adj := e.net.ExtraCSR()
-	for v := 0; v < e.n; v++ {
-		for _, u := range adj[offs[v]:offs[v+1]] {
-			// v is a potential sender for u; selectors are symmetric, and the
-			// CSR lists each undirected edge in both rows, so this single
-			// orientation covers both directions across the outer loop.
-			if e.staticSel.Includes(v, u) {
-				rows[u*w+(v>>6)] |= 1 << (uint(v) & 63)
-			}
-		}
-	}
-	e.staticRows = rows
-}
-
-// roundRows returns the dense mask rows matching this round's topology, or
-// nil when the selector has no precomputed mask (an adaptive selector that
-// is neither all nor none), which keeps that round on the scalar walk.
-func (e *engine) roundRows(selector graph.EdgeSelector) []uint64 {
-	switch {
-	case selector.None():
-		return e.gRows
-	case selector.All():
-		return e.gpRows
-	case e.staticRows != nil:
-		// A non-nil staticRows means the committed schedule replays exactly
-		// one selector every round, and this is it.
-		return e.staticRows
-	}
-	return nil
-}
-
-// roundSparse returns the block-sparse mask rows matching this round's
-// topology, or nil when the selector is neither all nor none (no sparse
-// static-row support), which keeps that round on the scalar walk.
-func (e *engine) roundSparse(selector graph.EdgeSelector) *graph.SparseNeighborMasks {
+// roundMasks returns the mask rows matching this round's topology, or nil
+// when the selector is neither all nor none (no rows are precomputed for a
+// partial selector), which keeps that round on the scalar walk.
+func (e *engine) roundMasks(selector graph.EdgeSelector) *graph.SparseNeighborMasks {
 	switch {
 	case selector.None():
 		return e.sparseG
@@ -221,19 +118,11 @@ func (e *engine) roundSparse(selector graph.EdgeSelector) *graph.SparseNeighborM
 	return nil
 }
 
-// fillTxDense fills the transmitter bitmap from the round's transmitter
-// list: bit v marks transmitter v.
-func (e *engine) fillTxDense() {
-	txw := e.txWords
-	clear(txw)
-	for _, v := range e.tx {
-		txw[v>>6] |= 1 << (uint(v) & 63)
-	}
-}
-
 // fillTxSparse fills the transmitter bitmap from the round's transmitter
 // list in the cluster-major bit space of the sparse masks, maintaining the
 // round's region-occupancy summary as bits are set.
+//
+//dglint:noalloc gate=TestBitmapDeliveryAllocs
 func (e *engine) fillTxSparse() {
 	txw := e.txWords
 	clear(txw)
@@ -246,88 +135,7 @@ func (e *engine) fillTxSparse() {
 	e.txSumm = s
 }
 
-// rebuildTx reconstructs the ascending transmitter list from a batch-filled
-// transmitter bitmap, for rounds that fall off the bitmap kernels (fewer
-// transmitters than bitmapTxMin, a selector without precomputed rows, or the
-// complete-graph fast path). Sparse bitmaps are in cluster-major bit space,
-// so the recovered ids are sorted back to the ascending original order the
-// per-node fill would have produced — the fallback round is then identical
-// in every observable to its non-batched counterpart.
-func (e *engine) rebuildTx() {
-	e.tx = e.tx[:0]
-	if e.plan == PlanBitmapSparse {
-		for i, w := range e.txWords {
-			for w != 0 {
-				nv := i<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				e.tx = append(e.tx, e.oldID[nv])
-			}
-		}
-		slices.Sort(e.tx)
-		return
-	}
-	for i, w := range e.txWords {
-		for w != 0 {
-			e.tx = append(e.tx, i<<6+bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-}
-
-// deliverBitmap is the dense word-parallel delivery path: fill the
-// transmitter bitmap once (W words + one bit per transmitter), then classify
-// every listener with scanBitmap.
-//
-//dglint:noalloc gate=TestBitmapDeliveryAllocs
-func (e *engine) deliverBitmap(r int, res *Result, rows []uint64) []Delivery {
-	e.fillTxDense()
-	return e.scanBitmap(r, res, rows)
-}
-
-// scanBitmap classifies every listener against the filled transmitter
-// bitmap with a single masked-popcount scan of its dense neighbor row — 64
-// candidate senders per word, early-exiting at the second hit. Exactly one
-// set bit in txWords ∧ row(u) means u receives from the bit's index
-// (trailing zeros); zero or ≥2 deliver nil, preserving collision/silence
-// indistinguishability by construction. Transmitters are recognized by
-// their own bit in the bitmap (a radio cannot receive while transmitting).
-//
-//dglint:noalloc gate=TestBitmapDeliveryAllocs
-func (e *engine) scanBitmap(r int, res *Result, rows []uint64) []Delivery {
-	w := e.maskW
-	txw := e.txWords
-
-	var recorded []Delivery
-	record := e.cfg.Recorder != nil
-	if record {
-		recorded = e.recordBuf[:0]
-	}
-	for u := 0; u < e.n; u++ {
-		if txw[u>>6]>>(uint(u)&63)&1 != 0 {
-			e.procs[u].Deliver(r, nil)
-			continue
-		}
-		count, from := bitrand.IntersectOne(txw, rows[u*w:(u+1)*w])
-		if count == 1 {
-			msg := e.msgOf[from]
-			e.procs[u].Deliver(r, msg)
-			e.mon.observe(r, u, msg)
-			res.Deliveries++
-			if record {
-				recorded = append(recorded, Delivery{To: u, From: from})
-			}
-		} else {
-			e.procs[u].Deliver(r, nil)
-		}
-	}
-	if record {
-		// Keep the append-grown buffer for the next round.
-		e.recordBuf = recorded[:0]
-	}
-	return recorded
-}
-
-// deliverSparse is the block-sparse delivery kernel: every listener is
+// deliverSparse is the word-parallel delivery kernel: every listener is
 // classified by intersecting only its nonzero mask blocks with the
 // transmitter bitmap (IntersectOneIndexed), after a one-word AND of the
 // row's region summary against the round's transmitter summary rejects

@@ -9,26 +9,29 @@ import (
 	"repro/internal/radio"
 )
 
-// TestBitmapDeliveryAllocs is the //dglint:noalloc gate for the
-// word-parallel delivery path (deliverBitmap) and the bulk transmit loop: a
-// warmed-up bitmap trial must match the scalar path's whole-trial budget
-// (TestHotPathAllocs). Any per-round allocation in the bitmap kernel blows
-// the budget by ~MaxRounds and fails loudly. The dense circulant keeps every
-// round in the bitmap path (the plan is forced, so bitmapTxMin is 0).
-func TestBitmapDeliveryAllocs(t *testing.T) {
+// bitmapTrialBudget is the bitmap plan's whole-trial allocation budget, the
+// same as the scalar path's (TestHotPathAllocs): engine, Result slices,
+// process-arena miss paths. The rounds themselves must contribute zero.
+const bitmapTrialBudget = 6
+
+// bitmapTrial returns one forced-bitmap decay trial on net, a fresh seed per
+// call. Forcing the plan pins bitmapTxMin to 0, so every round stays on the
+// kernel; the per-network memos (decomposition, cluster order, mask rows)
+// are built by AllocsPerRun's untimed warm-up run, so any per-round
+// allocation in the bulk coin loop, the transmitter fill, or the kernel
+// blows the budget by ~MaxRounds and fails loudly.
+func bitmapTrial(t *testing.T, net *graph.Dual) func() {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("allocation gate needs steady-state pooling")
 	}
-	net := graph.UniformDual(graph.Circulant(512, 64))
-	spec := radio.Spec{Problem: radio.GlobalBroadcast, Source: 0}
-
 	seed := uint64(0)
-	trial := func() {
+	return func() {
 		seed++
 		_, err := radio.Run(radio.Config{
 			Net:              net,
 			Algorithm:        core.DecayGlobal{},
-			Spec:             spec,
+			Spec:             radio.Spec{Problem: radio.GlobalBroadcast, Source: 0},
 			Seed:             seed,
 			MaxRounds:        256,
 			Plan:             radio.PlanBitmap,
@@ -38,53 +41,29 @@ func TestBitmapDeliveryAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
 
-	// Same whole-trial budget as the scalar gate: engine, Result slices,
-	// process-arena miss paths. 256 bitmap rounds must contribute zero.
-	const budget = 6
-	got := testing.AllocsPerRun(100, trial)
-	t.Logf("bitmap trial allocs/op = %v (budget %d)", got, budget)
-	if got > budget {
-		t.Errorf("bitmap trial allocs/op = %v, budget %d", got, budget)
+func checkBitmapBudget(t *testing.T, got float64) {
+	t.Helper()
+	t.Logf("bitmap trial allocs/op = %v (budget %d)", got, bitmapTrialBudget)
+	if got > bitmapTrialBudget {
+		t.Errorf("bitmap trial allocs/op = %v, budget %d", got, bitmapTrialBudget)
 	}
 }
 
-// TestSparseDeliveryAllocs is the //dglint:noalloc gate for the block-sparse
-// delivery kernel (deliverSparse) and the batched sparse coin fill: once the
-// per-graph memos (decomposition, cluster order, sparse mask rows) are warm
-// — AllocsPerRun's untimed warm-up run builds them — a sparse-plan trial
-// must match the dense gate's whole-trial budget, with the kernel, the
-// summary pruning, and the cluster-major id translation contributing zero
-// allocations per round.
+// TestBitmapDeliveryAllocs is the //dglint:noalloc gate for the transmitter
+// fill (fillTxSparse) on a dense circulant, where every row holds many
+// blocks and the region summaries rarely prune.
+func TestBitmapDeliveryAllocs(t *testing.T) {
+	net := graph.UniformDual(graph.Circulant(512, 64))
+	checkBitmapBudget(t, testing.AllocsPerRun(100, bitmapTrial(t, net)))
+}
+
+// TestSparseDeliveryAllocs is the //dglint:noalloc gate for the delivery
+// kernel (deliverSparse) on a ring-with-chords network, where the region
+// summaries reject most listeners and the cluster-major id translation
+// carries every delivery.
 func TestSparseDeliveryAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation gate needs steady-state pooling")
-	}
-	src := bitrand.New(0x59a5)
-	net := graph.UniformDual(graph.RingChords(src, 4096, 8192))
-	spec := radio.Spec{Problem: radio.GlobalBroadcast, Source: 0}
-
-	seed := uint64(0)
-	trial := func() {
-		seed++
-		_, err := radio.Run(radio.Config{
-			Net:              net,
-			Algorithm:        core.DecayGlobal{},
-			Spec:             spec,
-			Seed:             seed,
-			MaxRounds:        256,
-			Plan:             radio.PlanBitmapSparse,
-			IgnoreCompletion: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	const budget = 6
-	got := testing.AllocsPerRun(100, trial)
-	t.Logf("sparse trial allocs/op = %v (budget %d)", got, budget)
-	if got > budget {
-		t.Errorf("sparse trial allocs/op = %v, budget %d", got, budget)
-	}
+	net := graph.UniformDual(graph.RingChords(bitrand.New(0x59a5), 4096, 8192))
+	checkBitmapBudget(t, testing.AllocsPerRun(100, bitmapTrial(t, net)))
 }

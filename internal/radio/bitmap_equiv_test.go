@@ -12,12 +12,12 @@ import (
 	"repro/internal/radio"
 )
 
-// The word-parallel delivery paths must be observationally identical to the
+// The word-parallel delivery path must be observationally identical to the
 // scalar CSR walk: same transmitters, same delivery set, same monitor
 // verdicts, same per-node energy — for every adversary class and across
-// epoch swaps. These tests run each configuration under PlanScalar,
-// PlanBitmap, and PlanBitmapSparse with the same seed and compare everything
-// the engine reports (a three-way differential).
+// epoch swaps. These tests run each configuration under PlanScalar and
+// PlanBitmap with the same seed and compare everything the engine reports,
+// with the naive ReferenceDeliveries oracle as the third witness.
 
 // fixedLink commits a static schedule replaying one selector.
 type fixedLink struct{ sel graph.EdgeSelector }
@@ -85,34 +85,32 @@ func runPlan(t testing.TB, cfg radio.Config, plan radio.DeliveryPlan) (radio.Res
 	return res, rec
 }
 
-// comparePlans runs cfg under the scalar, dense-bitmap, and sparse-bitmap
-// plans and fails on any observable difference. The bitmap paths report
-// deliveries in ascending node order (dense) or cluster-major order (sparse)
-// rather than discovery order, so per-round delivery lists compare as sets.
+// comparePlans runs cfg under the scalar and bitmap plans and fails on any
+// observable difference. The bitmap path reports deliveries in
+// cluster-major order rather than discovery order, so per-round delivery
+// lists compare as sets.
 func comparePlans(t testing.TB, cfg radio.Config) {
 	t.Helper()
 	sres, srec := runPlan(t, cfg, radio.PlanScalar)
-	for _, plan := range []radio.DeliveryPlan{radio.PlanBitmap, radio.PlanBitmapSparse} {
-		bres, brec := runPlan(t, cfg, plan)
-		if !reflect.DeepEqual(sres, bres) {
-			t.Errorf("results differ:\n scalar: %+v\n %v: %+v", sres, plan, bres)
+	bres, brec := runPlan(t, cfg, radio.PlanBitmap)
+	if !reflect.DeepEqual(sres, bres) {
+		t.Errorf("results differ:\n scalar: %+v\n bitmap: %+v", sres, bres)
+	}
+	if len(srec.Rounds) != len(brec.Rounds) {
+		t.Fatalf("round counts differ: scalar %d, bitmap %d", len(srec.Rounds), len(brec.Rounds))
+	}
+	for i := range srec.Rounds {
+		sr, br := srec.Rounds[i], brec.Rounds[i]
+		if !reflect.DeepEqual(sr.Transmitters, br.Transmitters) {
+			t.Fatalf("round %d transmitters differ: scalar %v, bitmap %v", sr.Round, sr.Transmitters, br.Transmitters)
 		}
-		if len(srec.Rounds) != len(brec.Rounds) {
-			t.Fatalf("round counts differ: scalar %d, %v %d", len(srec.Rounds), plan, len(brec.Rounds))
+		if sr.SelectorKind != br.SelectorKind {
+			t.Fatalf("round %d selector kind differs: scalar %q, bitmap %q", sr.Round, sr.SelectorKind, br.SelectorKind)
 		}
-		for i := range srec.Rounds {
-			sr, br := srec.Rounds[i], brec.Rounds[i]
-			if !reflect.DeepEqual(sr.Transmitters, br.Transmitters) {
-				t.Fatalf("round %d transmitters differ: scalar %v, %v %v", sr.Round, sr.Transmitters, plan, br.Transmitters)
-			}
-			if sr.SelectorKind != br.SelectorKind {
-				t.Fatalf("round %d selector kind differs: scalar %q, %v %q", sr.Round, sr.SelectorKind, plan, br.SelectorKind)
-			}
-			radio.SortDeliveries(sr.Deliveries)
-			radio.SortDeliveries(br.Deliveries)
-			if !reflect.DeepEqual(sr.Deliveries, br.Deliveries) {
-				t.Fatalf("round %d deliveries differ:\n scalar: %v\n %v: %v", sr.Round, sr.Deliveries, plan, br.Deliveries)
-			}
+		radio.SortDeliveries(sr.Deliveries)
+		radio.SortDeliveries(br.Deliveries)
+		if !reflect.DeepEqual(sr.Deliveries, br.Deliveries) {
+			t.Fatalf("round %d deliveries differ:\n scalar: %v\n bitmap: %v", sr.Round, sr.Deliveries, br.Deliveries)
 		}
 	}
 }
@@ -203,8 +201,8 @@ func TestBitmapMatchesReference(t *testing.T) {
 }
 
 // FuzzBitmapScalarEquivalence is the differential fuzzer: random sparse-ish
-// duals, every adversary shape, both plans, cross-checked per round against
-// the reference oracle. Wired into the CI fuzz-smoke job.
+// duals, every adversary shape, both plans, the bitmap plan cross-checked
+// per round against the reference oracle. Wired into the CI fuzz-smoke job.
 func FuzzBitmapScalarEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(64), uint16(40), uint16(120), uint8(0), false)
 	f.Add(uint64(2), uint16(100), uint16(0), uint16(300), uint8(1), true)
@@ -249,16 +247,14 @@ func FuzzBitmapScalarEquivalence(f *testing.F) {
 			Seed: seed, MaxRounds: 64, IgnoreCompletion: local}
 		comparePlans(t, cfg)
 
-		for _, plan := range []radio.DeliveryPlan{radio.PlanBitmap, radio.PlanBitmapSparse} {
-			_, brec := runPlan(t, cfg, plan)
-			for _, r := range brec.Rounds {
-				want := radio.ReferenceDeliveries(d, r.Selector, r.Transmitters)
-				radio.SortDeliveries(want)
-				got := append([]radio.Delivery(nil), r.Deliveries...)
-				radio.SortDeliveries(got)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%v round %d deliveries diverge from reference:\n got:  %v\n want: %v", plan, r.Round, got, want)
-				}
+		_, brec := runPlan(t, cfg, radio.PlanBitmap)
+		for _, r := range brec.Rounds {
+			want := radio.ReferenceDeliveries(d, r.Selector, r.Transmitters)
+			radio.SortDeliveries(want)
+			got := append([]radio.Delivery(nil), r.Deliveries...)
+			radio.SortDeliveries(got)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d deliveries diverge from reference:\n got:  %v\n want: %v", r.Round, got, want)
 			}
 		}
 	})
@@ -312,18 +308,18 @@ func TestPlanValidation(t *testing.T) {
 		MaxRounds: 32,
 	}
 
-	cfg := base
-	cfg.Plan = radio.DeliveryPlan(99)
-	if _, err := radio.Run(cfg); !errors.Is(err, radio.ErrBadConfig) {
-		t.Errorf("out-of-range plan: got err %v, want ErrBadConfig", err)
+	for _, plan := range []radio.DeliveryPlan{-1, 3, 99} {
+		cfg := base
+		cfg.Plan = plan
+		if _, err := radio.Run(cfg); !errors.Is(err, radio.ErrBadConfig) {
+			t.Errorf("out-of-range %v: got err %v, want ErrBadConfig", plan, err)
+		}
 	}
 
-	for _, plan := range []radio.DeliveryPlan{radio.PlanBitmap, radio.PlanBitmapSparse} {
-		cfg = base
-		cfg.Plan = plan
-		cfg.UseCliqueCover = true
-		if _, err := radio.Run(cfg); !errors.Is(err, radio.ErrBadConfig) {
-			t.Errorf("%v+UseCliqueCover: got err %v, want ErrBadConfig", plan, err)
-		}
+	cfg := base
+	cfg.Plan = radio.PlanBitmap
+	cfg.UseCliqueCover = true
+	if _, err := radio.Run(cfg); !errors.Is(err, radio.ErrBadConfig) {
+		t.Errorf("PlanBitmap+UseCliqueCover: got err %v, want ErrBadConfig", err)
 	}
 }

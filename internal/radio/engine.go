@@ -167,44 +167,28 @@ type engine struct {
 	gAdj, exAdj   []graph.NodeID
 
 	// Word-parallel delivery state, derived per epoch by setupPlan. plan is
-	// the epoch's resolved delivery plan (never PlanAuto); when it is
-	// PlanBitmap, maskW is the row stride in words, gRows/gpRows the hoisted
-	// flat mask rows of the epoch's G and G' (gpRows nil without a link),
-	// staticRows the combined rows of a committed static selector (else
-	// nil), txWords the pooled transmitter bitmap, and bitmapTxMin the
-	// per-round transmitter count below which the scalar walk is cheaper (0
-	// when the plan is forced). bulkSteps[u] is non-nil when procs[u]
-	// implements BulkStepper; allBulk reports whether every entry is.
+	// the epoch's resolved delivery plan (never PlanAuto), txWords the pooled
+	// transmitter bitmap, and bitmapTxMin the per-round transmitter count
+	// below which the scalar walk is cheaper (0 when the plan is forced).
+	// bulkSteps[u] is non-nil when procs[u] implements BulkStepper; allBulk
+	// reports whether every entry is.
 	plan        DeliveryPlan
-	maskW       int
 	bitmapTxMin int
-	gRows       []uint64
-	gpRows      []uint64
-	staticRows  []uint64
-	staticSel   graph.EdgeSelector
 	txWords     []uint64
 	bulkSteps   []BulkStepper
 	allBulk     bool
 
-	// Block-sparse delivery state, set when plan is PlanBitmapSparse: the
-	// epoch's sparse mask rows for G and G' (sparseGP nil without a link),
-	// the cluster-major permutation pair they are stored under, the region
-	// shift of the per-row occupancy summaries, and the current round's
-	// transmitter-side summary (txSumm), rebuilt by every fill.
+	// Mask state, set when plan is PlanBitmap: the epoch's block-sparse rows
+	// for G and G' (sparseGP nil without a link), the cluster-major
+	// permutation pair they are stored under, the region shift of the
+	// per-row occupancy summaries, and the current round's transmitter-side
+	// summary (txSumm), rebuilt by every fill.
 	sparseG  *graph.SparseNeighborMasks
 	sparseGP *graph.SparseNeighborMasks
 	newID    []graph.NodeID
 	oldID    []graph.NodeID
 	sumShift uint
 	txSumm   uint64
-
-	// Batched coin-fill state: batchCoins (derived by setupPlan) reports
-	// that stepBatch may draw the round's coins straight into txWords;
-	// txFilled marks a round whose transmitters live only in the bitmap
-	// (txCount of them), consumed and cleared by deliver.
-	batchCoins bool
-	txFilled   bool
-	txCount    int
 
 	txByNode []int64
 
@@ -270,10 +254,10 @@ func newEngine(cfg Config) (*engine, error) {
 		}
 		cfg.MaxRounds = 64 * n * n
 	}
-	if cfg.Plan < PlanAuto || cfg.Plan > PlanBitmapSparse {
+	if cfg.Plan < PlanAuto || cfg.Plan > PlanBitmap {
 		return nil, fmt.Errorf("%w: unknown delivery plan %d", ErrBadConfig, cfg.Plan)
 	}
-	if (cfg.Plan == PlanBitmap || cfg.Plan == PlanBitmapSparse) && cfg.UseCliqueCover {
+	if cfg.Plan == PlanBitmap && cfg.UseCliqueCover {
 		return nil, fmt.Errorf("%w: %v and UseCliqueCover are mutually exclusive delivery accelerators", ErrBadConfig, cfg.Plan)
 	}
 	e := &engine{cfg: cfg, net: cfg.Net, n: n, epochs: cfg.Epochs, sc: getScratch(n)}
@@ -397,14 +381,6 @@ func newEngine(cfg Config) (*engine, error) {
 		e.cliqueTx, e.cliqueS = e.sc.clique(e.accel.Count)
 	}
 
-	// A committed schedule that replays one fixed selector (neither all nor
-	// none) gets its round topology precomputed as mask rows when the bitmap
-	// plan is active. Detected here, once: the committed schedule is fixed
-	// for the whole execution.
-	if ss, ok := e.committed.(StaticSchedule); ok && ss.Selector != nil &&
-		!ss.Selector.All() && !ss.Selector.None() {
-		e.staticSel = ss.Selector
-	}
 	e.setupPlan()
 	return e, nil
 }
@@ -558,16 +534,12 @@ func (e *engine) step(r int, res *Result) {
 	}
 
 	// 2. Flip the coins: every process steps. When every process is a
-	// BulkStepper and a bitmap plan is active, the engine runs the round's
+	// BulkStepper and the bitmap plan is active, the engine runs the round's
 	// Bernoulli trials itself — same per-node streams, same ascending order,
 	// so the draws are bit-for-bit identical to the Step dispatch — and
-	// fills the transmit set without constructing Actions. With no consumer
-	// of the per-round transmitter list (batchCoins), the coins land
-	// straight in the transmitter bitmap and e.tx is not built at all.
+	// fills the transmit set without constructing Actions.
 	e.tx = e.tx[:0]
 	switch {
-	case e.batchCoins:
-		e.stepBatch(r, res)
 	case e.allBulk && e.plan != PlanScalar:
 		for u, bs := range e.bulkSteps {
 			if e.nodeRngs[u].Coin(bs.TransmitProb(r)) {
@@ -625,76 +597,10 @@ func (e *engine) step(r int, res *Result) {
 	}
 
 	// Remember this round's transmitters for the next round's view. Only
-	// adaptive adversaries read LastTransmitters, and batchCoins excludes
-	// them, so batch-handled rounds (which never materialize e.tx) are safe.
+	// adaptive adversaries read LastTransmitters.
 	if e.online != nil || e.offline != nil {
 		e.lastTx = append(e.lastTx[:0], e.tx...)
 	}
-}
-
-// stepBatch is the batched transmit-coin fill: one pass over the nodes in
-// ascending original id draws each node's round-r coin from its own stream
-// (bit-for-bit the order the per-node paths use) and writes heads straight
-// into the transmitter bitmap — whole words at a time on the dense plan,
-// scattered cluster-major bits plus the incremental region summary on the
-// sparse plan. No transmitter list is built; deliver reconstructs one only
-// for rounds that fall off the bitmap kernels (see rebuildTx).
-//
-//dglint:noalloc gate=TestBitmapDeliveryAllocs
-func (e *engine) stepBatch(r int, res *Result) {
-	txw := e.txWords
-	count := 0
-	if len(txw) == 0 { // 0-node network under a forced plan
-		e.txFilled, e.txCount = true, 0
-		return
-	}
-	if e.plan == PlanBitmapSparse {
-		clear(txw)
-		var s uint64
-		shift := e.sumShift
-		for u, bs := range e.bulkSteps {
-			if e.nodeRngs[u].Coin(bs.TransmitProb(r)) {
-				msg := bs.Frame(r)
-				if msg == nil {
-					msg = &e.noise[u]
-				}
-				e.msgOf[u] = msg
-				e.txByNode[u]++
-				nv := e.newID[u]
-				txw[nv>>6] |= 1 << (uint(nv) & 63)
-				s |= 1 << (uint(nv>>6) >> shift)
-				count++
-			}
-		}
-		e.txSumm = s
-	} else {
-		// Dense: bits land at the original ids, so 64 consecutive coins fill
-		// one register that is flushed as a single word store. Every word of
-		// the bitmap is flushed exactly once, which doubles as the clear.
-		var w uint64
-		wi := 0
-		for u, bs := range e.bulkSteps {
-			if u>>6 != wi {
-				txw[wi] = w
-				w = 0
-				wi = u >> 6
-			}
-			if e.nodeRngs[u].Coin(bs.TransmitProb(r)) {
-				msg := bs.Frame(r)
-				if msg == nil {
-					msg = &e.noise[u]
-				}
-				e.msgOf[u] = msg
-				e.txByNode[u]++
-				w |= 1 << (uint(u) & 63)
-				count++
-			}
-		}
-		txw[wi] = w
-	}
-	e.txFilled = true
-	e.txCount = count
-	res.Transmissions += int64(count)
 }
 
 // deliver computes receptions under the round topology G ∪ selector(E'\E)
@@ -704,38 +610,14 @@ func (e *engine) stepBatch(r int, res *Result) {
 //
 //dglint:noalloc gate=TestHotPathAllocs
 func (e *engine) deliver(selector graph.EdgeSelector, r int, res *Result) []Delivery {
-	// Batch-filled rounds: the transmitters already live in the bitmap, so
-	// rounds the word-parallel kernels can serve go straight there with no
-	// refill. Rounds that fall off them — too few transmitters, a selector
-	// without precomputed rows, or the complete-graph fast path — first
-	// reconstruct the transmitter list the per-node fill would have built.
-	if e.txFilled {
-		e.txFilled = false
-		if e.txCount >= e.bitmapTxMin && !(selector.All() && e.net.UnionComplete()) {
-			if e.plan == PlanBitmapSparse {
-				if m := e.roundSparse(selector); m != nil {
-					return e.deliverSparse(r, res, m)
-				}
-			} else if rows := e.roundRows(selector); rows != nil {
-				return e.scanBitmap(r, res, rows)
-			}
-		}
-		e.rebuildTx()
-	} else if len(e.tx) >= e.bitmapTxMin && !(selector.All() && e.net.UnionComplete()) {
-		// Word-parallel dispatch: rounds whose selector has precomputed mask
-		// rows and enough transmitters to beat the CSR walk go through a
-		// bitmap kernel. The complete-graph fast path below stays first in
-		// line (it is O(n) with no per-word work).
-		switch e.plan {
-		case PlanBitmap:
-			if rows := e.roundRows(selector); rows != nil {
-				return e.deliverBitmap(r, res, rows)
-			}
-		case PlanBitmapSparse:
-			if m := e.roundSparse(selector); m != nil {
-				e.fillTxSparse()
-				return e.deliverSparse(r, res, m)
-			}
+	// Word-parallel dispatch: rounds whose selector has precomputed mask
+	// rows and enough transmitters to beat the CSR walk go through the
+	// bitmap kernel. The complete-graph fast path below stays first in line
+	// (it is O(n) with no per-word work).
+	if e.plan == PlanBitmap && len(e.tx) >= e.bitmapTxMin && !(selector.All() && e.net.UnionComplete()) {
+		if m := e.roundMasks(selector); m != nil {
+			e.fillTxSparse()
+			return e.deliverSparse(r, res, m)
 		}
 	}
 

@@ -60,11 +60,11 @@ func BenchmarkEngineRoundDelivery(b *testing.B) {
 	// Word-parallel delivery on a SCALE-class circulant: n = 10⁴, degree
 	// 2048, every node an aloha broadcaster at p = 1/2, so every round
 	// carries ~n/2 transmitters — the regime the bitmap kernel exists for.
-	// The scalar row walks ~10M adjacency entries per round; the bitmap row
-	// classifies every listener in a couple of masked popcounts
-	// (BENCH_pr7.json tracks the ratio). PlanAuto resolves to the same bitmap
-	// path here (dense rounds, thresholds cleared), measured separately to
-	// pin the hybrid dispatch overhead.
+	// The scalar row walks ~10M adjacency entries per round; the bitmap
+	// classifies every listener in a few masked popcounts over its row's
+	// blocks. PlanAuto resolves to the same bitmap path here (dense rounds,
+	// thresholds cleared), measured separately to pin the hybrid dispatch
+	// overhead.
 	// Built lazily: the benchmark function body re-runs for every selected
 	// sub-benchmark, and the ~20M-entry CSR would otherwise bloat the live
 	// heap (and every small sub-bench's GC bill) even when no dense row is
@@ -108,14 +108,12 @@ func BenchmarkEngineRoundDelivery(b *testing.B) {
 }
 
 // BenchmarkSparseDelivery measures full aloha trials on the SCALE-family
-// ring-with-chords substrates across the delivery plans that can carry them:
-// the scalar CSR walk, the dense word-parallel kernel (only legal up to the
-// dense-mask node cap), and the block-sparse kernel the large sizes exist
-// for. Every node transmits at p = 1/2, the bitmap regime; IgnoreCompletion
-// pins the round count so ns/op compares across plans (BENCH_pr9.json tracks
-// the dense/sparse and scalar/sparse ratios). The substrates are built
-// lazily and memoized for the same reason as the dense circulant above — the
-// 10⁶-node dual alone holds ~10⁷ CSR entries plus its memoized sparse masks.
+// ring-with-chords substrates under the scalar CSR walk and the bitmap
+// plan's block-sparse kernel. Every node transmits at p = 1/2, the bitmap
+// regime; IgnoreCompletion pins the round count so ns/op compares across
+// plans. The substrates are built lazily and memoized for the same reason as
+// the dense circulant above — the 10⁶-node dual alone holds ~10⁷ CSR entries
+// plus its memoized mask rows.
 func BenchmarkSparseDelivery(b *testing.B) {
 	nets := map[int]*graph.Dual{}
 	mk := func(n int) *graph.Dual {
@@ -152,11 +150,10 @@ func BenchmarkSparseDelivery(b *testing.B) {
 		}
 	}
 	b.Run("n=10000/scalar", func(b *testing.B) { run(b, 10000, 32, radio.PlanScalar) })
-	b.Run("n=10000/dense", func(b *testing.B) { run(b, 10000, 32, radio.PlanBitmap) })
-	b.Run("n=10000/sparse", func(b *testing.B) { run(b, 10000, 32, radio.PlanBitmapSparse) })
+	b.Run("n=10000/bitmap", func(b *testing.B) { run(b, 10000, 32, radio.PlanBitmap) })
 	b.Run("n=100000/scalar", func(b *testing.B) { run(b, 100000, 16, radio.PlanScalar) })
-	b.Run("n=100000/sparse", func(b *testing.B) { run(b, 100000, 16, radio.PlanBitmapSparse) })
-	b.Run("n=1000000/sparse", func(b *testing.B) { run(b, 1000000, 8, radio.PlanBitmapSparse) })
+	b.Run("n=100000/bitmap", func(b *testing.B) { run(b, 100000, 16, radio.PlanBitmap) })
+	b.Run("n=1000000/bitmap", func(b *testing.B) { run(b, 1000000, 8, radio.PlanBitmap) })
 }
 
 // BenchmarkEpochSwap measures full trials under a topology schedule against

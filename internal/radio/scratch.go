@@ -16,7 +16,7 @@ import (
 // pool and the next trial reuses it. grow re-clears everything an execution
 // reads before writing, so pooling never leaks state between trials.
 //
-//dglint:pooled reset=grow,clique,rumor,arenaStore,arenaDrop,txBitmap,staticMask
+//dglint:pooled reset=grow,clique,rumor,arenaStore,arenaDrop,txBitmap
 type scratch struct {
 	// class is the pool bucket this scratch belongs to (see getScratch), or
 	// -1 for an oversized scratch that is never pooled.
@@ -41,14 +41,10 @@ type scratch struct {
 	cliqueTx []int32
 	cliqueS  []graph.NodeID
 
-	// word-parallel delivery slabs, sized on demand when an execution picks
-	// the bitmap plan: the per-round transmitter bitmap (W words) and the
-	// combined G ∪ selected-extra mask rows for a committed static selector
-	// (n·W words). deliverBitmap clears txWords before every fill and
-	// buildStaticRows overwrites every staticMask word, so neither leaks
-	// state across trials.
+	// per-round transmitter bitmap (W words), sized on demand when an
+	// execution picks the bitmap plan. fillTxSparse clears it before every
+	// fill, so it leaks no state across trials.
 	txWords []uint64
-	selMask []uint64
 
 	// monitor backing stores: the round-stamp slice shared by the global and
 	// local monitors (and repurposed as the gossip monitor's source index),
@@ -113,14 +109,8 @@ const (
 	// slabs each while pooled, but a million-node experiment runs many
 	// trials back to back and re-allocating ~50 MB per trial churned the GC
 	// far harder than pinning one slab set per class — and sync.Pool
-	// releases them under memory pressure anyway. The quadratic slab risk
-	// stays bounded by maxPooledMaskWords below.
+	// releases them under memory pressure anyway.
 	scratchMaxClass = 20
-	// maxPooledMaskWords bounds the static-selector mask slab a pooled
-	// scratch may retain: the slab is n·W words (quadratic in n), so even
-	// within a pooled class it can dwarf every linear slab combined. Larger
-	// slabs are dropped on release and rebuilt on demand.
-	maxPooledMaskWords = 1 << 22 // 32 MiB
 )
 
 var scratchPools [scratchMaxClass - scratchMinClass + 1]sync.Pool
@@ -157,14 +147,11 @@ func getScratch(n int) *scratch {
 	return s
 }
 
-// putScratch returns a scratch to its class pool; oversized scratches (and
-// oversized mask slabs within a pooled scratch) are dropped to the GC.
+// putScratch returns a scratch to its class pool; oversized scratches are
+// dropped to the GC.
 func putScratch(s *scratch) {
 	if s.class < 0 {
 		return
-	}
-	if cap(s.selMask) > maxPooledMaskWords {
-		s.selMask = nil
 	}
 	scratchPools[s.class-scratchMinClass].Put(s)
 }
@@ -235,24 +222,13 @@ func (s *scratch) clique(count int) ([]int32, []graph.NodeID) {
 	return s.cliqueTx[:count], s.cliqueS[:count]
 }
 
-// txBitmap sizes the round transmitter bitmap for w words. deliverBitmap
+// txBitmap sizes the round transmitter bitmap for w words. fillTxSparse
 // clears it before every fill, so no cross-trial clear is needed here.
 func (s *scratch) txBitmap(w int) []uint64 {
 	if cap(s.txWords) < w {
 		s.txWords = make([]uint64, w)
 	}
 	return s.txWords[:w]
-}
-
-// staticMask sizes the combined static-selector mask slab: n rows of w
-// words. The engine overwrites every word when it builds the mask
-// (buildStaticRows copies the G rows then ORs in selected edges), so no
-// cross-trial clear is needed here.
-func (s *scratch) staticMask(n, w int) []uint64 {
-	if cap(s.selMask) < n*w {
-		s.selMask = make([]uint64, n*w)
-	}
-	return s.selMask[:n*w]
 }
 
 // arenaMatch returns the pooled process slab if it was built by the same
