@@ -21,6 +21,9 @@ func TestChurnWindowAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate needs steady-state pooling")
 	}
+	if raceEnabled {
+		t.Skip("allocation gate: the race runtime drops sync.Pool items on purpose")
+	}
 	const n = 64
 	base := graph.TwoCliques(n)
 	sc, err := scenario.Generate(base, bitrand.New(3000+n), scenario.GenConfig{

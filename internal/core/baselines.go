@@ -106,7 +106,13 @@ func (p *roundRobinProc) Deliver(r int, msg *radio.Message) {
 // is the held message.
 func (p *roundRobinProc) Frame(int) *radio.Message { return p.msg }
 
-var _ radio.BulkStepper = (*roundRobinProc)(nil)
+// Dormant implements radio.Dormant: a node without a message skips its turn.
+func (p *roundRobinProc) Dormant() bool { return p.msg == nil }
+
+var (
+	_ radio.BulkStepper = (*roundRobinProc)(nil)
+	_ radio.Dormant     = (*roundRobinProc)(nil)
+)
 
 // Aloha is the uncoordinated fixed-probability local broadcast baseline:
 // every broadcaster transmits each round with the same probability P. With

@@ -151,7 +151,13 @@ func (p *decayGlobalProc) Deliver(r int, msg *radio.Message) {
 // which draws no bits either way) transmitting the held message.
 func (p *decayGlobalProc) Frame(int) *radio.Message { return p.msg }
 
-var _ radio.BulkStepper = (*decayGlobalProc)(nil)
+// Dormant implements radio.Dormant: an uninformed node waits for the message.
+func (p *decayGlobalProc) Dormant() bool { return p.informedAt < 0 }
+
+var (
+	_ radio.BulkStepper = (*decayGlobalProc)(nil)
+	_ radio.Dormant     = (*decayGlobalProc)(nil)
+)
 
 // DecayLocal is the decay-based local broadcast of [8] for the protocol
 // model: each broadcaster cycles through the probabilities 1/2, ...,
@@ -259,4 +265,10 @@ func (silentProc) Deliver(int, *radio.Message) {}
 // Frame implements radio.BulkStepper: probability 0, so it is never asked.
 func (silentProc) Frame(int) *radio.Message { return nil }
 
-var _ radio.BulkStepper = silentProc{}
+// Dormant implements radio.Dormant: a node with no role never wakes.
+func (silentProc) Dormant() bool { return true }
+
+var (
+	_ radio.BulkStepper = silentProc{}
+	_ radio.Dormant     = silentProc{}
+)

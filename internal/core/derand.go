@@ -123,6 +123,9 @@ func (p *derandProc) Deliver(r int, msg *radio.Message) {
 // probability, never a real coin, and the frame is the held message.
 func (p *derandProc) Frame(int) *radio.Message { return p.msg }
 
+// Dormant implements radio.Dormant: a node without a message never transmits.
+func (p *derandProc) Dormant() bool { return p.msg == nil }
+
 // OnEpoch implements radio.EpochAware: topology churn re-keys the
 // decomposition to the new revision's memo, the same way the engine re-keys
 // the clique cover at an epoch swap. Held messages persist — nodes survive
@@ -133,5 +136,6 @@ func (p *derandProc) OnEpoch(epoch int, net *graph.Dual) {
 
 var (
 	_ radio.BulkStepper = (*derandProc)(nil)
+	_ radio.Dormant     = (*derandProc)(nil)
 	_ radio.EpochAware  = (*derandProc)(nil)
 )

@@ -264,6 +264,11 @@ func (p *permGlobalProc) Deliver(r int, msg *radio.Message) {
 	p.msg = msg
 }
 
+// Dormant implements radio.Dormant: only the source's bits wake a node.
+func (p *permGlobalProc) Dormant() bool { return p.informedAt < 0 }
+
+var _ radio.Dormant = (*permGlobalProc)(nil)
+
 // PermutedLocalUncoordinated is the natural-but-insufficient adaptation of
 // permuted decay to local broadcast: every broadcaster draws its own private
 // permutation bits and runs permuted decay independently. Without shared

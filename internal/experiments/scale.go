@@ -98,8 +98,10 @@ func buildScaleNets(full bool) []scaleSubstrate {
 	return nets
 }
 
-// scaleTrials caps the per-point trial count at the million-node size: one
-// trial there walks ~10⁶ rows per round for hundreds of rounds, so the full
+// scaleTrials caps the per-point trial count at the million-node size. The
+// ramp before the informed set takes off is cheap, since rounds cost only
+// the awake nodes, but once most of the 10⁶ nodes are informed every round
+// steps them all and walks their rows for hundreds of rounds, so the full
 // 15-seed default would dominate the whole suite's wall clock for a point
 // whose median is already stable at a third of that.
 func scaleTrials(trials, n int) int {

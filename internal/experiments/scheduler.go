@@ -116,14 +116,21 @@ func newSweep(cfg Config) *sweep { return &sweep{cfg: cfg} }
 // tasks declares n independent jobs plus one aggregation closure that runs
 // after every job of the sweep has finished, in declaration order. fn(i)
 // returns task i's record values (and error); it must derive everything from
-// i alone so any subset of tasks can run in any process. agg receives the
-// point's records in task order.
+// i alone so any subset of tasks can run in any process. A panic in fn is
+// recovered into the task's record error, so one bad trial fails its
+// experiment instead of the process and every run in flight. agg receives
+// the point's records in task order, and only when none of them failed.
 func (s *sweep) tasks(n int, fn func(i int) ([]float64, error), agg func(recs []taskRecord) error) {
 	start := len(s.recs)
 	s.recs = append(s.recs, make([]taskRecord, n)...)
 	for i := 0; i < n; i++ {
 		g := start + i
 		s.jobs = append(s.jobs, func() {
+			defer func() {
+				if p := recover(); p != nil {
+					s.recs[g] = taskRecord{err: fmt.Errorf("task %d panicked: %v", g, p)}
+				}
+			}()
 			vals, err := fn(g - start)
 			s.recs[g] = taskRecord{vals: vals, err: err}
 		})
@@ -190,14 +197,20 @@ func (s *sweep) run() error {
 }
 
 // aggregate fires the aggregation closures in declaration order over the
-// sweep's records, stopping at the first error. A *TrialError surfacing from
-// a closure has its indices rebased from point-local to sweep-local — and,
-// because every experiment declares exactly one sweep, sweep-local is the
-// experiment's task declaration index, the coordinate sharding and the run
-// service's structured errors speak.
+// sweep's records, stopping at the first error. A range holding failed
+// records fails as a *TrialError before its closure runs. A *TrialError has
+// its indices rebased from point-local to sweep-local — and, because every
+// experiment declares exactly one sweep, sweep-local is the experiment's
+// task declaration index, the coordinate sharding and the run service's
+// structured errors speak.
 func (s *sweep) aggregate() error {
 	for _, agg := range s.aggs {
-		if err := agg.fn(s.recs[agg.start:agg.end]); err != nil {
+		recs := s.recs[agg.start:agg.end]
+		err := failedTrials(recs)
+		if err == nil {
+			err = agg.fn(recs)
+		}
+		if err != nil {
 			var te *TrialError
 			if errors.As(err, &te) {
 				for i := range te.Failed {
@@ -240,15 +253,8 @@ func (e *TrialError) Unwrap() error { return e.Errs[0] }
 // records were produced in-process or merged from shard artifacts.
 func aggregateTrials(recs []taskRecord) (trialOutcome, error) {
 	out := trialOutcome{Trials: len(recs)}
-	var te TrialError
-	for i, r := range recs {
-		if r.err != nil {
-			te.Failed = append(te.Failed, i)
-			te.Errs = append(te.Errs, fmt.Errorf("trial %d: %w", i, r.err))
-		}
-	}
-	if len(te.Failed) > 0 {
-		return out, &te
+	if err := failedTrials(recs); err != nil {
+		return out, err
 	}
 	if len(recs) == 0 {
 		return out, nil
@@ -266,6 +272,22 @@ func aggregateTrials(recs []taskRecord) (trialOutcome, error) {
 	out.MeanRounds = cs.Mean
 	out.P90 = cs.P90
 	return out, nil
+}
+
+// failedTrials reports every failed record of a range as a *TrialError with
+// range-local indices, or nil when none failed.
+func failedTrials(recs []taskRecord) error {
+	var te TrialError
+	for i, r := range recs {
+		if r.err != nil {
+			te.Failed = append(te.Failed, i)
+			te.Errs = append(te.Errs, fmt.Errorf("trial %d: %w", i, r.err))
+		}
+	}
+	if len(te.Failed) == 0 {
+		return nil
+	}
+	return &te
 }
 
 // RunAll executes the given experiments through one shared worker pool sized

@@ -99,6 +99,69 @@ func TestTrialErrorIndicesAreSweepLocal(t *testing.T) {
 	}
 }
 
+// TestRunAllRecoversTrialPanic pins the worker pool's panic recovery: a
+// panicking task becomes its record's error and fails its experiment as a
+// *TrialError naming that task, even though this aggregation closure never
+// looks at errors, while a sibling experiment sharing the pool finishes
+// with the result it has when run alone.
+func TestRunAllRecoversTrialPanic(t *testing.T) {
+	panicky := Experiment{ID: "X-panic", Run: func(cfg Config) (*Result, error) {
+		sw := newSweep(cfg)
+		sw.tasks(6, func(i int) ([]float64, error) {
+			if i == 3 {
+				panic("boom")
+			}
+			return []float64{float64(i)}, nil
+		}, func([]taskRecord) error { return nil })
+		if err := sw.run(); err != nil {
+			return nil, err
+		}
+		return &Result{}, nil
+	}}
+	sibling, ok := ByID("L3.2-hitting")
+	if !ok {
+		t.Fatal("experiment L3.2-hitting not registered")
+	}
+	cfg := Config{Quick: true, Trials: 2, Workers: 2}
+	results, errs := RunAll(cfg, []Experiment{panicky, sibling})
+
+	var te *TrialError
+	if !errors.As(errs[0], &te) {
+		t.Fatalf("panicking experiment: error %T is not a *TrialError: %v", errs[0], errs[0])
+	}
+	if len(te.Failed) != 1 || te.Failed[0] != 3 {
+		t.Fatalf("failed tasks = %v, want [3]", te.Failed)
+	}
+	if !strings.Contains(errs[0].Error(), "task 3 panicked: boom") {
+		t.Fatalf("error does not name the panic: %v", errs[0])
+	}
+	if errs[1] != nil {
+		t.Fatalf("sibling experiment failed: %v", errs[1])
+	}
+	solo, err := sibling.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resultFingerprint(results[1]) != resultFingerprint(solo) {
+		t.Error("sibling experiment's result differs from its standalone run")
+	}
+
+	// The shard-execute path runs the same job closures: the panic lands in
+	// the artifact as task 3's error.
+	art, err := ExecuteShard(cfg, []Experiment{panicky}, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(art.Records) != 6 {
+		t.Fatalf("artifact holds %d records, want 6", len(art.Records))
+	}
+	for _, rec := range art.Records {
+		if panicked := strings.Contains(rec.Err, "task 3 panicked: boom"); panicked != (rec.Index == 3) {
+			t.Errorf("artifact record %d: err %q", rec.Index, rec.Err)
+		}
+	}
+}
+
 func TestSchedulerCensoredCounting(t *testing.T) {
 	// One round is never enough to cross a 24-node path, so every trial is
 	// censored at its budget.

@@ -19,6 +19,9 @@ func TestHotPathAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate needs steady-state pooling")
 	}
+	if radio.RaceEnabled {
+		t.Skip("allocation gate: the race runtime drops sync.Pool items on purpose")
+	}
 	dc, _ := graph.DualClique(128, 3)
 	spec := radio.Spec{Problem: radio.GlobalBroadcast, Source: 0}
 

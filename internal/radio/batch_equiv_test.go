@@ -15,13 +15,13 @@ import (
 // every process and walks the CSR. These tests run identical configurations
 // under PlanScalar, PlanAuto and PlanBitmap with no recorder attached — a
 // recorder pins PlanAuto to the scalar walk, so the differential harness in
-// bitmap_equiv_test.go never reaches PlanAuto's bitmap epochs — and require
-// identical Results.
+// bitmap_equiv_test.go never reaches PlanAuto's bitmap epochs — each with
+// dormancy honoured and hidden (hideDormancy), and require identical Results.
 //
 // The probe algorithm is defined here rather than borrowed from
 // internal/core (which imports this package): informed nodes flood with a
 // fixed probability, the exact BulkStepper shape — Step is one Bernoulli
-// trial, Frame the held rumor.
+// trial, Frame the held rumor — and uninformed nodes are Dormant.
 
 type batchProc struct {
 	p   float64
@@ -49,6 +49,8 @@ func (pr *batchProc) Deliver(_ int, msg *Message) {
 		pr.msg = msg
 	}
 }
+
+func (pr *batchProc) Dormant() bool { return pr.msg == nil }
 
 type batchAlg struct{ p float64 }
 
@@ -139,18 +141,23 @@ func TestBatchCoinEquivalence(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var want Result
-			for _, plan := range []DeliveryPlan{PlanScalar, PlanAuto, PlanBitmap} {
-				cfg := tc.cfg
-				cfg.Plan = plan
-				res, err := Run(cfg)
-				if err != nil {
-					t.Fatalf("%v: %v", plan, err)
-				}
-				if plan == PlanScalar {
-					want = res
-				} else if !reflect.DeepEqual(res, want) {
-					t.Errorf("%v result differs from PlanScalar (rounds %d vs %d, transmissions %d vs %d, deliveries %d vs %d)",
-						plan, res.Rounds, want.Rounds, res.Transmissions, want.Transmissions, res.Deliveries, want.Deliveries)
+			for i, plan := range []DeliveryPlan{PlanScalar, PlanAuto, PlanBitmap} {
+				for _, hidden := range []bool{false, true} {
+					cfg := tc.cfg
+					cfg.Plan = plan
+					if hidden {
+						cfg.Algorithm = hideDormancy{cfg.Algorithm}
+					}
+					res, err := Run(cfg)
+					if err != nil {
+						t.Fatalf("%v (dormancy hidden %v): %v", plan, hidden, err)
+					}
+					if i == 0 && !hidden {
+						want = res
+					} else if !reflect.DeepEqual(res, want) {
+						t.Errorf("%v (dormancy hidden %v) result differs from PlanScalar (rounds %d vs %d, transmissions %d vs %d, deliveries %d vs %d)",
+							plan, hidden, res.Rounds, want.Rounds, res.Transmissions, want.Transmissions, res.Deliveries, want.Deliveries)
+					}
 				}
 			}
 		})

@@ -143,6 +143,8 @@ func (e *engine) fillTxSparse() {
 // are walked in cluster-major order — the layout's cache order — and every
 // id crossing the Deliver/record boundary is translated back to the
 // original space, so observable output is independent of the renumbering.
+// Every row is classified, since a dormant node may receive; silence goes
+// to awake nodes only.
 //
 //dglint:noalloc gate=TestSparseDeliveryAllocs
 func (e *engine) deliverSparse(r int, res *Result, m *graph.SparseNeighborMasks) []Delivery {
@@ -161,22 +163,20 @@ func (e *engine) deliverSparse(r int, res *Result, m *graph.SparseNeighborMasks)
 	}
 	for nu := 0; nu < e.n; nu++ {
 		u := oldID[nu]
-		if txw[nu>>6]>>(uint(nu)&63)&1 != 0 || summ[nu]&txSumm == 0 {
-			// Transmitting, or no transmitter anywhere near the row's blocks.
-			e.procs[u].Deliver(r, nil)
-			continue
-		}
-		count, from := bitrand.IntersectOneIndexed(idx[offs[nu]:offs[nu+1]], words[offs[nu]:offs[nu+1]], txw)
-		if count == 1 {
-			v := oldID[from]
-			msg := e.msgOf[v]
-			e.procs[u].Deliver(r, msg)
-			e.mon.observe(r, u, msg)
-			res.Deliveries++
-			if record {
-				recorded = append(recorded, Delivery{To: u, From: v})
+		if txw[nu>>6]>>(uint(nu)&63)&1 == 0 && summ[nu]&txSumm != 0 {
+			count, from := bitrand.IntersectOneIndexed(idx[offs[nu]:offs[nu+1]], words[offs[nu]:offs[nu+1]], txw)
+			if count == 1 {
+				v := oldID[from]
+				e.receive(r, u, e.msgOf[v], res)
+				if record {
+					recorded = append(recorded, Delivery{To: u, From: v})
+				}
+				continue
 			}
-		} else {
+		}
+		// Transmitting, no transmitter near the row's blocks, or a
+		// collision: silence, which only an awake node is handed.
+		if e.isAwake(u) {
 			e.procs[u].Deliver(r, nil)
 		}
 	}

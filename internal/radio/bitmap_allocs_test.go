@@ -55,6 +55,9 @@ func checkBitmapBudget(t *testing.T, got float64) {
 // fill (fillTxSparse) on a dense circulant, where every row holds many
 // blocks and the region summaries rarely prune.
 func TestBitmapDeliveryAllocs(t *testing.T) {
+	if radio.RaceEnabled {
+		t.Skip("allocation gate: the race runtime drops sync.Pool items on purpose")
+	}
 	net := graph.UniformDual(graph.Circulant(512, 64))
 	checkBitmapBudget(t, testing.AllocsPerRun(100, bitmapTrial(t, net)))
 }
@@ -64,6 +67,9 @@ func TestBitmapDeliveryAllocs(t *testing.T) {
 // summaries reject most listeners and the cluster-major id translation
 // carries every delivery.
 func TestSparseDeliveryAllocs(t *testing.T) {
+	if radio.RaceEnabled {
+		t.Skip("allocation gate: the race runtime drops sync.Pool items on purpose")
+	}
 	net := graph.UniformDual(graph.RingChords(bitrand.New(0x59a5), 4096, 8192))
 	checkBitmapBudget(t, testing.AllocsPerRun(100, bitmapTrial(t, net)))
 }

@@ -201,8 +201,9 @@ func TestBitmapMatchesReference(t *testing.T) {
 }
 
 // FuzzBitmapScalarEquivalence is the differential fuzzer: random sparse-ish
-// duals, every adversary shape, both plans, the bitmap plan cross-checked
-// per round against the reference oracle. Wired into the CI fuzz-smoke job.
+// duals, every adversary shape, both plans, each plan also run with
+// dormancy hidden (HideDormancy), and the bitmap plan cross-checked per
+// round against the reference oracle. Wired into the CI fuzz-smoke job.
 func FuzzBitmapScalarEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(64), uint16(40), uint16(120), uint8(0), false)
 	f.Add(uint64(2), uint16(100), uint16(0), uint16(300), uint8(1), true)
@@ -246,6 +247,8 @@ func FuzzBitmapScalarEquivalence(f *testing.F) {
 		cfg := radio.Config{Net: d, Algorithm: alg, Spec: spec, Link: link,
 			Seed: seed, MaxRounds: 64, IgnoreCompletion: local}
 		comparePlans(t, cfg)
+		compareDormancy(t, cfg, radio.PlanScalar)
+		compareDormancy(t, cfg, radio.PlanBitmap)
 
 		_, brec := runPlan(t, cfg, radio.PlanBitmap)
 		for _, r := range brec.Rounds {

@@ -1,0 +1,150 @@
+package radio
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/bitrand"
+	"repro/internal/graph"
+)
+
+// hideDormancy wraps an algorithm so the engine sees every node as awake:
+// its processes forward Process, TransmitProber, BulkStepper and EpochAware
+// to the wrapped ones, but not Dormant. Dormancy changes cost, never output,
+// so a run of the wrapper must match a run of the algorithm itself bit for
+// bit. The wrapper has a Name of its own and is no ProcessFactory, so it
+// never shares a process arena with the algorithm it wraps.
+type hideDormancy struct{ Algorithm }
+
+func (h hideDormancy) Name() string { return h.Algorithm.Name() + "+awake" }
+
+func (h hideDormancy) NewProcesses(net *graph.Dual, spec Spec, rng *bitrand.Source) []Process {
+	procs := h.Algorithm.NewProcesses(net, spec, rng)
+	for u, p := range procs {
+		a := awakeProc{p}
+		switch q := p.(type) {
+		case BulkStepper:
+			procs[u] = awakeBulk{awakeProber{a, q}, q}
+		case TransmitProber:
+			procs[u] = awakeProber{a, q}
+		default:
+			procs[u] = a
+		}
+	}
+	return procs
+}
+
+type awakeProc struct{ p Process }
+
+func (a awakeProc) Step(r int, rng *bitrand.Source) Action { return a.p.Step(r, rng) }
+func (a awakeProc) Deliver(r int, msg *Message)            { a.p.Deliver(r, msg) }
+func (a awakeProc) OnEpoch(epoch int, net *graph.Dual) {
+	if ea, ok := a.p.(EpochAware); ok {
+		ea.OnEpoch(epoch, net)
+	}
+}
+
+type awakeProber struct {
+	awakeProc
+	tp TransmitProber
+}
+
+func (a awakeProber) TransmitProb(r int) float64 { return a.tp.TransmitProb(r) }
+
+type awakeBulk struct {
+	awakeProber
+	bs BulkStepper
+}
+
+func (a awakeBulk) Frame(r int) *Message { return a.bs.Frame(r) }
+
+// strictProc is a batchProc that counts every call the engine promises
+// never to make: a Step, or a silent Deliver, while the node is dormant. A
+// deaf node ignores messages too, so it stays dormant for good, and waking
+// it anyway would show up as a Step.
+type strictProc struct {
+	*batchProc
+	deaf   bool
+	broken *int
+}
+
+func (s strictProc) Step(r int, rng *bitrand.Source) Action {
+	if s.Dormant() {
+		*s.broken++
+	}
+	return s.batchProc.Step(r, rng)
+}
+
+func (s strictProc) Deliver(r int, msg *Message) {
+	if msg == nil && s.Dormant() {
+		*s.broken++
+	}
+	if !s.deaf {
+		s.batchProc.Deliver(r, msg)
+	}
+}
+
+type strictAlg struct {
+	batchAlg
+	broken *int
+}
+
+func (a strictAlg) NewProcesses(net *graph.Dual, spec Spec, rng *bitrand.Source) []Process {
+	procs := a.batchAlg.NewProcesses(net, spec, rng)
+	for u, p := range procs {
+		procs[u] = strictProc{p.(*batchProc), u%5 == 4, a.broken}
+	}
+	return procs
+}
+
+// TestDormantNodesSkipped pins the cost side of the Dormant contract on
+// every delivery mechanism — the CSR walk, the clique tally, the
+// complete-topology fast path and the bitmap kernel, with the Step and
+// BulkStepper loops: no dormant node is stepped or handed silence, a message
+// that leaves a node dormant does not wake it, and the run still matches the
+// one with dormancy hidden.
+func TestDormantNodesSkipped(t *testing.T) {
+	var src bitrand.Source
+	src.Reseed(0xd0a7)
+	dc, _ := graph.DualClique(64, 3)
+	complete := graph.UniformDual(graph.Clique(48))
+	ring := graph.AugmentDual(&src, graph.RingChords(&src, 4096, 2048), 2048)
+	global := func(s graph.NodeID) Spec { return Spec{Problem: GlobalBroadcast, Source: s} }
+
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"csr-walk", Config{Net: ring, Spec: global(9), Plan: PlanScalar, Link: staticPartialLink{}}},
+		{"clique-tally", Config{Net: dc, Spec: global(3), UseCliqueCover: true, Link: staticAllLink{}}},
+		{"complete-fast-path", Config{Net: complete, Spec: global(5), Link: staticAllLink{}}},
+		{"bitmap-kernel", Config{Net: ring, Spec: global(9), Plan: PlanBitmap, Link: staticAllLink{}}},
+		{"csr-walk-no-link", Config{Net: ring, Spec: global(9)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			broken := 0
+			cfg := tc.cfg
+			cfg.Seed, cfg.MaxRounds, cfg.IgnoreCompletion = 17, 120, true
+			cfg.Algorithm = strictAlg{batchAlg{p: 0.3}, &broken}
+			got, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if broken != 0 {
+				t.Errorf("%d Step or silent Deliver calls reached dormant nodes", broken)
+			}
+			if got.Deliveries == 0 {
+				t.Fatal("no deliveries: the case exercises nothing")
+			}
+			cfg.Algorithm = HideDormancy(cfg.Algorithm)
+			want, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("dormancy changed the result: honoured %+v, hidden %+v", got, want)
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package radio
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitrand"
 	"repro/internal/graph"
@@ -142,6 +143,12 @@ type engine struct {
 	epochIdx int
 	// probers[u] is non-nil when procs[u] implements TransmitProber.
 	probers []TransmitProber
+	// awake is the set of nodes the per-round loops visit, one bit per node
+	// in the pooled scratch: every process except the Dormant ones that
+	// reported dormant at set-up. A dormant node joins it when a delivered
+	// message ends its dormancy (see receive) and never leaves it; the set
+	// carries across epoch swaps like the processes themselves.
+	awake []uint64
 
 	master   bitrand.Source
 	nodeRngs []*bitrand.Source
@@ -299,6 +306,7 @@ func newEngine(cfg Config) (*engine, error) {
 	}
 	e.probers = e.sc.probers
 	e.bulkSteps = e.sc.bulkSteps
+	e.awake = e.sc.awake
 	e.allBulk = true
 	for u, p := range e.procs {
 		if tp, ok := p.(TransmitProber); ok {
@@ -309,6 +317,9 @@ func newEngine(cfg Config) (*engine, error) {
 		bs, ok := p.(BulkStepper)
 		e.bulkSteps[u] = bs
 		e.allBulk = e.allBulk && ok
+		if d, ok := p.(Dormant); !ok || !d.Dormant() {
+			e.awake[u>>6] |= 1 << (uint(u) & 63)
+		}
 	}
 	e.nodeRngs = e.sc.nodeRngs
 	for u := range e.nodeRngs {
@@ -533,40 +544,50 @@ func (e *engine) step(r int, res *Result) {
 		selector = e.online.ChooseOnline(e.env, view)
 	}
 
-	// 2. Flip the coins: every process steps. When every process is a
-	// BulkStepper and the bitmap plan is active, the engine runs the round's
-	// Bernoulli trials itself — same per-node streams, same ascending order,
-	// so the draws are bit-for-bit identical to the Step dispatch — and
-	// fills the transmit set without constructing Actions.
+	// 2. Flip the coins: every awake process steps, lowest id first, so tx
+	// comes out ascending. A dormant node would listen without drawing, so
+	// skipping it leaves every stream where stepping it would. When every
+	// process is a BulkStepper and the bitmap plan is active, the engine
+	// runs the round's Bernoulli trials itself — same per-node streams, same
+	// ascending order, so the draws are bit-for-bit identical to the Step
+	// dispatch — and fills the transmit set without constructing Actions.
 	e.tx = e.tx[:0]
+	rngs := e.nodeRngs
 	switch {
 	case e.allBulk && e.plan != PlanScalar:
-		for u, bs := range e.bulkSteps {
-			if e.nodeRngs[u].Coin(bs.TransmitProb(r)) {
-				msg := bs.Frame(r)
-				if msg == nil {
-					msg = &e.noise[u]
+		bulk := e.bulkSteps
+		for lo, hi := e.awakeRun(0); lo < e.n; lo, hi = e.awakeRun(hi) {
+			for u := lo; u < hi; u++ {
+				bs := bulk[u]
+				if rngs[u].Coin(bs.TransmitProb(r)) {
+					msg := bs.Frame(r)
+					if msg == nil {
+						msg = &e.noise[u]
+					}
+					e.tx = append(e.tx, u)
+					e.msgOf[u] = msg
+					e.txByNode[u]++
 				}
-				e.tx = append(e.tx, u)
-				e.msgOf[u] = msg
-				e.txByNode[u]++
 			}
 		}
 		res.Transmissions += int64(len(e.tx))
 	default:
-		for u, p := range e.procs {
-			act := p.Step(r, e.nodeRngs[u])
-			if act.Transmit {
-				if act.Msg == nil {
-					// A transmission without a message is treated as noise:
-					// it occupies the channel but delivers nothing. The
-					// cached per-node frame avoids an allocation per
-					// transmission.
-					act.Msg = &e.noise[u]
+		procs := e.procs
+		for lo, hi := e.awakeRun(0); lo < e.n; lo, hi = e.awakeRun(hi) {
+			for u := lo; u < hi; u++ {
+				act := procs[u].Step(r, rngs[u])
+				if act.Transmit {
+					if act.Msg == nil {
+						// A transmission without a message is treated as
+						// noise: it occupies the channel but delivers
+						// nothing. The cached per-node frame avoids an
+						// allocation per transmission.
+						act.Msg = &e.noise[u]
+					}
+					e.tx = append(e.tx, u)
+					e.msgOf[u] = act.Msg
+					e.txByNode[u]++
 				}
-				e.tx = append(e.tx, u)
-				e.msgOf[u] = act.Msg
-				e.txByNode[u]++
 			}
 		}
 		res.Transmissions += int64(len(e.tx))
@@ -604,7 +625,8 @@ func (e *engine) step(r int, res *Result) {
 }
 
 // deliver computes receptions under the round topology G ∪ selector(E'\E)
-// and invokes Deliver on every process. It returns the delivery list only
+// and invokes Deliver on every awake process and on every dormant one that
+// receives a message (see receive). It returns the delivery list only
 // when a recorder is attached (nil otherwise); the list is backed by the
 // engine's reusable buffer and is valid only until the next round.
 //
@@ -650,17 +672,13 @@ func (e *engine) deliver(selector graph.EdgeSelector, r int, res *Result) []Deli
 					e.procs[u].Deliver(r, nil)
 					continue
 				}
-				e.procs[u].Deliver(r, msg)
-				e.mon.observe(r, u, msg)
-				res.Deliveries++
+				e.receive(r, u, msg, res)
 				if record {
 					recorded = append(recorded, Delivery{To: u, From: v})
 				}
 			}
 		} else {
-			for u := 0; u < e.n; u++ {
-				e.procs[u].Deliver(r, nil)
-			}
+			e.silence(r)
 		}
 		for _, v := range e.tx {
 			e.txFlag[v] = false
@@ -742,34 +760,85 @@ func (e *engine) deliver(selector graph.EdgeSelector, r int, res *Result) []Deli
 		}
 	}
 
-	// Hand out results: touched listeners receive their message or a
-	// collision; everyone else (silent listeners and all transmitters)
-	// hears nil. counts[u] is set to -1 for touched nodes so the second
-	// pass can tell them apart, then reset to 0 for the next round.
+	// Hand out results: touched listeners receive their message or, when
+	// awake, a collision; every other awake node (silent listeners and all
+	// transmitters) hears nil. counts[u] is set to -1 for touched nodes so
+	// the silence pass skips them, including nodes this round woke, then
+	// reset to 0 for the next round.
 	for _, u := range e.touched {
 		if e.counts[u] == 1 {
-			msg := e.msgOf[e.from[u]]
-			e.procs[u].Deliver(r, msg)
-			e.mon.observe(r, u, msg)
-			res.Deliveries++
+			e.receive(r, u, e.msgOf[e.from[u]], res)
 			if record {
 				recorded = append(recorded, Delivery{To: u, From: e.from[u]})
 			}
-		} else {
+		} else if e.isAwake(u) {
 			e.procs[u].Deliver(r, nil) // collision
 		}
 		e.counts[u] = -1
 	}
-	for u := 0; u < e.n; u++ {
-		if e.counts[u] == -1 {
-			e.counts[u] = 0
-			continue
-		}
-		e.procs[u].Deliver(r, nil)
+	e.silence(r)
+	for _, u := range e.touched {
+		e.counts[u] = 0
 	}
 
 	for _, v := range e.tx {
 		e.txFlag[v] = false
 	}
 	return recorded
+}
+
+// isAwake reports whether u is in the awake set.
+func (e *engine) isAwake(u graph.NodeID) bool {
+	return e.awake[u>>6]>>(uint(u)&63)&1 != 0
+}
+
+// receive hands u the round's message and reports it to the monitor. A
+// dormant node is asked again whether it is still dormant — the only point
+// at which dormancy can end — and joins the awake set once it is not; it
+// must be a Dormant process, since every other process started awake.
+func (e *engine) receive(r int, u graph.NodeID, msg *Message, res *Result) {
+	p := e.procs[u]
+	p.Deliver(r, msg)
+	e.mon.observe(r, u, msg)
+	res.Deliveries++
+	if !e.isAwake(u) && !p.(Dormant).Dormant() {
+		e.awake[u>>6] |= 1 << (uint(u) & 63)
+	}
+}
+
+// silence hands nil to every awake node except those the CSR walk's
+// hand-out already served (counts[u] == -1). Dormant nodes ignore silence by
+// contract, so they are skipped.
+func (e *engine) silence(r int) {
+	procs, counts := e.procs, e.counts
+	for lo, hi := e.awakeRun(0); lo < e.n; lo, hi = e.awakeRun(hi) {
+		for u := lo; u < hi; u++ {
+			if counts[u] != -1 {
+				procs[u].Deliver(r, nil)
+			}
+		}
+	}
+}
+
+// awakeRun returns the first run [lo, hi) of consecutive awake nodes at or
+// after u; lo is n when there is none. The per-round loops walk the awake
+// set run by run with a plain loop inside each run, so a round with every
+// node awake pays one scan of the bitmap on top of a loop over all n. Bits
+// at n and above are never set, so a run never extends past n.
+func (e *engine) awakeRun(u int) (lo, hi int) {
+	for ; u < e.n; u = (u | 63) + 1 {
+		if w := e.awake[u>>6] >> (uint(u) & 63); w != 0 {
+			u += bits.TrailingZeros64(w)
+			break
+		}
+	}
+	if u >= e.n {
+		return e.n, e.n
+	}
+	for hi = u; hi < e.n; hi = (hi | 63) + 1 {
+		if w := ^e.awake[hi>>6] >> (uint(hi) & 63); w != 0 {
+			return u, hi + bits.TrailingZeros64(w)
+		}
+	}
+	return u, e.n
 }

@@ -143,13 +143,40 @@ type TransmitProber interface {
 // itself instead of dispatching Step per node. The coins come from each
 // node's own stream in ascending node order — exactly the scalar Step order
 // — so the draws are bit-for-bit identical and the two paths produce the
-// same execution (the bulk contract test enforces this).
+// same execution (the bulk contract test enforces this). Dormant nodes (see
+// Dormant) are never stepped on either path.
 type BulkStepper interface {
 	Process
 	TransmitProber
 	// Frame returns the message the process would transmit on a heads coin
 	// in round r; nil means a noise transmission, as in Action.Msg.
 	Frame(r int) *Message
+}
+
+// Dormant is an optional Process extension for nodes that cannot act until
+// a message reaches them, such as a node of a global broadcast that has not
+// heard the source yet. The engine keeps a bitmap of awake nodes and its
+// per-round loops visit only those: a node that reports dormant when the
+// execution starts is neither stepped nor handed silence until a message
+// wakes it, so a round costs the awake set instead of n.
+//
+// While Dormant reports true, the process must satisfy:
+//   - Step returns Listen and draws nothing from its rng;
+//   - TransmitProb, when implemented, is 0;
+//   - Deliver(r, nil) changes nothing;
+//   - Dormant keeps reporting true.
+//
+// Only a non-nil Deliver may end dormancy. The engine asks Dormant again
+// right after handing a dormant node a message (a message may leave it
+// dormant, e.g. a foreign payload), and once the node reports false it stays
+// awake for the rest of the execution, across epoch swaps. Under this
+// contract skipping a dormant node is unobservable: stepping it would have
+// drawn no coins from its own stream, and silence would have changed
+// nothing, so the execution is bit-for-bit the one with every node awake.
+type Dormant interface {
+	Process
+	// Dormant reports whether the process is still waiting for a message.
+	Dormant() bool
 }
 
 // EpochAware is an optional Process extension for algorithms that derive

@@ -64,12 +64,14 @@ type scratch struct {
 	// per-node rng storage: nodeRngs[u] points into rngBlock, reseeded per
 	// execution. algRng is the algorithm-construction stream, reseeded the
 	// same way. probers and bulkSteps cache the per-node TransmitProber and
-	// BulkStepper views.
+	// BulkStepper views; awake is the engine's awake-node bitmap
+	// (WordsFor(n) words), cleared by grow and filled by newEngine.
 	nodeRngs  []*bitrand.Source
 	rngBlock  []bitrand.Source
 	algRng    bitrand.Source //dglint:allow scratchreset: newEngine reseeds it before any draw, every execution
 	probers   []TransmitProber
 	bulkSteps []BulkStepper
+	awake     []uint64
 
 	// Process arena: the slab of the last execution that used this scratch,
 	// plus the identity it was built for. When the next execution matches
@@ -178,6 +180,7 @@ func (s *scratch) grow(n int) {
 		s.nodeRngs = make([]*bitrand.Source, n)
 		s.probers = make([]TransmitProber, n)
 		s.bulkSteps = make([]BulkStepper, n)
+		s.awake = make([]uint64, bitrand.WordsFor(n))
 		for u := range s.noise {
 			s.noise[u] = Message{Origin: u}
 			s.nodeRngs[u] = &s.rngBlock[u]
@@ -211,6 +214,8 @@ func (s *scratch) grow(n int) {
 	// probers and bulkSteps need no clear: the engine writes every entry.
 	s.probers = s.probers[:n]
 	s.bulkSteps = s.bulkSteps[:n]
+	s.awake = s.awake[:bitrand.WordsFor(n)]
+	clear(s.awake)
 }
 
 // clique sizes the clique-cover accelerator buffers for count cliques.

@@ -39,7 +39,9 @@ func TestScratchPoolClasses(t *testing.T) {
 	}
 	putScratch(s1)
 	s2 := getScratch(128)
-	if s2 != s1 {
+	// The race runtime drops sync.Pool items on purpose, so reuse is only
+	// checked in a normal build.
+	if s2 != s1 && !raceEnabled {
 		t.Errorf("same-class checkout did not reuse the pooled scratch")
 	}
 	if len(s2.txFlag) != 128 {
@@ -66,7 +68,7 @@ func TestScratchPoolClasses(t *testing.T) {
 	}
 	putScratch(mega)
 	mega2 := getScratch(1 << 20)
-	if mega2 != mega {
+	if mega2 != mega && !raceEnabled {
 		t.Errorf("million-node checkout did not reuse the pooled class-20 scratch")
 	}
 	putScratch(mega2)
