@@ -111,10 +111,11 @@ func BenchmarkExtLeader(b *testing.B) { benchExperiment(b, "EXT-leader") }
 // epochs.
 func BenchmarkAdvChurnWindow(b *testing.B) { benchExperiment(b, "ADV-churnwindow") }
 
-// BenchmarkRegistrySharedPool runs the whole registry through one shared
-// worker pool (the `dgbench -all` path): every (experiment × sweep-point ×
-// trial) triple lands in one work queue, so ns/op tracks how the full quick
-// suite scales with cores.
+// BenchmarkRegistrySharedPool runs the whole registry through
+// experiments.RunAll's one shared worker pool: every (experiment ×
+// sweep-point × trial) triple lands in one work queue, so ns/op tracks how
+// the full quick suite scales with cores. `dgbench -all` drives the same
+// declare → fill → finish steps through the run service instead.
 func BenchmarkRegistrySharedPool(b *testing.B) {
 	all := experiments.All()
 	for i := 0; i < b.N; i++ {

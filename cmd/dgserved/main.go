@@ -28,8 +28,10 @@
 //	{"scenario": {"side": 4, "seed": 9, "gen": {"epochs": 2, "epochLen": 30, "leaves": 1}}}
 //
 // An empty spec ({}) runs the whole registry, like `dgbench -all`. Spec
-// bodies are capped at 1 MiB (413 beyond it), and request headers must
-// arrive within 10 s.
+// bodies are capped at 1 MiB (413 beyond it); trial counts at
+// runsvc.MaxTrials per point and scenarios at 2¹⁷ node-revisions,
+// side²·(epochs+2) (400 beyond them); and request headers must arrive
+// within 10 s.
 package main
 
 import (
@@ -237,6 +239,10 @@ func (s *server) catalog(w http.ResponseWriter, r *http.Request) {
 		n := 0
 		if _, err := fmt.Sscanf(t, "%d", &n); err != nil || n < 0 {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("trials %q: want a non-negative integer", t))
+			return
+		}
+		if n > runsvc.MaxTrials {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("trials %d exceeds the cap of %d", n, runsvc.MaxTrials))
 			return
 		}
 		cfg.Trials = n

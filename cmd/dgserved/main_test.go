@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -235,6 +236,8 @@ func TestServeValidation(t *testing.T) {
 		{"unknown field", `{"experiemnts": ["L3.2-hitting"]}`, "unknown field", http.StatusBadRequest},
 		{"unknown experiment", `{"experiments": ["F1"]}`, `unknown experiment "F1"`, http.StatusBadRequest},
 		{"bad scenario", `{"scenario": {"side": 1}}`, "side 1", http.StatusBadRequest},
+		{"trials over cap", `{"experiments": ["L3.2-hitting"], "trials": ` + strconv.Itoa(runsvc.MaxTrials+1) + `}`, "exceeds the cap", http.StatusBadRequest},
+		{"scenario over cap", `{"scenario": {"side": 256, "gen": {"epochs": 2, "epochLen": 30}}}`, "exceeds the cap", http.StatusBadRequest},
 		{"over cap", `{"experiments": ["` + strings.Repeat("x", maxSpecBytes) + `"]}`, "too large", http.StatusRequestEntityTooLarge},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -362,13 +365,15 @@ func TestServeCatalog(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/experiments?trials=-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("negative trials returned %d, want 400", resp.StatusCode)
+	for _, trials := range []string{"-1", strconv.Itoa(runsvc.MaxTrials + 1)} {
+		resp, err := http.Get(ts.URL + "/v1/experiments?trials=" + trials)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("trials=%s returned %d, want 400", trials, resp.StatusCode)
+		}
 	}
 }
 

@@ -53,14 +53,13 @@ func runPermutationAblation(cfg Config) (*Result, error) {
 			res.Table.AddRow(alg.Name(), n, out.MedianRounds, out.P90, fmt.Sprintf("%d/%d", out.Solved, out.Trials))
 		})
 	}
-	if err := sw.run(); err != nil {
-		return nil, err
-	}
-	ratio := medians["decay-global"] / medians["permuted-global"]
-	res.Notes = append(res.Notes, fmt.Sprintf("plain decay / permuted decay = %.2fx at n=%d (higher = permutation bits matter more)", ratio, n))
-	res.Pass = ratio > 1.1
-	res.Notes = append(res.Notes, verdict(res.Pass))
-	return res, nil
+	return sw.finish(func() *Result {
+		ratio := medians["decay-global"] / medians["permuted-global"]
+		res.Notes = append(res.Notes, fmt.Sprintf("plain decay / permuted decay = %.2fx at n=%d (higher = permutation bits matter more)", ratio, n))
+		res.Pass = ratio > 1.1
+		res.Notes = append(res.Notes, verdict(res.Pass))
+		return res
+	})
 }
 
 func runSeedAblation(cfg Config) (*Result, error) {
@@ -110,23 +109,22 @@ func runSeedAblation(cfg Config) (*Result, error) {
 			res.Table.AddRow(alg.Name(), n, delta, out.MedianRounds, out.P90, fmt.Sprintf("%d/%d", out.Solved, out.Trials))
 		})
 	}
-	if err := sw.run(); err != nil {
-		return nil, err
-	}
-	ratio := medians["geo-local-noseeds"] / medians["geo-local"]
-	res.Notes = append(res.Notes,
-		fmt.Sprintf("no-seed variant / seeded = %.2fx under i.i.d. loss", ratio),
-		"note: under benign i.i.d. loss at moderate Δ, independent randomness can even win (diversification); "+
-			"the coordination payoff appears under adversarial contention — see F1-oblivious-local-general, where "+
-			"the uncoordinated variants stall on the bracelet while the geographic algorithm stays polylog on geo graphs")
-	// The normative claim checked here is Theorem 4.6's: the seeded
-	// algorithm completes reliably within a polylog-scale budget. The
-	// seeded-vs-unseeded ratio is reported, not asserted: its sign is
-	// contention-dependent.
-	logN := float64(bitrand.LogN(n))
-	logD := float64(bitrand.LogN(delta))
-	budget := 64 * logN * logN * logD
-	res.Pass = solvedAll && seededMedian <= budget
-	res.Notes = append(res.Notes, verdict(res.Pass))
-	return res, nil
+	return sw.finish(func() *Result {
+		ratio := medians["geo-local-noseeds"] / medians["geo-local"]
+		res.Notes = append(res.Notes,
+			fmt.Sprintf("no-seed variant / seeded = %.2fx under i.i.d. loss", ratio),
+			"note: under benign i.i.d. loss at moderate Δ, independent randomness can even win (diversification); "+
+				"the coordination payoff appears under adversarial contention — see F1-oblivious-local-general, where "+
+				"the uncoordinated variants stall on the bracelet while the geographic algorithm stays polylog on geo graphs")
+		// The normative claim checked here is Theorem 4.6's: the seeded
+		// algorithm completes reliably within a polylog-scale budget. The
+		// seeded-vs-unseeded ratio is reported, not asserted: its sign is
+		// contention-dependent.
+		logN := float64(bitrand.LogN(n))
+		logD := float64(bitrand.LogN(delta))
+		budget := 64 * logN * logN * logD
+		res.Pass = solvedAll && seededMedian <= budget
+		res.Notes = append(res.Notes, verdict(res.Pass))
+		return res
+	})
 }

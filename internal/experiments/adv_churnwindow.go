@@ -129,13 +129,12 @@ func runChurnWindowFamily(cfg Config) (*Result, error) {
 			})
 		}
 	}
-	if err := sw.run(); err != nil {
-		return nil, err
-	}
-	res.addSeries("churnwindow/blind slowdown vs n", ns, ratios)
-	res.Notes = append(res.Notes,
-		"base has G' = G: outside the storm epochs every selector chooses from an empty E'\\E, so the churn-blind rows match the no-adversary rows exactly",
-		"all rows share seeds; 'vs blind' is the completion-slowdown factor over the churn-blind control",
-		verdict(res.Pass))
-	return res, nil
+	return sw.finish(func() *Result {
+		res.addSeries("churnwindow/blind slowdown vs n", ns, ratios)
+		res.Notes = append(res.Notes,
+			"base has G' = G: outside the storm epochs every selector chooses from an empty E'\\E, so the churn-blind rows match the no-adversary rows exactly",
+			"all rows share seeds; 'vs blind' is the completion-slowdown factor over the churn-blind control",
+			verdict(res.Pass))
+		return res
+	})
 }

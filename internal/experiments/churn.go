@@ -128,14 +128,13 @@ func runChurnBroadcast(cfg Config) (*Result, error) {
 			})
 		}
 	}
-	if err := sw.run(); err != nil {
-		return nil, err
-	}
-	res.addSeries("churned median vs n", ns, churned)
-	res.Notes = append(res.Notes,
-		"epoch schedule: 4 churn epochs (leaves + demotions, healed one epoch later) and a healing epoch; static rows share seeds with churned rows",
-		verdict(res.Pass))
-	return res, nil
+	return sw.finish(func() *Result {
+		res.addSeries("churned median vs n", ns, churned)
+		res.Notes = append(res.Notes,
+			"epoch schedule: 4 churn epochs (leaves + demotions, healed one epoch later) and a healing epoch; static rows share seeds with churned rows",
+			verdict(res.Pass))
+		return res
+	})
 }
 
 func runChurnGossip(cfg Config) (*Result, error) {
@@ -224,13 +223,12 @@ func runChurnGossip(cfg Config) (*Result, error) {
 			}
 		}
 	}
-	if err := sw.run(); err != nil {
-		return nil, err
-	}
-	res.Notes = append(res.Notes,
-		"churned rows run the same seeds as their static siblings; median/static is the churn slowdown factor",
-		verdict(res.Pass))
-	return res, nil
+	return sw.finish(func() *Result {
+		res.Notes = append(res.Notes,
+			"churned rows run the same seeds as their static siblings; median/static is the churn slowdown factor",
+			verdict(res.Pass))
+		return res
+	})
 }
 
 // runContention measures multi-message contention on a static network:
@@ -319,18 +317,17 @@ func runContention(cfg Config) (*Result, error) {
 			})
 		}
 	}
-	if err := sw.run(); err != nil {
-		return nil, err
-	}
-	res.addSeries("max sojourn vs rumors (largest n)", kXs, kSoj)
-	if len(kSoj) > 1 && kSoj[len(kSoj)-1] <= kSoj[0] {
-		// Time-division alone forces sojourn up with contention; a flat or
-		// falling curve means injections are not actually contending.
-		res.Pass = false
-	}
-	res.Notes = append(res.Notes,
-		fmt.Sprintf("sojourn(k=%d)/sojourn(k=1) = %.2f under staggered injection (time-division predicts growth ≈ k)",
-			int(kXs[len(kXs)-1]), kSoj[len(kSoj)-1]/max(kSoj[0], 1)),
-		verdict(res.Pass))
-	return res, nil
+	return sw.finish(func() *Result {
+		res.addSeries("max sojourn vs rumors (largest n)", kXs, kSoj)
+		if len(kSoj) > 1 && kSoj[len(kSoj)-1] <= kSoj[0] {
+			// Time-division alone forces sojourn up with contention; a flat or
+			// falling curve means injections are not actually contending.
+			res.Pass = false
+		}
+		res.Notes = append(res.Notes,
+			fmt.Sprintf("sojourn(k=%d)/sojourn(k=1) = %.2f under staggered injection (time-division predicts growth ≈ k)",
+				int(kXs[len(kXs)-1]), kSoj[len(kSoj)-1]/max(kSoj[0], 1)),
+			verdict(res.Pass))
+		return res
+	})
 }

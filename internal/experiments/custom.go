@@ -95,12 +95,11 @@ func runCustomChurn(cfg Config, id string, side int, scenarioSeed uint64, gen sc
 				fmt.Sprintf("%d/%d", out.Solved, out.Trials))
 		})
 	}
-	if err := sw.run(); err != nil {
-		return nil, err
-	}
-	res.Notes = append(res.Notes,
-		fmt.Sprintf("submitted schedule: %d churn epochs of %d rounds (+healing); static rows share seeds with churned rows",
-			gen.Epochs, gen.EpochLen),
-		verdict(res.Pass))
-	return res, nil
+	return sw.finish(func() *Result {
+		res.Notes = append(res.Notes,
+			fmt.Sprintf("submitted schedule: %d churn epochs of %d rounds (+healing); static rows share seeds with churned rows",
+				gen.Epochs, gen.EpochLen),
+			verdict(res.Pass))
+		return res
+	})
 }

@@ -15,7 +15,6 @@ import (
 	"runtime"
 	"sort"
 
-	"repro/internal/radio"
 	"repro/internal/stats"
 )
 
@@ -32,16 +31,10 @@ type Config struct {
 	// forces sequential execution; the measured tables are identical at any
 	// setting, only wall clock changes.
 	Workers int
-	// pool, when non-nil, is the shared cross-experiment pool installed by
-	// RunAll; sweeps submit to it instead of creating their own.
-	pool *workerPool
-	// shard, when non-nil, replaces normal sweep execution with one phase of
-	// the sharded lifecycle (plan, execute, or merge); installed by
-	// PlanTasks/ExecuteShard/RunMerged. See shard.go.
-	shard *shardState
-	// expID names the experiment a sweep belongs to, stamped by the runners
-	// (withExp) so sharded phases can attribute declared tasks.
-	expID string
+	// declared, when non-nil, collects the experiment's declaration instead
+	// of running it: sweep.finish appends its sweep and build step here for
+	// the run lifecycle (declare, in scheduler.go) to fill and finish.
+	declared *[]declaration
 }
 
 func (c Config) trials() int {
@@ -147,29 +140,6 @@ type trialOutcome struct {
 	Censored     int
 	Trials       int
 	P90          float64
-}
-
-// runTrials executes the config-factory over `trials` seeds through the
-// sweep scheduler and aggregates. It is the one-point convenience form of
-// declaring a sweep; multi-point experiments declare their whole sweep so
-// trials from every point interleave on the pool.
-func runTrials(cfg Config, mk func(seed uint64) radio.Config, trials int) (trialOutcome, error) {
-	sw := newSweep(cfg)
-	var out trialOutcome
-	sw.point(trials, mk, func(o trialOutcome) { out = o })
-	err := sw.run()
-	return out, err
-}
-
-// runTrialsSequential is the single-threaded reference used to verify the
-// scheduler.
-func runTrialsSequential(mk func(seed uint64) radio.Config, trials int, baseSeed uint64) (trialOutcome, error) {
-	recs := make([]taskRecord, trials)
-	for i := 0; i < trials; i++ {
-		res, err := radio.Run(mk(baseSeed + uint64(i) + 1))
-		recs[i] = taskRecord{vals: []float64{float64(res.Rounds), boolBit(res.Solved)}, err: err}
-	}
-	return aggregateTrials(recs)
 }
 
 func verdict(pass bool) string {

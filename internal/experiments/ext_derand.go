@@ -209,18 +209,17 @@ func runExtDerand(cfg Config) (*Result, error) {
 		}
 	}
 
-	if err := sw.run(); err != nil {
-		return nil, err
-	}
-	res.addSeries("derand presample/static ratio vs n", ns, derandRatios)
-	res.addSeries("decay presample/static ratio vs n", ns, decayRatios)
-	if len(derandRatios) > 0 && len(decayRatios) > 0 {
-		res.Notes = append(res.Notes, fmt.Sprintf(
-			"presample/static degradation at the largest n: derand %.2fx, decay %.2fx — presimulating a zero-coin schedule reproduces it; presimulating decay's coins does not",
-			derandRatios[len(derandRatios)-1], decayRatios[len(decayRatios)-1]))
-	}
-	res.Notes = append(res.Notes,
-		"derand's static column pays the deterministic sweep (~largest cluster per hop) where decay pays polylog phases: the cost of moving every coin to construction time",
-		verdict(res.Pass))
-	return res, nil
+	return sw.finish(func() *Result {
+		res.addSeries("derand presample/static ratio vs n", ns, derandRatios)
+		res.addSeries("decay presample/static ratio vs n", ns, decayRatios)
+		if len(derandRatios) > 0 && len(decayRatios) > 0 {
+			res.Notes = append(res.Notes, fmt.Sprintf(
+				"presample/static degradation at the largest n: derand %.2fx, decay %.2fx — presimulating a zero-coin schedule reproduces it; presimulating decay's coins does not",
+				derandRatios[len(derandRatios)-1], decayRatios[len(decayRatios)-1]))
+		}
+		res.Notes = append(res.Notes,
+			"derand's static column pays the deterministic sweep (~largest cluster per hop) where decay pays polylog phases: the cost of moving every coin to construction time",
+			verdict(res.Pass))
+		return res
+	})
 }

@@ -69,16 +69,15 @@ func runGossipExt(cfg Config) (*Result, error) {
 			})
 		}
 	}
-	if err := sw.run(); err != nil {
-		return nil, err
-	}
-	res.addSeries("rounds vs k (largest n)", kXs, kTs)
-	fit := stats.GrowthExponent(kXs, kTs)
-	res.Notes = append(res.Notes,
-		fmt.Sprintf("T ~ k^%.2f (R²=%.2f) at fixed n; time-division predicts ≈ k, plus a ln k factor because completion is the max over k independent per-rumor coupon times", fit.Slope, fit.R2))
-	res.Pass = fit.Slope > 0.6 && fit.Slope < 1.8
-	res.Notes = append(res.Notes, verdict(res.Pass))
-	return res, nil
+	return sw.finish(func() *Result {
+		res.addSeries("rounds vs k (largest n)", kXs, kTs)
+		fit := stats.GrowthExponent(kXs, kTs)
+		res.Notes = append(res.Notes,
+			fmt.Sprintf("T ~ k^%.2f (R²=%.2f) at fixed n; time-division predicts ≈ k, plus a ln k factor because completion is the max over k independent per-rumor coupon times", fit.Slope, fit.R2))
+		res.Pass = fit.Slope > 0.6 && fit.Slope < 1.8
+		res.Notes = append(res.Notes, verdict(res.Pass))
+		return res
+	})
 }
 
 func runLeaderExt(cfg Config) (*Result, error) {
@@ -154,23 +153,21 @@ func runLeaderExt(cfg Config) (*Result, error) {
 			geoTs = append(geoTs, out.MedianRounds)
 		})
 	}
-	if err := sw.run(); err != nil {
-		return nil, err
-	}
-
-	res.addSeries("dual clique", dcNs, dcTs)
-	res.addSeries("geo grid", geoNs, geoTs)
-	dcFit := stats.GrowthExponent(dcNs, dcTs)
-	geoFit := stats.GrowthExponent(geoNs, geoTs)
-	res.Notes = append(res.Notes,
-		fmt.Sprintf("dual clique: T ~ n^%.2f (R²=%.2f) — the predicted ~linear global-contention regime", dcFit.Slope, dcFit.R2),
-		fmt.Sprintf("geo grid: T ~ n^%.2f (R²=%.2f) — hop-by-hop spread, predicted sub-linear", geoFit.Slope, geoFit.R2))
-	if dcFit.Slope < 0.6 || dcFit.Slope > 1.8 {
-		res.Pass = false
-	}
-	if geoFit.Slope >= 0.9 || geoFit.Slope >= dcFit.Slope-0.2 {
-		res.Pass = false
-	}
-	res.Notes = append(res.Notes, verdict(res.Pass))
-	return res, nil
+	return sw.finish(func() *Result {
+		res.addSeries("dual clique", dcNs, dcTs)
+		res.addSeries("geo grid", geoNs, geoTs)
+		dcFit := stats.GrowthExponent(dcNs, dcTs)
+		geoFit := stats.GrowthExponent(geoNs, geoTs)
+		res.Notes = append(res.Notes,
+			fmt.Sprintf("dual clique: T ~ n^%.2f (R²=%.2f) — the predicted ~linear global-contention regime", dcFit.Slope, dcFit.R2),
+			fmt.Sprintf("geo grid: T ~ n^%.2f (R²=%.2f) — hop-by-hop spread, predicted sub-linear", geoFit.Slope, geoFit.R2))
+		if dcFit.Slope < 0.6 || dcFit.Slope > 1.8 {
+			res.Pass = false
+		}
+		if geoFit.Slope >= 0.9 || geoFit.Slope >= dcFit.Slope-0.2 {
+			res.Pass = false
+		}
+		res.Notes = append(res.Notes, verdict(res.Pass))
+		return res
+	})
 }

@@ -124,15 +124,14 @@ func runDualCliqueScaling(cfg Config, id, claim string, problem radio.Problem, l
 			ts = append(ts, out.MedianRounds)
 		})
 	}
-	if err := sw.run(); err != nil {
-		return nil, err
-	}
-	res.addSeries("median rounds", ns, ts)
-	fit := stats.GrowthExponent(ns, ts)
-	res.Notes = append(res.Notes, fmt.Sprintf("T ~ n^%.2f (R²=%.2f); lower bound predicts near-linear growth (exponent ≥ %.2f at these sizes)", fit.Slope, fit.R2, minExp))
-	res.Pass = fit.Slope >= minExp
-	res.Notes = append(res.Notes, verdict(res.Pass))
-	return res, nil
+	return sw.finish(func() *Result {
+		res.addSeries("median rounds", ns, ts)
+		fit := stats.GrowthExponent(ns, ts)
+		res.Notes = append(res.Notes, fmt.Sprintf("T ~ n^%.2f (R²=%.2f); lower bound predicts near-linear growth (exponent ≥ %.2f at these sizes)", fit.Slope, fit.R2, minExp))
+		res.Pass = fit.Slope >= minExp
+		res.Notes = append(res.Notes, verdict(res.Pass))
+		return res
+	})
 }
 
 func runObliviousGlobal(cfg Config) (*Result, error) {
@@ -180,17 +179,16 @@ func runObliviousGlobal(cfg Config) (*Result, error) {
 			}
 		}
 	}
-	if err := sw.run(); err != nil {
-		return nil, err
-	}
-	res.addSeries("permuted-global vs presample", permNs, permTs)
-	fit := stats.GrowthExponent(permNs, permTs)
-	nMax := sizes[len(sizes)-1]
-	sep := medians[key{"decay-global", "presample", nMax}] / medians[key{"permuted-global", "presample", nMax}]
-	res.Notes = append(res.Notes,
-		fmt.Sprintf("permuted decay vs presample: T ~ n^%.2f (R²=%.2f); upper bound predicts polylog growth", fit.Slope, fit.R2),
-		fmt.Sprintf("at n=%d, plain decay is %.2fx slower than permuted decay against the sampling adversary (the permutation-bit defense)", nMax, sep))
-	res.Pass = fit.Slope < 0.5 && sep > 1.1
-	res.Notes = append(res.Notes, verdict(res.Pass))
-	return res, nil
+	return sw.finish(func() *Result {
+		res.addSeries("permuted-global vs presample", permNs, permTs)
+		fit := stats.GrowthExponent(permNs, permTs)
+		nMax := sizes[len(sizes)-1]
+		sep := medians[key{"decay-global", "presample", nMax}] / medians[key{"permuted-global", "presample", nMax}]
+		res.Notes = append(res.Notes,
+			fmt.Sprintf("permuted decay vs presample: T ~ n^%.2f (R²=%.2f); upper bound predicts polylog growth", fit.Slope, fit.R2),
+			fmt.Sprintf("at n=%d, plain decay is %.2fx slower than permuted decay against the sampling adversary (the permutation-bit defense)", nMax, sep))
+		res.Pass = fit.Slope < 0.5 && sep > 1.1
+		res.Notes = append(res.Notes, verdict(res.Pass))
+		return res
+	})
 }

@@ -62,15 +62,14 @@ func runBracelet(cfg Config) (*Result, error) {
 			})
 		}
 	}
-	if err := sw.run(); err != nil {
-		return nil, err
-	}
-	res.addSeries("aloha on bracelet", ns, ts)
-	fit := stats.GrowthExponent(ns, ts)
-	res.Notes = append(res.Notes, fmt.Sprintf("aloha on bracelet: T ~ n^%.2f (R²=%.2f); Theorem 4.3 predicts exponent ≈ 0.5 (the √n band-isolation horizon)", fit.Slope, fit.R2))
-	res.Pass = fit.Slope > 0.3 && fit.Slope < 0.8
-	res.Notes = append(res.Notes, verdict(res.Pass))
-	return res, nil
+	return sw.finish(func() *Result {
+		res.addSeries("aloha on bracelet", ns, ts)
+		fit := stats.GrowthExponent(ns, ts)
+		res.Notes = append(res.Notes, fmt.Sprintf("aloha on bracelet: T ~ n^%.2f (R²=%.2f); Theorem 4.3 predicts exponent ≈ 0.5 (the √n band-isolation horizon)", fit.Slope, fit.R2))
+		res.Pass = fit.Slope > 0.3 && fit.Slope < 0.8
+		res.Notes = append(res.Notes, verdict(res.Pass))
+		return res
+	})
 }
 
 func runObliviousGeoLocal(cfg Config) (*Result, error) {
@@ -119,13 +118,12 @@ func runObliviousGeoLocal(cfg Config) (*Result, error) {
 			})
 		}
 	}
-	if err := sw.run(); err != nil {
-		return nil, err
-	}
-	res.addSeries("geo-local vs random loss", ns, ts)
-	fit := stats.GrowthExponent(ns, ts)
-	res.Notes = append(res.Notes, fmt.Sprintf("geo-local: T ~ n^%.2f (R²=%.2f); upper bound predicts polylog growth (exponent near 0)", fit.Slope, fit.R2))
-	res.Pass = fit.Slope < 0.5
-	res.Notes = append(res.Notes, verdict(res.Pass))
-	return res, nil
+	return sw.finish(func() *Result {
+		res.addSeries("geo-local vs random loss", ns, ts)
+		fit := stats.GrowthExponent(ns, ts)
+		res.Notes = append(res.Notes, fmt.Sprintf("geo-local: T ~ n^%.2f (R²=%.2f); upper bound predicts polylog growth (exponent near 0)", fit.Slope, fit.R2))
+		res.Pass = fit.Slope < 0.5
+		res.Notes = append(res.Notes, verdict(res.Pass))
+		return res
+	})
 }

@@ -85,23 +85,21 @@ func runStaticGlobal(cfg Config) (*Result, error) {
 			})
 		}
 	}
-	if err := sw.run(); err != nil {
-		return nil, err
-	}
-
-	// Shape check on lines: T should scale ~linearly with D (exponent ≈1 vs
-	// n since D = n-1), and the ratio to the claimed bound should be stable.
-	var ns, ts []float64
-	for _, p := range linePoints {
-		ns = append(ns, p.n)
-		ts = append(ts, p.rounds)
-	}
-	res.addSeries("decay-global on lines", ns, ts)
-	fit := stats.GrowthExponent(ns, ts)
-	res.Notes = append(res.Notes, fmt.Sprintf("decay on lines: T ~ n^%.2f (R²=%.2f); claim predicts exponent ≈ 1 via the D term", fit.Slope, fit.R2))
-	res.Pass = fit.Slope > 0.7 && fit.Slope < 1.3
-	res.Notes = append(res.Notes, verdict(res.Pass))
-	return res, nil
+	return sw.finish(func() *Result {
+		// Shape check on lines: T should scale ~linearly with D (exponent ≈1 vs
+		// n since D = n-1), and the ratio to the claimed bound should be stable.
+		var ns, ts []float64
+		for _, p := range linePoints {
+			ns = append(ns, p.n)
+			ts = append(ts, p.rounds)
+		}
+		res.addSeries("decay-global on lines", ns, ts)
+		fit := stats.GrowthExponent(ns, ts)
+		res.Notes = append(res.Notes, fmt.Sprintf("decay on lines: T ~ n^%.2f (R²=%.2f); claim predicts exponent ≈ 1 via the D term", fit.Slope, fit.R2))
+		res.Pass = fit.Slope > 0.7 && fit.Slope < 1.3
+		res.Notes = append(res.Notes, verdict(res.Pass))
+		return res
+	})
 }
 
 func gridSides(cfg Config) []int {
@@ -151,13 +149,12 @@ func runStaticLocal(cfg Config) (*Result, error) {
 			})
 		}
 	}
-	if err := sw.run(); err != nil {
-		return nil, err
-	}
-	res.addSeries("decay-local on geo grids", ns, ts)
-	fit := stats.GrowthExponent(ns, ts)
-	res.Notes = append(res.Notes, fmt.Sprintf("decay-local: T ~ n^%.2f (R²=%.2f); polylog claim predicts exponent near 0", fit.Slope, fit.R2))
-	res.Pass = fit.Slope < 0.5
-	res.Notes = append(res.Notes, verdict(res.Pass))
-	return res, nil
+	return sw.finish(func() *Result {
+		res.addSeries("decay-local on geo grids", ns, ts)
+		fit := stats.GrowthExponent(ns, ts)
+		res.Notes = append(res.Notes, fmt.Sprintf("decay-local: T ~ n^%.2f (R²=%.2f); polylog claim predicts exponent near 0", fit.Slope, fit.R2))
+		res.Pass = fit.Slope < 0.5
+		res.Notes = append(res.Notes, verdict(res.Pass))
+		return res
+	})
 }

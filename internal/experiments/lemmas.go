@@ -73,11 +73,10 @@ func runHittingBound(cfg Config) (*Result, error) {
 			})
 		}
 	}
-	if err := sw.run(); err != nil {
-		return nil, err
-	}
-	res.Notes = append(res.Notes, verdict(res.Pass))
-	return res, nil
+	return sw.finish(func() *Result {
+		res.Notes = append(res.Notes, verdict(res.Pass))
+		return res
+	})
 }
 
 func sqrtApprox(x float64) float64 {
@@ -150,11 +149,10 @@ func runReduction(cfg Config) (*Result, error) {
 			})
 		}
 	}
-	if err := sw.run(); err != nil {
-		return nil, err
-	}
-	res.Notes = append(res.Notes, verdict(res.Pass))
-	return res, nil
+	return sw.finish(func() *Result {
+		res.Notes = append(res.Notes, verdict(res.Pass))
+		return res
+	})
 }
 
 func runLemma42(cfg Config) (*Result, error) {
@@ -220,9 +218,8 @@ func runLemma42(cfg Config) (*Result, error) {
 			return nil
 		})
 	}
-	if err := sw.run(); err != nil {
-		return nil, err
-	}
-	res.Notes = append(res.Notes, verdict(res.Pass))
-	return res, nil
+	return sw.finish(func() *Result {
+		res.Notes = append(res.Notes, verdict(res.Pass))
+		return res
+	})
 }

@@ -49,9 +49,9 @@ type scaleSubstrate struct {
 
 // scaleNetsMemo caches the built substrates per scale for the process
 // lifetime. Substrates are immutable and deterministic in their seeds, and a
-// service-driven run enumerates the task plan more than once per execution
-// (submit-time planning, then the execute phase's own plan) — without the
-// memo each pass would rebuild the 10⁵/10⁶-node graphs from scratch.
+// service-driven run declares each experiment once per lifecycle call —
+// submit-time planning, execute, and merge — so without the memo each
+// declaration would rebuild the 10⁵/10⁶-node graphs from scratch.
 var scaleNetsMemo struct {
 	sync.Mutex
 	nets map[bool][]scaleSubstrate
@@ -214,36 +214,35 @@ func runScale(cfg Config) (*Result, error) {
 			})
 		}
 	}
-	if err := sw.run(); err != nil {
-		return nil, err
-	}
-	res.addSeries("decay median vs n (no adversary)", ns, decayMed)
-	res.addSeries("round-robin median vs n", rrNs, rrMeds)
+	return sw.finish(func() *Result {
+		res.addSeries("decay median vs n (no adversary)", ns, decayMed)
+		res.addSeries("round-robin median vs n", rrNs, rrMeds)
 
-	// Shape checks. The foil really is Θ(n): round robin takes at least n/2
-	// rounds at every size (a node cannot relay before its own slot comes
-	// up). Separation: at n = 10⁴ it pays a wide multiple of decay.
-	// Sublinearity: growing n by 10x (100x in full mode) must grow the decay
-	// median far slower than linearly — at most half the size ratio is
-	// already generous for a polylog-per-hop bound over comparable diameters.
-	largest := decayMed[len(decayMed)-1]
-	for i, m := range rrMeds {
-		if m < rrNs[i]/2 {
+		// Shape checks. The foil really is Θ(n): round robin takes at least n/2
+		// rounds at every size (a node cannot relay before its own slot comes
+		// up). Separation: at n = 10⁴ it pays a wide multiple of decay.
+		// Sublinearity: growing n by 10x (100x in full mode) must grow the decay
+		// median far slower than linearly — at most half the size ratio is
+		// already generous for a polylog-per-hop bound over comparable diameters.
+		largest := decayMed[len(decayMed)-1]
+		for i, m := range rrMeds {
+			if m < rrNs[i]/2 {
+				res.Pass = false
+			}
+		}
+		rrLarge := rrMeds[len(rrMeds)-1]
+		if rrLarge < 5*decayAtRR {
 			res.Pass = false
 		}
-	}
-	rrLarge := rrMeds[len(rrMeds)-1]
-	if rrLarge < 5*decayAtRR {
-		res.Pass = false
-	}
-	sizeRatio := ns[len(ns)-1] / ns[0]
-	if largest > decaySmall*sizeRatio/2 {
-		res.Pass = false
-	}
-	res.Notes = append(res.Notes,
-		fmt.Sprintf("decay median grows %.1fx while n grows %.0fx; round robin pays %.0fx decay at n=10000",
-			largest/decaySmall, sizeRatio, rrLarge/decayAtRR),
-		"substrates straddle the delivery-plan boundaries (scalar at 10^3, block-sparse bitmap at 10^4, 10^5 and 10^6); tables are plan-invariant",
-		verdict(res.Pass))
-	return res, nil
+		sizeRatio := ns[len(ns)-1] / ns[0]
+		if largest > decaySmall*sizeRatio/2 {
+			res.Pass = false
+		}
+		res.Notes = append(res.Notes,
+			fmt.Sprintf("decay median grows %.1fx while n grows %.0fx; round robin pays %.0fx decay at n=10000",
+				largest/decaySmall, sizeRatio, rrLarge/decayAtRR),
+			"substrates straddle the delivery-plan boundaries (scalar at 10^3, block-sparse bitmap at 10^4, 10^5 and 10^6); tables are plan-invariant",
+			verdict(res.Pass))
+		return res
+	})
 }

@@ -6,49 +6,11 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/radio"
 	"repro/internal/stats"
 )
-
-// workerPool is a bounded pool of goroutines executing opaque jobs. One pool
-// serves every (experiment × sweep-point × trial) triple submitted to it:
-// sweeps from different experiments interleave on the same workers instead of
-// each sweep point spawning (and draining) its own goroutines.
-type workerPool struct {
-	jobs chan func()
-	wg   sync.WaitGroup
-}
-
-// newWorkerPool starts a pool with the given number of workers (minimum 1).
-func newWorkerPool(workers int) *workerPool {
-	if workers < 1 {
-		workers = 1
-	}
-	p := &workerPool{jobs: make(chan func())}
-	for w := 0; w < workers; w++ {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			for job := range p.jobs {
-				job()
-			}
-		}()
-	}
-	return p
-}
-
-// submit hands a job to the pool, blocking until a worker accepts it. Jobs
-// must never submit to their own pool (the workers would deadlock); only
-// sweep declarers do.
-func (p *workerPool) submit(job func()) { p.jobs <- job }
-
-// close drains the pool: no further submits are allowed, and close returns
-// once every accepted job has finished.
-func (p *workerPool) close() {
-	close(p.jobs)
-	p.wg.Wait()
-}
 
 // taskRecord is one task's complete contribution to its sweep: a small
 // vector of raw values plus the task's error, if any. Records are the unit
@@ -96,13 +58,13 @@ type aggSpec struct {
 
 // sweep is a declared collection of work units. Experiments declare their
 // sweep points (a seeded radio.Config factory per point) together with an
-// aggregation closure per point, then call run once: every task of every
-// point is flattened onto one worker pool, each task writes exactly one
-// taskRecord, and after the pool drains the aggregation closures fire in
-// declaration order over their record ranges. Each task's index fully
-// determines its execution (seeds are derived from it), so the output is
-// byte-identical no matter how many workers run, in which order tasks
-// complete — or, for sharded runs, which machine ran which task.
+// aggregation closure per point, then end their Run with finish. Each task
+// writes exactly one taskRecord; once every record is filled, the
+// aggregation closures fire in declaration order over their record ranges.
+// Each task's index fully determines its execution (seeds are derived from
+// it), so the output is byte-identical no matter how many workers run, in
+// which order tasks complete — or, for sharded runs, which machine ran
+// which task.
 type sweep struct {
 	cfg  Config
 	jobs []func()
@@ -163,37 +125,21 @@ func (s *sweep) point(trials int, mk func(seed uint64) radio.Config, agg func(tr
 	})
 }
 
-// run executes the declared sweep. In an unsharded run every job executes on
-// the configured pool — the shared cross-experiment pool when one is set
-// (RunAll), otherwise a pool created for this sweep — and the aggregation
-// closures then fire in declaration order, stopping at the first error. In
-// a sharded run (Config.shard set) the installed phase takes over: plan
-// counts the tasks, execute runs only the owned subset and captures their
-// records, merge injects records loaded from artifacts and replays the
-// aggregations. See shard.go.
-func (s *sweep) run() error {
-	if s.cfg.shard != nil {
-		return s.cfg.shard.runSweep(s)
+// finish ends an experiment's Run. build is the code that turns the
+// aggregated sweep into the experiment's Result — its table, notes, series
+// and verdict. Under the run lifecycle (Config.declared set) finish hands
+// the sweep and build to the caller as the experiment's declaration and
+// returns nothing; the caller fills and finishes it. Called directly, it
+// runs this one declaration through the same steps: every task on a pool of
+// cfg's workers, then aggregation and build.
+func (s *sweep) finish(build func() *Result) (*Result, error) {
+	d := declaration{sw: s, build: build}
+	if s.cfg.declared != nil {
+		*s.cfg.declared = append(*s.cfg.declared, d)
+		return nil, nil
 	}
-	pool := s.cfg.pool
-	if pool == nil {
-		workers := s.cfg.workers()
-		if workers > len(s.jobs) {
-			workers = len(s.jobs)
-		}
-		pool = newWorkerPool(workers)
-		defer pool.close()
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(s.jobs))
-	for _, job := range s.jobs {
-		pool.submit(func() {
-			defer wg.Done()
-			job()
-		})
-	}
-	wg.Wait()
-	return s.aggregate()
+	fill(s.cfg.workers(), []declaration{d}, nil)
+	return d.finish()
 }
 
 // aggregate fires the aggregation closures in declaration order over the
@@ -290,36 +236,100 @@ func failedTrials(recs []taskRecord) error {
 	return &te
 }
 
-// RunAll executes the given experiments through one shared worker pool sized
-// by cfg (Workers, defaulting to GOMAXPROCS): every trial of every sweep
-// point of every experiment lands in the same work queue, so the wall clock
-// scales with cores rather than with experiment count. Results and errors are
-// returned aligned with exps, and each experiment's output is identical to
-// running it alone — trials are independently seeded, and aggregation order
-// is fixed by declaration order.
-func RunAll(cfg Config, exps []Experiment) ([]*Result, []error) {
-	pool := newWorkerPool(cfg.workers())
-	defer pool.close()
-	cfg.pool = pool
-	results := make([]*Result, len(exps))
-	errs := make([]error, len(exps))
+// declaration is one experiment's declared sweep plus the build step its
+// Run ended with. The run lifecycle drives every caller through the same
+// three steps — declare, fill the records, finish — and differs only in how
+// it fills: RunAll executes every task, ExecuteShard the owned subset,
+// RunMerged injects merged records. A declaration is single-use: its
+// aggregation closures append rows, notes and series to the one Result build
+// returns, so finishing it twice would report everything twice.
+type declaration struct {
+	sw    *sweep
+	build func() *Result
+}
+
+// declare calls e.Run once under the lifecycle and returns the declaration
+// it finished with. An experiment must declare exactly one sweep — its task
+// indices are the experiment's task coordinates, the frame shard ownership,
+// cache entries and structured errors all speak — so a Run that finishes
+// no sweep, or more than one, fails here rather than at merge.
+func declare(cfg Config, e Experiment) (declaration, error) {
+	var ds []declaration
+	cfg.declared = &ds
+	if _, err := e.Run(cfg); err != nil {
+		return declaration{}, fmt.Errorf("declare %s: %w", e.ID, err)
+	}
+	if len(ds) != 1 {
+		return declaration{}, fmt.Errorf("declare %s: Run finished %d sweeps, want exactly one", e.ID, len(ds))
+	}
+	return ds[0], nil
+}
+
+// fill executes the declared tasks that own selects (nil selects all) on
+// one pool of workers, so sweeps from every declaration interleave on the
+// same goroutines. own sees a task's global index: its position in the
+// concatenation of the declarations' task lists, which for a plan-ordered
+// slice is the plan's coordinate. A zero declaration (one whose declare
+// failed) contributes no tasks.
+func fill(workers int, ds []declaration, own func(g int) bool) {
+	var jobs []func()
+	g := 0
+	for _, d := range ds {
+		if d.sw == nil {
+			continue
+		}
+		for _, job := range d.sw.jobs {
+			if own == nil || own(g) {
+				jobs = append(jobs, job)
+			}
+			g++
+		}
+	}
+	workers = min(workers, len(jobs))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i, e := range exps {
-		wg.Add(1)
+	wg.Add(workers)
+	for range workers {
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = e.Run(withExp(cfg, e))
+			for i := next.Add(1) - 1; i < int64(len(jobs)); i = next.Add(1) - 1 {
+				jobs[i]()
+			}
 		}()
 	}
 	wg.Wait()
-	return results, errs
 }
 
-// withExp stamps the experiment's identity into its config copy, so sharded
-// phases can attribute declared tasks to the experiment that owns them.
-func withExp(cfg Config, e Experiment) Config {
-	cfg.expID = e.ID
-	return cfg
+// finish aggregates the declaration's filled records in declaration order
+// and builds the experiment's Result.
+func (d declaration) finish() (*Result, error) {
+	if err := d.sw.aggregate(); err != nil {
+		return nil, err
+	}
+	return d.build(), nil
+}
+
+// RunAll executes the given experiments through one shared worker pool sized
+// by cfg (Workers, defaulting to GOMAXPROCS): every experiment is declared,
+// then every trial of every sweep point of every experiment lands in the
+// same work queue, so the wall clock scales with cores rather than with
+// experiment count. Results and errors are returned aligned with exps, and
+// each experiment's output is identical to running it alone — trials are
+// independently seeded, and aggregation order is fixed by declaration order.
+func RunAll(cfg Config, exps []Experiment) ([]*Result, []error) {
+	ds := make([]declaration, len(exps))
+	errs := make([]error, len(exps))
+	for i, e := range exps {
+		ds[i], errs[i] = declare(cfg, e)
+	}
+	fill(cfg.workers(), ds, nil)
+	results := make([]*Result, len(exps))
+	for i, d := range ds {
+		if errs[i] == nil {
+			results[i], errs[i] = d.finish()
+		}
+	}
+	return results, errs
 }
 
 // sortedKeys returns a map's keys in ascending order, for deterministic

@@ -23,6 +23,29 @@ func testTrialConfig(seed uint64) radio.Config {
 	}
 }
 
+// runTrials executes the config-factory over `trials` seeds through the
+// sweep scheduler and aggregates. It is the one-point convenience form of
+// declaring a sweep; multi-point experiments declare their whole sweep so
+// trials from every point interleave on the pool.
+func runTrials(cfg Config, mk func(seed uint64) radio.Config, trials int) (trialOutcome, error) {
+	sw := newSweep(cfg)
+	var out trialOutcome
+	sw.point(trials, mk, func(o trialOutcome) { out = o })
+	_, err := sw.finish(func() *Result { return nil })
+	return out, err
+}
+
+// runTrialsSequential is the single-threaded reference used to verify the
+// scheduler.
+func runTrialsSequential(mk func(seed uint64) radio.Config, trials int, baseSeed uint64) (trialOutcome, error) {
+	recs := make([]taskRecord, trials)
+	for i := 0; i < trials; i++ {
+		res, err := radio.Run(mk(baseSeed + uint64(i) + 1))
+		recs[i] = taskRecord{vals: []float64{float64(res.Rounds), boolBit(res.Solved)}, err: err}
+	}
+	return aggregateTrials(recs)
+}
+
 func TestSchedulerMatchesSequential(t *testing.T) {
 	par, err := runTrials(Config{BaseSeed: 100, Workers: 8}, testTrialConfig, 8)
 	if err != nil {
@@ -86,7 +109,7 @@ func TestTrialErrorIndicesAreSweepLocal(t *testing.T) {
 	sw := newSweep(Config{Workers: 2})
 	sw.point(2, testTrialConfig, func(trialOutcome) {})
 	sw.point(3, bad, func(trialOutcome) {})
-	err := sw.run()
+	_, err := sw.finish(func() *Result { return nil })
 	if err == nil {
 		t.Fatal("invalid config error not propagated")
 	}
@@ -113,10 +136,7 @@ func TestRunAllRecoversTrialPanic(t *testing.T) {
 			}
 			return []float64{float64(i)}, nil
 		}, func([]taskRecord) error { return nil })
-		if err := sw.run(); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
+		return sw.finish(func() *Result { return &Result{} })
 	}}
 	sibling, ok := ByID("L3.2-hitting")
 	if !ok {

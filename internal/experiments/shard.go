@@ -2,164 +2,54 @@ package experiments
 
 // Sharded execution: the sweep scheduler's work queue — every (experiment ×
 // sweep-point × trial) task, independently seeded — partitioned across
-// machines with no coordination beyond a shared command line. The lifecycle
-// has three phases, each a different interpretation of the same declared
-// sweeps:
+// machines with no coordination beyond a shared command line. Every entry
+// point calls each experiment's Run exactly once and composes the
+// lifecycle's three steps (declare, fill, finish; see scheduler.go):
 //
-//   - plan: run every experiment's declaration code but execute nothing;
-//     count the tasks each experiment declares. Every process derives the
-//     same plan (experiments are sorted by ID, declaration order is code
-//     order), so a task's global index — its experiment's plan offset plus
-//     its declaration index — is a cross-machine invariant. Shard i of K
-//     owns the tasks whose global index ≡ i-1 (mod K): a stable round-robin
+//   - PlanTasks declares and counts. Every process derives the same plan
+//     (experiments are sorted by ID, declaration order is code order), so a
+//     task's global index — its experiment's plan offset plus its
+//     declaration index — is a cross-machine invariant. Shard i of K owns
+//     the tasks whose global index ≡ i-1 (mod K): a stable round-robin
 //     partition, no hashing of map order anywhere.
-//   - execute: run only the owned tasks (still through this machine's
-//     bounded worker pool) and capture their records; aggregation does not
-//     fire, because this process holds only a subset of each point's
-//     records. The records become a shard.Artifact.
-//   - merge: load the validated union of every shard's records, inject them
-//     into the declared sweeps, and replay the aggregation closures on one
-//     goroutine in declaration order — exactly the path an unsharded run
-//     takes after its pool drains. Because aggregation consumes raw task
-//     records either way, merged output is byte-identical to a
-//     single-machine run at the same seeds, for any K and any assignment.
-//
-// Plan and execute phases abort each experiment's Run with errPhaseDone
-// right after its sweep is declared (resp. executed): the table/notes code
-// after sweep.run() would read aggregation state that those phases never
-// fill. This assumes an experiment declares all its tasks in a single sweep
-// — true for every registered experiment, and violations fail loudly at
-// merge (the extra sweep's tasks are missing from every artifact).
+//   - ExecuteShard declares, fills only the owned tasks (through this
+//     machine's bounded worker pool) and returns their records as a
+//     shard.Artifact; it never finishes, because this process holds only a
+//     subset of each point's records.
+//   - RunMerged declares, fills each declaration with the validated union
+//     of every shard's records, and finishes it — the same aggregation and
+//     build an unsharded run performs after its pool drains. Because
+//     aggregation consumes raw task records either way, merged output is
+//     byte-identical to a single-machine run at the same seeds, for any K
+//     and any assignment.
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/shard"
 )
 
-// errPhaseDone aborts an experiment's Run after its sweep has served a
-// plan or execute phase; the sharded runners treat it as success.
-var errPhaseDone = errors.New("experiments: sharded phase complete")
-
-type shardPhase int
-
-const (
-	phasePlan shardPhase = iota + 1
-	phaseExecute
-	phaseMerge
-)
-
-// shardState carries one sharded phase across every experiment of a run.
-// It is shared by the per-experiment Config copies; all maps are guarded by
-// mu because execute runs experiments concurrently.
-type shardState struct {
-	phase shardPhase
-	// index is 0-based; count is K. Only set during execute.
-	index, count int
-
-	mu sync.Mutex
-	// counts accumulates tasks declared per experiment (plan).
-	counts map[string]int
-	// offsets maps experiment ID to its global task offset (execute).
-	offsets map[string]int
-	// seq tracks how many tasks each experiment has declared so far, so a
-	// sweep's tasks get consecutive per-experiment indices (execute, merge).
-	seq map[string]int
-	// records collects owned task results (execute).
-	records []shard.TaskRecord
-	// source supplies the reassembled records (merge).
-	source *shard.Merged
-}
-
-// nextSeq reserves n consecutive task indices for the experiment and
-// returns the first.
-func (sc *shardState) nextSeq(exp string, n int) int {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	base := sc.seq[exp]
-	sc.seq[exp] = base + n
-	return base
-}
-
-// runSweep interprets a declared sweep under the installed phase; sweep.run
-// dispatches here whenever Config.shard is set.
-func (sc *shardState) runSweep(s *sweep) error {
-	exp := s.cfg.expID
-	switch sc.phase {
-	case phasePlan:
-		sc.mu.Lock()
-		sc.counts[exp] += len(s.jobs)
-		sc.mu.Unlock()
-		return errPhaseDone
-
-	case phaseExecute:
-		base := sc.nextSeq(exp, len(s.jobs))
-		sc.mu.Lock()
-		offset := sc.offsets[exp]
-		sc.mu.Unlock()
-		var owned []int
-		for g := range s.jobs {
-			if (offset+base+g)%sc.count == sc.index {
-				owned = append(owned, g)
-			}
+// declareAll declares every experiment, in order, failing on the first
+// declaration error.
+func declareAll(cfg Config, exps []Experiment) ([]declaration, error) {
+	ds := make([]declaration, len(exps))
+	for i, e := range exps {
+		var err error
+		if ds[i], err = declare(cfg, e); err != nil {
+			return nil, err
 		}
-		var wg sync.WaitGroup
-		wg.Add(len(owned))
-		for _, g := range owned {
-			job := s.jobs[g]
-			s.cfg.pool.submit(func() {
-				defer wg.Done()
-				job()
-			})
-		}
-		wg.Wait()
-		sc.mu.Lock()
-		for _, g := range owned {
-			sc.records = append(sc.records, shard.TaskRecord{
-				Exp:   exp,
-				Index: base + g,
-				Vals:  s.recs[g].vals,
-				Err:   s.recs[g].errText(),
-			})
-		}
-		sc.mu.Unlock()
-		return errPhaseDone
-
-	case phaseMerge:
-		base := sc.nextSeq(exp, len(s.jobs))
-		recs := sc.source.Records(exp)
-		if base+len(s.jobs) > len(recs) {
-			return fmt.Errorf("experiments: %s declares %d tasks but the merged artifacts planned %d — artifacts from a different binary or configuration?",
-				exp, base+len(s.jobs), len(recs))
-		}
-		for g := range s.jobs {
-			r := recs[base+g]
-			// Every executed task records values or an error; a record with
-			// neither is a truncated or hand-edited artifact, and replaying
-			// it would silently report zeros.
-			if r.Err == "" && len(r.Vals) == 0 {
-				return fmt.Errorf("experiments: %s task %d has neither values nor an error — truncated artifact?", exp, base+g)
-			}
-			var err error
-			if r.Err != "" {
-				err = errors.New(r.Err)
-			}
-			s.recs[g] = taskRecord{vals: r.Vals, err: err}
-		}
-		return s.aggregate()
 	}
-	return fmt.Errorf("experiments: unknown shard phase %d", sc.phase)
+	return ds, nil
 }
 
-// phaseRunErr normalizes one experiment's error under a sharded phase:
-// errPhaseDone means the phase completed.
-func phaseRunErr(err error) error {
-	if errors.Is(err, errPhaseDone) {
-		return nil
+// planOf is the task plan of a plan-ordered declaration slice.
+func planOf(exps []Experiment, ds []declaration) []shard.ExperimentPlan {
+	plan := make([]shard.ExperimentPlan, len(exps))
+	for i, e := range exps {
+		plan[i] = shard.ExperimentPlan{ID: e.ID, Tasks: len(ds[i].sw.jobs)}
 	}
-	return err
+	return plan
 }
 
 // PlanTasks deterministically enumerates the task plan: how many
@@ -169,23 +59,15 @@ func phaseRunErr(err error) error {
 // frame of reference, and execute embeds it into each artifact so merge can
 // verify the shards actually tile it.
 func PlanTasks(cfg Config, exps []Experiment) ([]shard.ExperimentPlan, error) {
-	sc := &shardState{phase: phasePlan, counts: map[string]int{}}
-	cfg.pool = nil
-	cfg.shard = sc
-	for _, e := range exps {
-		if _, err := e.Run(withExp(cfg, e)); phaseRunErr(err) != nil {
-			return nil, fmt.Errorf("plan %s: %w", e.ID, err)
-		}
+	ds, err := declareAll(cfg, exps)
+	if err != nil {
+		return nil, err
 	}
-	plan := make([]shard.ExperimentPlan, len(exps))
-	for i, e := range exps {
-		plan[i] = shard.ExperimentPlan{ID: e.ID, Tasks: sc.counts[e.ID]}
-	}
-	return plan, nil
+	return planOf(exps, ds), nil
 }
 
-// ExecuteShard runs shard index (1-based) of count: it derives the task
-// plan, executes only the tasks this shard owns — concurrently, through one
+// ExecuteShard runs shard index (1-based) of count: it declares the
+// selection once, executes only the tasks this shard owns — through one
 // shared worker pool sized by cfg, exactly like RunAll — and returns their
 // raw records as a portable artifact. Aggregation is deferred to the merge;
 // trial failures are recorded in the artifact rather than aborting, so a
@@ -195,40 +77,20 @@ func ExecuteShard(cfg Config, exps []Experiment, index, count int) (*shard.Artif
 	if count < 1 || index < 1 || index > count {
 		return nil, fmt.Errorf("experiments: shard %d/%d out of range", index, count)
 	}
-	plan, err := PlanTasks(cfg, exps)
+	ds, err := declareAll(cfg, exps)
 	if err != nil {
 		return nil, err
 	}
-	offsets := make(map[string]int, len(plan))
-	offset := 0
-	for _, p := range plan {
-		offsets[p.ID] = offset
-		offset += p.Tasks
-	}
-	sc := &shardState{
-		phase:   phaseExecute,
-		index:   index - 1,
-		count:   count,
-		offsets: offsets,
-		seq:     map[string]int{},
-	}
-	pool := newWorkerPool(cfg.workers())
-	defer pool.close()
-	cfg.pool = pool
-	cfg.shard = sc
-	errs := make([]error, len(exps))
-	var wg sync.WaitGroup
-	for i, e := range exps {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, errs[i] = e.Run(withExp(cfg, e))
-		}()
-	}
-	wg.Wait()
-	for i, e := range exps {
-		if phaseRunErr(errs[i]) != nil {
-			return nil, fmt.Errorf("shard %d/%d %s: %w", index, count, e.ID, errs[i])
+	own := func(g int) bool { return g%count == index-1 }
+	fill(cfg.workers(), ds, own)
+	var records []shard.TaskRecord
+	g := 0
+	for i, d := range ds {
+		for t, r := range d.sw.recs {
+			if own(g) {
+				records = append(records, shard.TaskRecord{Exp: exps[i].ID, Index: t, Vals: r.vals, Err: r.errText()})
+			}
+			g++
 		}
 	}
 	return &shard.Artifact{
@@ -238,8 +100,8 @@ func ExecuteShard(cfg Config, exps []Experiment, index, count int) (*shard.Artif
 		BaseSeed: cfg.BaseSeed,
 		Quick:    cfg.Quick,
 		Trials:   cfg.Trials,
-		Plan:     plan,
-		Records:  sc.records,
+		Plan:     planOf(exps, ds),
+		Records:  records,
 	}, nil
 }
 
@@ -250,25 +112,45 @@ func ExecuteShard(cfg Config, exps []Experiment, index, count int) (*shard.Artif
 // cfg must be the merged run's configuration (ConfigFromMerged); results and
 // errors are aligned with exps.
 func RunMerged(cfg Config, exps []Experiment, m *shard.Merged) ([]*Result, []error) {
-	sc := &shardState{phase: phaseMerge, seq: map[string]int{}, source: m}
-	cfg.pool = nil
-	cfg.shard = sc
 	results := make([]*Result, len(exps))
 	errs := make([]error, len(exps))
 	for i, e := range exps {
-		results[i], errs[i] = e.Run(withExp(cfg, e))
-		// The replay must consume the artifacts' records exactly. Declaring
-		// more tasks than planned fails inside runSweep; declaring fewer —
-		// this binary dropped a sweep point the artifacts still carry —
-		// would silently replay records against the wrong (point, trial)
-		// pairs, so it is a hard error too.
-		if used, have := sc.seq[e.ID], len(m.Records(e.ID)); errs[i] == nil && used != have {
-			results[i] = nil
-			errs[i] = fmt.Errorf("experiments: %s declares %d tasks but the merged artifacts planned %d — artifacts from a different binary or configuration?",
-				e.ID, used, have)
+		d, err := declare(cfg, e)
+		if err == nil {
+			err = d.inject(e.ID, m.Records(e.ID))
 		}
+		if err == nil {
+			results[i], err = d.finish()
+		}
+		errs[i] = err
 	}
 	return results, errs
+}
+
+// inject fills the declaration's records from a merge. The replay must
+// consume the experiment's merged records exactly: a count mismatch — this
+// binary declares a sweep point the artifacts lack, or dropped one they
+// still carry — would replay records against the wrong (point, trial)
+// pairs, so it is a hard error.
+func (d declaration) inject(id string, recs []shard.TaskRecord) error {
+	if len(recs) != len(d.sw.recs) {
+		return fmt.Errorf("experiments: %s declares %d tasks but the merged artifacts planned %d — artifacts from a different binary or configuration?",
+			id, len(d.sw.recs), len(recs))
+	}
+	for g, r := range recs {
+		// Every executed task records values or an error; a record with
+		// neither is a truncated or hand-edited artifact, and replaying it
+		// would silently report zeros.
+		if r.Err == "" && len(r.Vals) == 0 {
+			return fmt.Errorf("experiments: %s task %d has neither values nor an error — truncated artifact?", id, g)
+		}
+		var err error
+		if r.Err != "" {
+			err = errors.New(r.Err)
+		}
+		d.sw.recs[g] = taskRecord{vals: r.Vals, err: err}
+	}
+	return nil
 }
 
 // ConfigFromMerged rebuilds the run configuration a set of merged shards

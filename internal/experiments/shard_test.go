@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/shard"
@@ -230,4 +231,95 @@ func mustByID(t testing.TB, id string) Experiment {
 		t.Fatalf("experiment %q not registered", id)
 	}
 	return e
+}
+
+// runCounter wraps experiments so each Run call is counted, the way the
+// benchmark harness wraps the catalog to trace them.
+type runCounter struct {
+	mu    sync.Mutex
+	calls map[string]int
+}
+
+func countRuns(exps []Experiment) ([]Experiment, *runCounter) {
+	c := &runCounter{calls: map[string]int{}}
+	out := make([]Experiment, len(exps))
+	for i, e := range exps {
+		run := e.Run
+		e.Run = func(cfg Config) (*Result, error) {
+			c.mu.Lock()
+			c.calls[e.ID]++
+			c.mu.Unlock()
+			return run(cfg)
+		}
+		out[i] = e
+	}
+	return out, c
+}
+
+// expectOnce checks every experiment's Run was called exactly once since
+// the last check.
+func (c *runCounter) expectOnce(t *testing.T, call string, exps []Experiment) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range exps {
+		if n := c.calls[e.ID]; n != 1 {
+			t.Errorf("%s called %s's Run %d times, want 1", call, e.ID, n)
+		}
+	}
+	clear(c.calls)
+}
+
+// TestLifecycleRunsEachExperimentOnce pins the declare → fill → finish
+// lifecycle's cost: every entry point declares each experiment exactly once
+// and composes its steps around that one declaration.
+func TestLifecycleRunsEachExperimentOnce(t *testing.T) {
+	cfg := Config{Quick: true, Trials: 2}
+	exps, runs := countRuns([]Experiment{mustByID(t, "CHURN-gossip"), mustByID(t, "L3.2-hitting"), mustByID(t, "L4.2-permdecay")})
+
+	if _, err := PlanTasks(cfg, exps); err != nil {
+		t.Fatal(err)
+	}
+	runs.expectOnce(t, "PlanTasks", exps)
+	art, err := ExecuteShard(cfg, exps, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs.expectOnce(t, "ExecuteShard", exps)
+	merged, err := shard.Merge([]*shard.Artifact{art})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, errs := RunMerged(ConfigFromMerged(merged), exps, merged); errors.Join(errs...) != nil {
+		t.Fatal(errors.Join(errs...))
+	}
+	runs.expectOnce(t, "RunMerged", exps)
+	if _, errs := RunAll(cfg, exps); errors.Join(errs...) != nil {
+		t.Fatal(errors.Join(errs...))
+	}
+	runs.expectOnce(t, "RunAll", exps)
+}
+
+// TestDeclareRejectsSweepCount: the lifecycle needs exactly one sweep per
+// experiment, and says so when the experiment is declared — naming it —
+// rather than at merge.
+func TestDeclareRejectsSweepCount(t *testing.T) {
+	task := func(int) ([]float64, error) { return []float64{1}, nil }
+	none := Experiment{ID: "X-no-sweep", Run: func(Config) (*Result, error) { return &Result{}, nil }}
+	two := Experiment{ID: "X-two-sweeps", Run: func(cfg Config) (*Result, error) {
+		first := newSweep(cfg)
+		first.tasks(2, task, nil)
+		if _, err := first.finish(func() *Result { return &Result{} }); err != nil {
+			return nil, err
+		}
+		second := newSweep(cfg)
+		second.tasks(2, task, nil)
+		return second.finish(func() *Result { return &Result{} })
+	}}
+	for _, bad := range []Experiment{none, two} {
+		_, err := PlanTasks(Config{Quick: true, Trials: 2}, []Experiment{mustByID(t, "L3.2-hitting"), bad})
+		if err == nil || !strings.Contains(err.Error(), bad.ID) {
+			t.Errorf("PlanTasks with %s: error %v, want one naming it", bad.ID, err)
+		}
+	}
 }

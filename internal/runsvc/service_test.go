@@ -3,6 +3,9 @@ package runsvc
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -199,6 +202,52 @@ func TestServiceColdRepeatAndCacheReload(t *testing.T) {
 	}
 	if got, want := renderAll(t, results2, report.Options{Markdown: true}), renderAll(t, results, report.Options{Markdown: true}); got != want {
 		t.Fatalf("cache-served output diverges from cold run:\n--- cached:\n%s\n--- cold:\n%s", got, want)
+	}
+}
+
+// TestServiceRunCallsPerLifecycle counts each selected experiment's Run
+// calls through a wrapping catalog: one declaration per lifecycle call, so
+// a cold run declares three times (submit-time plan, execute, merge) and a
+// fresh service over the warm cache twice (plan, merge).
+func TestServiceRunCallsPerLifecycle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment suite")
+	}
+	var mu sync.Mutex
+	calls := map[string]int{}
+	var catalog []experiments.Experiment
+	for _, e := range experiments.All() {
+		run := e.Run
+		e.Run = func(cfg experiments.Config) (*experiments.Result, error) {
+			mu.Lock()
+			calls[e.ID]++
+			mu.Unlock()
+			return run(cfg)
+		}
+		catalog = append(catalog, e)
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		want int
+	}{{"cold", 3}, {"warm", 2}} {
+		svc, err := New(Options{Catalog: catalog, CacheDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = svc.RunSync(testSpec())
+		svc.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		for _, id := range testSpec().Experiments {
+			if calls[id] != tc.want {
+				t.Errorf("%s run called %s's Run %d times, want %d", tc.name, id, calls[id], tc.want)
+			}
+		}
+		clear(calls)
+		mu.Unlock()
 	}
 }
 
@@ -430,6 +479,60 @@ func TestCacheRejectsMismatches(t *testing.T) {
 	}
 	if err := nilCache.Put(key, cfg, p, recs); err != nil {
 		t.Errorf("nil cache Put errored: %v", err)
+	}
+}
+
+// TestCacheCorruptTaskCountIsMiss: a cache entry whose plan row claims an
+// absurd task count — a corrupt or hand-edited file — is a miss, as Get
+// documents, not a panic on the goroutine reading it. Through a service,
+// the run re-executes that experiment and still merges.
+func TestCacheCorruptTaskCountIsMiss(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment suite")
+	}
+	dir := t.TempDir()
+	svc, _ := newTestService(t, dir)
+	run, err := svc.RunSync(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := run.Status()
+	victim := st.Experiments[0]
+	path := filepath.Join(dir, victim.Key+".json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := fmt.Sprintf(`"tasks": %d`, victim.Tasks)
+	corrupt := bytes.Replace(data, []byte(row), []byte(`"tasks": 900000000000000`), 1)
+	if bytes.Equal(corrupt, data) {
+		t.Fatalf("cache entry %s has no plan row %s", path, row)
+	}
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cache, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := resolveSpec(testSpec(), svc.catalog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := shard.ExperimentPlan{ID: victim.ID, Tasks: victim.Tasks}
+	if _, ok := cache.Get(victim.Key, rs.cfg, p); ok {
+		t.Fatal("corrupt entry served as a hit")
+	}
+
+	svc2, _ := newTestService(t, dir)
+	run2, err := svc2.RunSync(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run2.ExecutedTasks() != victim.Tasks || run2.CachedTasks() != planTotal(st)-victim.Tasks {
+		t.Errorf("run over the corrupt entry executed %d and cached %d tasks, want %d and %d",
+			run2.ExecutedTasks(), run2.CachedTasks(), victim.Tasks, planTotal(st)-victim.Tasks)
 	}
 }
 

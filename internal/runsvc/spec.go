@@ -66,6 +66,21 @@ func ParseSpec(r io.Reader) (Spec, error) {
 	return s, nil
 }
 
+// Spec size caps. Submit plans synchronously, and one declaration pass
+// costs time and memory in proportion to the spec, so resolveSpec rejects an
+// oversized spec before anything is planned rather than stalling — or
+// crashing — the process that received it.
+const (
+	// MaxTrials caps the per-point trial count. The whole quick registry at
+	// this count plans about 10⁵ tasks.
+	MaxTrials = 1000
+	// maxScenarioRevisions caps a scenario's node-revisions, Side²·(Epochs+2):
+	// the compiled schedule holds Epochs+2 topologies over Side² nodes, and
+	// every declaration pass builds them. 2¹⁷ admits side 128 at 6 epochs
+	// and side 8 at 1000.
+	maxScenarioRevisions = 1 << 17
+)
+
 // resolved is a validated, normalized spec bound to runnable experiments.
 type resolved struct {
 	spec Spec
@@ -80,6 +95,9 @@ type resolved struct {
 func resolveSpec(spec Spec, catalog []experiments.Experiment) (resolved, error) {
 	if spec.Trials < 0 {
 		return resolved{}, fmt.Errorf("runsvc: trials must be >= 0, got %d", spec.Trials)
+	}
+	if spec.Trials > MaxTrials {
+		return resolved{}, fmt.Errorf("runsvc: trials %d exceeds the cap of %d", spec.Trials, MaxTrials)
 	}
 	if spec.Workers < 0 {
 		return resolved{}, fmt.Errorf("runsvc: workers must be >= 0, got %d", spec.Workers)
@@ -118,6 +136,10 @@ func resolveSpec(spec Spec, catalog []experiments.Experiment) (resolved, error) 
 		if sc.Side < 2 {
 			return resolved{}, fmt.Errorf("runsvc: scenario side %d, need at least 2", sc.Side)
 		}
+		if !scenarioWithinCap(sc.Side, sc.Gen.Epochs) {
+			return resolved{}, fmt.Errorf("runsvc: scenario side %d at %d epochs exceeds the cap of %d node-revisions, side²·(epochs+2)",
+				sc.Side, sc.Gen.Epochs, maxScenarioRevisions)
+		}
 		if len(sc.Gen.InjectSources) > 0 {
 			return resolved{}, fmt.Errorf("runsvc: scenario runs global broadcast only; InjectSources is not supported")
 		}
@@ -131,6 +153,16 @@ func resolveSpec(spec Spec, catalog []experiments.Experiment) (resolved, error) 
 	}
 	sort.Slice(sel, func(i, j int) bool { return sel[i].ID < sel[j].ID })
 	return resolved{spec: spec, cfg: cfg, exps: sel}, nil
+}
+
+// scenarioWithinCap reports whether side²·(epochs+2) ≤ maxScenarioRevisions,
+// by division so no product can overflow. A negative epoch count passes;
+// the generator's own validation rejects it.
+func scenarioWithinCap(side, epochs int) bool {
+	if side > maxScenarioRevisions/side {
+		return false
+	}
+	return epochs <= maxScenarioRevisions/(side*side)-2
 }
 
 func dedupe(sorted []string) []string {

@@ -1,7 +1,10 @@
 package runsvc
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
+	"math/big"
 	"reflect"
 	"strings"
 	"testing"
@@ -133,4 +136,85 @@ func TestResolveSpecNormalizes(t *testing.T) {
 			t.Errorf("resolved experiments not sorted: %s >= %s", rs.exps[i-1].ID, rs.exps[i].ID)
 		}
 	}
+}
+
+// TestResolveSpecCaps pins both size caps at their boundaries: a spec at a
+// cap resolves, one just past it is rejected before anything is planned,
+// and sizes whose products would overflow an int are rejected too.
+func TestResolveSpecCaps(t *testing.T) {
+	catalog := experiments.All()
+	one := []string{"F1-static-local"}
+	scen := func(side, epochs int) *ScenarioSpec {
+		return &ScenarioSpec{Side: side, Gen: scenario.GenConfig{Epochs: epochs, EpochLen: 30}}
+	}
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		ok   bool
+	}{
+		{"trials at cap", Spec{Experiments: one, Trials: MaxTrials}, true},
+		{"trials past cap", Spec{Experiments: one, Trials: MaxTrials + 1}, false},
+		{"trials far past cap", Spec{Experiments: one, Trials: 1 << 50}, false},
+		{"side 128 at 6 epochs, at cap", Spec{Scenario: scen(128, 6)}, true},
+		{"side 128 at 7 epochs", Spec{Scenario: scen(128, 7)}, false},
+		{"side 8 at 2046 epochs, at cap", Spec{Scenario: scen(8, 2046)}, true},
+		{"side 8 at 2047 epochs", Spec{Scenario: scen(8, 2047)}, false},
+		{"side 256 at 0 epochs, at cap", Spec{Scenario: scen(256, 0)}, true},
+		{"side 256 at 1 epoch", Spec{Scenario: scen(256, 1)}, false},
+		{"side squared overflows", Spec{Scenario: scen(1<<32, 1)}, false},
+		{"epochs plus two overflows", Spec{Scenario: scen(2, math.MaxInt)}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := resolveSpec(tc.spec, catalog)
+			if tc.ok && err != nil {
+				t.Fatalf("spec at the cap rejected: %v", err)
+			}
+			if !tc.ok && (err == nil || !strings.Contains(err.Error(), "exceeds the cap")) {
+				t.Fatalf("error %v, want a cap rejection", err)
+			}
+		})
+	}
+}
+
+// FuzzParseSpec feeds arbitrary bytes through the service's spec decoder and
+// resolver — what every POST /v1/runs body reaches before planning: neither
+// may panic, and resolution must never accept a spec past the size caps.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []Spec{
+		testSpec(),
+		{Experiments: []string{"F1-static-local"}, Trials: MaxTrials},
+		{Trials: 2, Scenario: &ScenarioSpec{Side: 3, Seed: 5, Gen: scenario.GenConfig{Epochs: 1, EpochLen: 8, Leaves: 1}}},
+		{Scenario: &ScenarioSpec{Side: 128, Gen: scenario.GenConfig{Epochs: 6, EpochLen: 30}}},
+	} {
+		data, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"scenario": {"side": 4, "seed": 9, "gen": {"epochs": 2, "epochLen": 30, "leaves": 1}}}`))
+	f.Add([]byte(`{"experiments": ["F1-static-local"], "trials": 1125899906842624}`))
+	f.Add([]byte(`{"scenario": {"side": 4294967296, "gen": {"epochs": 1, "epochLen": 1}}}`))
+	catalog := experiments.All()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := ParseSpec(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		rs, err := resolveSpec(spec, catalog)
+		if err != nil {
+			return
+		}
+		if rs.cfg.Trials > MaxTrials {
+			t.Fatalf("accepted %d trials per point, cap %d", rs.cfg.Trials, MaxTrials)
+		}
+		if sc := rs.spec.Scenario; sc != nil {
+			side := big.NewInt(int64(sc.Side))
+			topologies := new(big.Int).Add(big.NewInt(int64(sc.Gen.Epochs)), big.NewInt(2))
+			revs := new(big.Int).Mul(new(big.Int).Mul(side, side), topologies)
+			if revs.Cmp(big.NewInt(maxScenarioRevisions)) > 0 {
+				t.Fatalf("accepted side %d at %d epochs: %v node-revisions, cap %d", sc.Side, sc.Gen.Epochs, revs, maxScenarioRevisions)
+			}
+		}
+	})
 }

@@ -239,6 +239,26 @@ func Merge(arts []*Artifact) (*Merged, error) {
 			return nil, fmt.Errorf("%w: shard %d/%d has no artifact", ErrMissingShard, i, head.Shards)
 		}
 	}
+	// Size nothing from the plan before checking it against the records
+	// present: the plan's task counts are claims, and a corrupt row claiming
+	// 10¹⁴ tasks must fail validation, not allocation. Validate keeps every
+	// record index inside its row, so more records than planned tasks means
+	// an overlap and fewer means a gap. The sum stays at most have, so it
+	// cannot overflow.
+	have := 0
+	for _, a := range arts {
+		have += len(a.Records)
+	}
+	planned := 0
+	for _, p := range head.Plan {
+		if p.Tasks > have-planned {
+			return nil, fmt.Errorf("%w: the plan claims more tasks than the %d records present (shards incomplete?)", ErrMissingTask, have)
+		}
+		planned += p.Tasks
+	}
+	if have > planned {
+		return nil, fmt.Errorf("%w: %d records for %d planned tasks", ErrDuplicateTask, have, planned)
+	}
 	m := &Merged{
 		Shards:   head.Shards,
 		BaseSeed: head.BaseSeed,

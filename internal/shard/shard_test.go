@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -126,6 +128,14 @@ func TestMergeValidation(t *testing.T) {
 	overlap.Records = append(overlap.Records, testShard(1, 2).Records[0])
 	gap := testShard(2, 2)
 	gap.Records = gap.Records[1:]
+	// A corrupt plan row claiming far more tasks than any artifact holds
+	// must fail validation before anything is sized from it; so must rows
+	// whose claims overflow an int when summed.
+	huge := testShard(1, 1)
+	huge.Plan[0].Tasks = 900000000000000
+	overflow := testShard(1, 1)
+	overflow.Plan[0].Tasks = math.MaxInt
+	overflow.Plan[1].Tasks = math.MaxInt
 
 	cases := []struct {
 		name string
@@ -140,6 +150,8 @@ func TestMergeValidation(t *testing.T) {
 		{"plan mismatch", []*Artifact{testShard(1, 2), mixedPlan}, ErrHeaderMismatch},
 		{"task covered twice", []*Artifact{testShard(1, 2), overlap}, ErrDuplicateTask},
 		{"task not covered", []*Artifact{testShard(1, 2), gap}, ErrMissingTask},
+		{"plan claims huge task count", []*Artifact{huge}, ErrMissingTask},
+		{"plan claims overflow", []*Artifact{overflow}, ErrMissingTask},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -148,4 +160,42 @@ func TestMergeValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzMerge feeds arbitrary bytes through the artifact decoder into Merge,
+// the path every shard file and cache entry takes: Merge must never panic
+// (a corrupt cache entry is read on the daemon's execute goroutine), and a
+// successful merge must hold, per planned experiment, exactly its planned
+// task count of records, entry i being task i.
+func FuzzMerge(f *testing.F) {
+	for _, a := range []*Artifact{testShard(1, 1), testShard(1, 2), testShard(2, 3)} {
+		data, err := json.Marshal(a)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"version":1,"shard":1,"shards":1,"plan":[{"id":"x","tasks":900000000000000}],"records":[{"exp":"x","index":0,"vals":[1]}]}`))
+	f.Add([]byte(`{"version":1,"shard":1,"shards":1,"plan":[{"id":"x","tasks":1},{"id":"y","tasks":0}],"records":[{"exp":"x","index":0,"err":"boom"}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var a Artifact
+		if json.Unmarshal(data, &a) != nil {
+			return
+		}
+		m, err := Merge([]*Artifact{&a})
+		if err != nil {
+			return
+		}
+		for _, p := range m.Plan {
+			recs := m.Records(p.ID)
+			if len(recs) != p.Tasks {
+				t.Fatalf("%s: merged %d records for %d planned tasks", p.ID, len(recs), p.Tasks)
+			}
+			for i, r := range recs {
+				if r.Index != i || r.Exp != p.ID {
+					t.Fatalf("%s: entry %d holds task %s/%d", p.ID, i, r.Exp, r.Index)
+				}
+			}
+		}
+	})
 }
