@@ -107,7 +107,9 @@ func (s *Source) Uint64() uint64 {
 }
 
 // Bits returns k uniform random bits (0 <= k <= 64) in the low bits of the
-// result, consuming exactly k bits of the stream.
+// result, consuming exactly k bits of the stream. The buffered bits go out
+// first, lowest first; when they run short, one fresh word supplies the
+// rest and its unused high bits become the new buffer.
 func (s *Source) Bits(k uint) uint64 {
 	if k == 0 {
 		return 0
@@ -116,22 +118,19 @@ func (s *Source) Bits(k uint) uint64 {
 		k = 64
 	}
 	s.consumed += uint64(k)
-	var out uint64
-	var have uint
-	for have < k {
-		if s.nbuf == 0 {
-			s.buf = s.next64()
-			s.nbuf = 64
-		}
-		take := k - have
-		if take > s.nbuf {
-			take = s.nbuf
-		}
-		out |= (s.buf & ((1 << take) - 1)) << have
-		s.buf >>= take
-		s.nbuf -= take
-		have += take
+	if k <= s.nbuf {
+		out := s.buf & (1<<k - 1)
+		s.buf >>= k
+		s.nbuf -= k
+		return out
 	}
+	// Every buffered bit is taken (buf holds nothing above bit nbuf), and
+	// 1 <= need <= 64 bits come from the fresh word.
+	have, need := s.nbuf, k-s.nbuf
+	w := s.next64()
+	out := s.buf | (w&(1<<need-1))<<have
+	s.buf = w >> need
+	s.nbuf = 64 - need
 	return out
 }
 

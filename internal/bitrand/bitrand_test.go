@@ -1,6 +1,7 @@
 package bitrand
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -233,4 +234,100 @@ func TestSplitSeedMatchesSplit(t *testing.T) {
 			t.Fatalf("SplitSeed stream diverges from Split at draw %d", i)
 		}
 	}
+}
+
+// refBits is the loop Bits used to be, kept as its reference: it drains the
+// buffer a chunk at a time, refilling one word whenever the buffer is empty.
+func refBits(s *Source, k uint) uint64 {
+	if k == 0 {
+		return 0
+	}
+	if k > 64 {
+		k = 64
+	}
+	s.consumed += uint64(k)
+	var out uint64
+	var have uint
+	for have < k {
+		if s.nbuf == 0 {
+			s.buf = s.next64()
+			s.nbuf = 64
+		}
+		take := k - have
+		if take > s.nbuf {
+			take = s.nbuf
+		}
+		out |= (s.buf & ((1 << take) - 1)) << have
+		s.buf >>= take
+		s.nbuf -= take
+		have += take
+	}
+	return out
+}
+
+// drawBoth applies one draw, decoded from op and arg, to got through the
+// Source API and to ref through refBits, and reports the first difference in
+// the value drawn or in Consumed.
+func drawBoth(got, ref *Source, op, arg byte) (string, bool) {
+	var a, b uint64
+	var name string
+	switch op % 4 {
+	case 0:
+		k := uint(arg) % 66 // 65 exercises the clamp
+		name = "Bits"
+		a, b = got.Bits(k), refBits(ref, k)
+	case 1:
+		name = "Uint64"
+		a, b = got.Uint64(), ref.Uint64()
+	case 2:
+		name = "Float64"
+		a = math.Float64bits(got.Float64())
+		b = math.Float64bits(float64(refBits(ref, 53)) / (1 << 53))
+	case 3:
+		n := int(arg) + 1
+		name = "Intn"
+		a, b = uint64(got.Intn(n)), uint64(ref.Intn(n))
+	}
+	if a != b || got.Consumed() != ref.Consumed() {
+		return fmt.Sprintf("%s(%d): value %#x vs reference %#x, consumed %d vs %d",
+			name, arg, a, b, got.Consumed(), ref.Consumed()), false
+	}
+	return "", true
+}
+
+// TestBitsMatchesReference drives Bits(k) for every k in 0–64, at every
+// buffer fill the walk reaches, interleaved with Uint64, Float64 and Intn
+// draws, through both Bits and its reference loop.
+func TestBitsMatchesReference(t *testing.T) {
+	got, ref := New(0xb175), New(0xb175)
+	for i := 0; i < 20000; i++ {
+		op, arg := byte(0), byte(i%65)
+		switch i % 7 {
+		case 3:
+			op = 2
+		case 5:
+			op, arg = 3, byte(i)
+		}
+		if i%997 == 0 {
+			op = 1
+		}
+		if msg, ok := drawBoth(got, ref, op, arg); !ok {
+			t.Fatalf("draw %d: %s", i, msg)
+		}
+	}
+}
+
+// FuzzBits drives an arbitrary draw sequence, two bytes per draw, through
+// Bits and its reference loop.
+func FuzzBits(f *testing.F) {
+	f.Add(uint64(1), []byte{0, 5, 0, 64, 0, 0, 1, 0, 0, 63, 2, 0, 3, 9, 0, 1})
+	f.Add(uint64(7), []byte{0, 65, 0, 1, 0, 64, 0, 32, 0, 33, 2, 0, 2, 0})
+	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
+		got, ref := New(seed), New(seed)
+		for i := 0; i+1 < len(ops); i += 2 {
+			if msg, ok := drawBoth(got, ref, ops[i], ops[i+1]); !ok {
+				t.Fatalf("draw %d: %s", i/2, msg)
+			}
+		}
+	})
 }

@@ -74,40 +74,36 @@ func resetDecayGlobalProc(p *decayGlobalProc, u, source graph.NodeID) {
 		if p.msg == nil || p.msg.Origin != u || p.msg.Payload != nil {
 			p.msg = &radio.Message{Origin: u}
 		}
-		p.informedAt = 0
+		p.activeFrom = 0
 		p.isSource = true
 		return
 	}
 	p.msg = nil
-	p.informedAt = -1
+	p.activeFrom = math.MaxInt
 	p.isSource = false
 }
 
 //dglint:pooled reset=DecayGlobal.ResetProcesses
 type decayGlobalProc struct {
-	levels     int
-	msg        *radio.Message
-	informedAt int // -1 until informed
+	levels int
+	msg    *radio.Message
+	// activeFrom is the first round the node participates in: the first
+	// phase boundary (multiple of levels) at or after the round it became
+	// informed, 0 for the source, math.MaxInt while uninformed.
+	activeFrom int
 	isSource   bool
 }
 
 // active reports whether the node participates in round r: it must be
 // informed and past its first phase boundary after becoming informed.
-func (p *decayGlobalProc) active(r int) bool {
-	if p.informedAt < 0 {
-		return false
-	}
-	// Align to the first multiple of levels at or after informedAt, except
-	// the source (informedAt 0) which starts immediately.
-	start := ((p.informedAt + p.levels - 1) / p.levels) * p.levels
-	return r >= start
-}
+func (p *decayGlobalProc) active(r int) bool { return r >= p.activeFrom }
 
 // prob returns the decay probability for round r: 2^{-(1 + r mod levels)}.
-func (p *decayGlobalProc) prob(r int) float64 {
-	i := r%p.levels + 1
-	return math.Ldexp(1, -i)
-}
+func (p *decayGlobalProc) prob(r int) float64 { return pow2Neg(r%p.levels + 1) }
+
+// pow2Neg returns 2^-i for 1 <= i <= 1022, exactly: a normal float64 with an
+// all-zero mantissa and biased exponent 1023-i.
+func pow2Neg(i int) float64 { return math.Float64frombits(uint64(1023-i) << 52) }
 
 // TransmitProb implements radio.TransmitProber.
 func (p *decayGlobalProc) TransmitProb(r int) float64 {
@@ -139,11 +135,12 @@ func (p *decayGlobalProc) Step(r int, rng *bitrand.Source) radio.Action {
 
 // Deliver implements radio.Process.
 func (p *decayGlobalProc) Deliver(r int, msg *radio.Message) {
-	if msg == nil || p.informedAt >= 0 {
+	if msg == nil || p.msg != nil {
 		return
 	}
 	p.msg = msg
-	p.informedAt = r + 1 // usable from the next round
+	// Informed from round r+1, the node joins at the next phase boundary.
+	p.activeFrom = (r + p.levels) / p.levels * p.levels
 }
 
 // Frame implements radio.BulkStepper: Step is exactly one TransmitProb(r)
@@ -152,7 +149,7 @@ func (p *decayGlobalProc) Deliver(r int, msg *radio.Message) {
 func (p *decayGlobalProc) Frame(int) *radio.Message { return p.msg }
 
 // Dormant implements radio.Dormant: an uninformed node waits for the message.
-func (p *decayGlobalProc) Dormant() bool { return p.informedAt < 0 }
+func (p *decayGlobalProc) Dormant() bool { return p.msg == nil }
 
 var (
 	_ radio.BulkStepper = (*decayGlobalProc)(nil)
@@ -226,9 +223,7 @@ type decayLocalProc struct {
 	msg    *radio.Message //dglint:allow scratchreset: broadcaster frame (Origin = itself) is immutable, reused across trials
 }
 
-func (p *decayLocalProc) prob(r int) float64 {
-	return math.Ldexp(1, -(r%p.levels + 1))
-}
+func (p *decayLocalProc) prob(r int) float64 { return pow2Neg(r%p.levels + 1) }
 
 // TransmitProb implements radio.TransmitProber.
 func (p *decayLocalProc) TransmitProb(r int) float64 { return p.prob(r) }

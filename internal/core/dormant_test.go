@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/bitrand"
@@ -82,4 +83,93 @@ func sourceMessage(t *testing.T, src radio.Process) *radio.Message {
 	}
 	t.Fatal("source never transmitted")
 	return nil
+}
+
+// TestBulkStepperSilenceContract drives one node of every radio.BulkStepper
+// implementer, awake and (where it can be) dormant, through the silence
+// clause the engine relies on when it hands bulk steppers no silence: over
+// 512 rounds of Deliver(r, nil) the node must declare the same transmit
+// probability, frame and dormancy as a twin that hears nothing, and its
+// Step must take the same action and draw the same bits from a same-seed
+// stream.
+func TestBulkStepperSilenceContract(t *testing.T) {
+	net, _ := graph.DualClique(32, 2)
+	global := radio.Spec{Problem: radio.GlobalBroadcast, Source: 0}
+	local := radio.Spec{Problem: radio.LocalBroadcast, Broadcasters: []graph.NodeID{0, 7}}
+	const rounds = 512
+	cases := []struct {
+		name string
+		alg  radio.Algorithm
+		spec radio.Spec
+		u    graph.NodeID
+		// wake hands both twins the source's message before round 1.
+		wake bool
+	}{
+		{"decay-global/source", DecayGlobal{}, global, 0, false},
+		{"decay-global/awake", DecayGlobal{}, global, 7, true},
+		{"decay-global/dormant", DecayGlobal{}, global, 7, false},
+		{"decay-local/awake", DecayLocal{}, local, 7, false},
+		{"silent/dormant", DecayLocal{}, local, 9, false},
+		{"round-robin/awake", RoundRobin{}, global, 7, true},
+		{"round-robin/dormant", RoundRobin{}, global, 7, false},
+		{"aloha/awake", Aloha{P: 0.3}, local, 7, false},
+		{"derand/awake", DerandBroadcast{}, global, 7, true},
+		{"derand/dormant", DerandBroadcast{}, global, 7, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			procs := tc.alg.NewProcesses(net, tc.spec, bitrand.New(1))
+			twins := tc.alg.NewProcesses(net, tc.spec, bitrand.New(1))
+			p, ok := procs[tc.u].(radio.BulkStepper)
+			if !ok {
+				t.Fatalf("node %d (%T) is not a radio.BulkStepper", tc.u, procs[tc.u])
+			}
+			twin := twins[tc.u].(radio.BulkStepper)
+			if tc.wake {
+				msg := sourceMessage(t, procs[0])
+				p.Deliver(0, msg)
+				twin.Deliver(0, msg)
+			}
+			if d, ok := p.(radio.Dormant); ok && d.Dormant() == (tc.wake || tc.u == tc.spec.Source) {
+				t.Fatalf("Dormant() = %v, not the state the case names", d.Dormant())
+			}
+			rng, twinRng := bitrand.New(2), bitrand.New(2)
+			for r := 1; r <= rounds; r++ {
+				if a, b := p.TransmitProb(r), twin.TransmitProb(r); a != b {
+					t.Fatalf("round %d: TransmitProb %v after silence, %v without", r, a, b)
+				}
+				if a, b := p.Frame(r), twin.Frame(r); (a == nil) != (b == nil) || a != nil && *a != *b {
+					t.Fatalf("round %d: Frame %+v after silence, %+v without", r, a, b)
+				}
+				if d, ok := p.(radio.Dormant); ok && d.Dormant() != twin.(radio.Dormant).Dormant() {
+					t.Fatalf("round %d: Dormant %v after silence", r, d.Dormant())
+				}
+				a, b := p.Step(r, rng), twin.Step(r, twinRng)
+				if a.Transmit != b.Transmit || rng.Consumed() != twinRng.Consumed() {
+					t.Fatalf("round %d: Step transmits %v drawing %d bits after silence, %v drawing %d without",
+						r, a.Transmit, rng.Consumed(), b.Transmit, twinRng.Consumed())
+				}
+				p.Deliver(r, nil)
+			}
+		})
+	}
+}
+
+// TestDecayProbExact pins decay's probability schedule to math.Ldexp at
+// every level a network can reach: round r of a 64-level phase uses
+// 2^-(1 + r mod 64), in decay global and decay local alike.
+func TestDecayProbExact(t *testing.T) {
+	g := &decayGlobalProc{levels: 64}
+	l := &decayLocalProc{levels: 64}
+	for i := 1; i <= 64; i++ {
+		want := math.Ldexp(1, -i)
+		for _, r := range []int{i - 1, i - 1 + 64, i - 1 + 64*1000} {
+			if got := g.prob(r); got != want {
+				t.Fatalf("decay global round %d: prob %v, want 2^-%d = %v", r, got, i, want)
+			}
+			if got := l.prob(r); got != want {
+				t.Fatalf("decay local round %d: prob %v, want 2^-%d = %v", r, got, i, want)
+			}
+		}
+	}
 }

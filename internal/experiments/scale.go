@@ -3,16 +3,16 @@ package experiments
 // The SCALE-n family: the same decay broadcast measured across four orders
 // of network magnitude, n = 10³ → 10⁶. Every Figure 1 experiment keeps n in
 // the hundreds so sweeps finish in seconds; these rows instead stress the
-// engine's delivery paths at the sizes the word-parallel plans were built
-// for. The substrates deliberately straddle the auto-plan boundaries
-// (internal/radio/bitmap.go): n = 10³ sits below the bitmap node floor
-// (scalar CSR walk), the dense n = 10⁴ circulant clears both the node and
-// density gates, and the sparse n = 10⁵ and 10⁶ ring-with-chords substrates
-// sit above the density gate's node cap with mask footprints far under the
-// byte budget. Both bitmap regimes run block-sparse rounds, 64 candidate
-// senders per word. The measured tables are plan-invariant — the
-// differential equivalence tests pin that bit for bit — so the rows read as
-// one scaling curve, not two code paths.
+// engine's delivery paths at sizes far beyond them. The substrates
+// deliberately straddle the auto-plan boundaries (internal/radio/bitmap.go):
+// n = 10³ sits below the bitmap node floor, the dense n = 10⁴ circulant
+// clears both the node and density gates and runs block-sparse bitmap
+// rounds, 64 candidate senders per word, and the sparse n = 10⁵ and 10⁶
+// ring-with-chords substrates fail the density gate, so their rounds take
+// the CSR walk and cost the awake nodes' coins plus the transmitters' edges.
+// The measured tables are plan-invariant — the differential equivalence
+// tests pin that bit for bit — so the rows read as one scaling curve, not
+// two code paths.
 //
 // All large configurations state MaxRounds explicitly: above the engine's
 // default-budget threshold (4096 nodes) the 64·n² fallback is refused as a
@@ -165,8 +165,8 @@ func runScale(cfg Config) (*Result, error) {
 		}
 		if sub.n < 1000000 {
 			// The adversarial row stops at 10⁵: a committed fringe selection
-			// forces the engine onto its partial-selector fallback, and at 10⁶
-			// the point of the row is the block-sparse fast path itself.
+			// only adds fringe edges to the CSR walk, and at 10⁶ the point of
+			// the row is the scale curve itself.
 			rows = append(rows, scaleRow{core.DecayGlobal{}, "oblivious-static", adversary.Static{Selector: halfFringe(sub.net)}, budget})
 		}
 		if sub.n == 1000 {
@@ -241,7 +241,7 @@ func runScale(cfg Config) (*Result, error) {
 		res.Notes = append(res.Notes,
 			fmt.Sprintf("decay median grows %.1fx while n grows %.0fx; round robin pays %.0fx decay at n=10000",
 				largest/decaySmall, sizeRatio, rrLarge/decayAtRR),
-			"substrates straddle the delivery-plan boundaries (scalar at 10^3, block-sparse bitmap at 10^4, 10^5 and 10^6); tables are plan-invariant",
+			"substrates straddle the delivery-plan boundaries (scalar at 10^3, 10^5 and 10^6, block-sparse bitmap at 10^4); tables are plan-invariant",
 			verdict(res.Pass))
 		return res
 	})

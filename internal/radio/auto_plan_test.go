@@ -8,14 +8,17 @@ import (
 )
 
 // TestAutoPlanResolution pins the plan every gate of setupPlan resolves to:
-// the node floor, the clique-cover and recorder exclusions, the density gate
-// up to densityGateMaxNodes, and the mask-footprint gate above it. A bitmap
-// verdict under PlanAuto keeps the per-round fallback threshold at the
-// bitmap width in words; a forced plan pins it to 0.
+// the node floor, the clique-cover and recorder exclusions, and the density
+// gate, which applies at every n. A bitmap verdict under PlanAuto keeps the
+// per-round fallback threshold at the bitmap width in words; a forced plan
+// pins it to 0. The 40 000-node ring+chords case is named for the 2¹⁵-node
+// cap the density gate no longer has: it stays on the CSR walk, and forcing
+// the bitmap still builds its rows.
 func TestAutoPlanResolution(t *testing.T) {
 	src := bitrand.New(0xa070)
 	// The quick SCALE-n substrate at n = 10⁴ (internal/experiments/scale.go).
 	scaleCirculant := graph.AugmentDual(bitrand.New(0x5ca1e04), graph.Circulant(10000, 512), 20000)
+	ringChords := graph.UniformDual(graph.RingChords(src, 40000, 80000))
 
 	cases := []struct {
 		name string
@@ -26,8 +29,13 @@ func TestAutoPlanResolution(t *testing.T) {
 		{"clique-cover", Config{Net: scaleCirculant, UseCliqueCover: true}, PlanScalar},
 		{"recorder", Config{Net: scaleCirculant, Recorder: &MemRecorder{}}, PlanScalar},
 		{"scale-circulant", Config{Net: scaleCirculant}, PlanBitmap},
+		// Circulant(4096, 64) has exactly 4096²/128 edges; two fewer
+		// neighbors per node fall short.
+		{"density-gate-met", Config{Net: graph.UniformDual(graph.Circulant(4096, 64))}, PlanBitmap},
+		{"density-gate-missed", Config{Net: graph.UniformDual(graph.Circulant(4096, 62))}, PlanScalar},
 		{"ring-chords-below-density-gate", Config{Net: graph.UniformDual(graph.RingChords(src, 10000, 20000))}, PlanScalar},
-		{"ring-chords-above-density-cap", Config{Net: graph.UniformDual(graph.RingChords(src, 40000, 80000))}, PlanBitmap},
+		{"ring-chords-above-density-cap", Config{Net: ringChords}, PlanScalar},
+		{"forced-bitmap-ring-chords", Config{Net: ringChords, Plan: PlanBitmap}, PlanBitmap},
 		{"forced-bitmap-small", Config{Net: graph.UniformDual(graph.Ring(64)), Plan: PlanBitmap}, PlanBitmap},
 	}
 	for _, tc := range cases {

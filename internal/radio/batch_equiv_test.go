@@ -8,15 +8,16 @@ import (
 	"repro/internal/graph"
 )
 
-// The recorder-free production path must be bit-for-bit identical to the
-// scalar walk. With every process a BulkStepper and the bitmap plan active,
-// the engine draws the round's coins itself in one ascending pass over the
-// per-node streams and delivers through the mask rows; PlanScalar steps
-// every process and walks the CSR. These tests run identical configurations
-// under PlanScalar, PlanAuto and PlanBitmap with no recorder attached — a
-// recorder pins PlanAuto to the scalar walk, so the differential harness in
-// bitmap_equiv_test.go never reaches PlanAuto's bitmap epochs — each with
-// dormancy honoured and hidden (hideDormancy), and require identical Results.
+// The recorder-free production path must be bit-for-bit identical to Step
+// dispatch. With every process a BulkStepper, under every plan, the engine
+// draws the round's coins itself in one ascending pass over the per-node
+// streams and hands out messages only; hiding BulkStepper (hideBulk) puts
+// the execution back on per-node Step calls with silence handed out. These
+// tests run identical configurations under PlanScalar, PlanAuto and
+// PlanBitmap with no recorder attached — a recorder pins PlanAuto to the
+// scalar walk, so the differential harness in bitmap_equiv_test.go never
+// reaches PlanAuto's bitmap epochs — each as is, with dormancy hidden
+// (hideDormancy) and with BulkStepper hidden, and require identical Results.
 //
 // The probe algorithm is defined here rather than borrowed from
 // internal/core (which imports this package): informed nodes flood with a
@@ -93,9 +94,9 @@ func (staticPartialLink) CommitSchedule(*Env) Schedule {
 func TestBatchCoinEquivalence(t *testing.T) {
 	var src bitrand.Source
 	src.Reseed(0xba7c4)
-	// The circulant clears PlanAuto's density gate and the ring+chords
-	// network sits above its 2¹⁵-node density cap, so PlanAuto resolves to
-	// the bitmap plan on both substrates.
+	// The circulant clears PlanAuto's density gate, so PlanAuto resolves to
+	// the bitmap plan there; the ring+chords network does not, so PlanAuto
+	// resolves to the CSR walk there and only PlanBitmap takes its rows.
 	denseNet := graph.UniformDual(graph.Circulant(2500, 320))
 	sparseLinked := graph.AugmentDual(&src, graph.RingChords(&src, 40000, 80000), 40000)
 
@@ -138,25 +139,31 @@ func TestBatchCoinEquivalence(t *testing.T) {
 			Seed: 45, MaxRounds: 40, IgnoreCompletion: true,
 		}},
 	}
+	wrappers := []struct {
+		name string
+		wrap func(Algorithm) Algorithm
+	}{
+		{"as is", func(a Algorithm) Algorithm { return a }},
+		{"dormancy hidden", func(a Algorithm) Algorithm { return hideDormancy{a} }},
+		{"bulk hidden", func(a Algorithm) Algorithm { return hideBulk{a} }},
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var want Result
 			for i, plan := range []DeliveryPlan{PlanScalar, PlanAuto, PlanBitmap} {
-				for _, hidden := range []bool{false, true} {
+				for j, w := range wrappers {
 					cfg := tc.cfg
 					cfg.Plan = plan
-					if hidden {
-						cfg.Algorithm = hideDormancy{cfg.Algorithm}
-					}
+					cfg.Algorithm = w.wrap(cfg.Algorithm)
 					res, err := Run(cfg)
 					if err != nil {
-						t.Fatalf("%v (dormancy hidden %v): %v", plan, hidden, err)
+						t.Fatalf("%v (%s): %v", plan, w.name, err)
 					}
-					if i == 0 && !hidden {
+					if i == 0 && j == 0 {
 						want = res
 					} else if !reflect.DeepEqual(res, want) {
-						t.Errorf("%v (dormancy hidden %v) result differs from PlanScalar (rounds %d vs %d, transmissions %d vs %d, deliveries %d vs %d)",
-							plan, hidden, res.Rounds, want.Rounds, res.Transmissions, want.Transmissions, res.Deliveries, want.Deliveries)
+						t.Errorf("%v (%s) result differs from PlanScalar (rounds %d vs %d, transmissions %d vs %d, deliveries %d vs %d)",
+							plan, w.name, res.Rounds, want.Rounds, res.Transmissions, want.Transmissions, res.Deliveries, want.Deliveries)
 					}
 				}
 			}

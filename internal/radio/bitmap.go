@@ -49,20 +49,25 @@ func (p DeliveryPlan) String() string {
 }
 
 // Auto-plan thresholds. Below bitmapMinNodes the rounds are too cheap for
-// the plan to matter. Up to densityGateMaxNodes the gate is density: a
-// bitmap round visits every listener's row while the scalar walk costs
-// Σ_x deg(x) adds over the transmitters, so the rows are taken only when the
-// average G' degree clears n/64 (E(G') ≥ n²/128). Above it the gate is the
-// estimated mask footprint (proportional to the edge count, not n²) fitting
-// sparseMaskMaxBytes: at those sizes the region summaries reject most
-// listeners in one AND, so the rows pay off on sparse graphs too.
+// the plan to matter. Above it the gate is density, at every n: a bitmap
+// round visits every listener's row while the scalar walk costs Σ_x deg(x)
+// adds over the transmitters, so the rows are taken only when the average
+// G' degree clears n/64 (E(G') ≥ n²/128). Region summaries do not rescue
+// sparse networks, measured on a 2-vCPU x86-64 host: a decay trial on
+// SCALE-n's 10⁵ ring+chords takes 0.42–0.48 s on the walk, 0.58–0.70 s with
+// the rows behind the per-round bitmapTxMin fallback and 0.95–1.02 s on the
+// rows alone, because most decay rounds have few transmitters. Only a flood
+// with half the nodes transmitting every round brings the rows level
+// (BenchmarkSparseDelivery: within ~10% at 10⁵, ~10% ahead at 10⁶), and
+// no experiment floods a sparse network that large. On the dense 10⁴
+// circulant of degree 512, which clears the gate, the rows win 4–5× (45–52
+// vs 225–233 ms a decay trial).
 const (
-	bitmapMinNodes      = 2048
-	densityGateMaxNodes = 1 << 15
+	bitmapMinNodes = 2048
 	// sparseMaskMaxBytes caps the estimated block-sparse mask footprint
-	// (graph.EstimateSparseMaskBytes) PlanAuto will commit to: 2 GiB covers
-	// hundreds of millions of edges while keeping a runaway-dense G' from
-	// silently eating the machine.
+	// (graph.EstimateSparseMaskBytes) PlanAuto will commit to on a network
+	// dense enough for the rows: 2 GiB covers hundreds of millions of edges
+	// while keeping a runaway-dense G' from silently eating the machine.
 	sparseMaskMaxBytes = int64(1) << 31
 )
 
@@ -84,11 +89,8 @@ func (e *engine) setupPlan() {
 		if e.cfg.UseCliqueCover || e.cfg.Recorder != nil || e.n < bitmapMinNodes {
 			return
 		}
-		if e.n <= densityGateMaxNodes {
-			if e.net.GPrime().NumEdges() < e.n*e.n/128 {
-				return
-			}
-		} else if graph.EstimateSparseMaskBytes(e.net, e.cfg.Link != nil) > sparseMaskMaxBytes {
+		if n := int64(e.n); int64(e.net.GPrime().NumEdges()) < n*n/128 ||
+			graph.EstimateSparseMaskBytes(e.net, e.cfg.Link != nil) > sparseMaskMaxBytes {
 			return
 		}
 		e.bitmapTxMin = bitrand.WordsFor(e.n)
@@ -144,7 +146,7 @@ func (e *engine) fillTxSparse() {
 // id crossing the Deliver/record boundary is translated back to the
 // original space, so observable output is independent of the renumbering.
 // Every row is classified, since a dormant node may receive; silence goes
-// to awake nodes only.
+// to awake nodes only, and to none when every process is a BulkStepper.
 //
 //dglint:noalloc gate=TestSparseDeliveryAllocs
 func (e *engine) deliverSparse(r int, res *Result, m *graph.SparseNeighborMasks) []Delivery {
@@ -175,8 +177,9 @@ func (e *engine) deliverSparse(r int, res *Result, m *graph.SparseNeighborMasks)
 			}
 		}
 		// Transmitting, no transmitter near the row's blocks, or a
-		// collision: silence, which only an awake node is handed.
-		if e.isAwake(u) {
+		// collision: silence, which only an awake node that is not a
+		// BulkStepper is handed.
+		if !e.allBulk && e.isAwake(u) {
 			e.procs[u].Deliver(r, nil)
 		}
 	}

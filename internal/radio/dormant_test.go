@@ -59,9 +59,10 @@ type awakeBulk struct {
 func (a awakeBulk) Frame(r int) *Message { return a.bs.Frame(r) }
 
 // strictProc is a batchProc that counts every call the engine promises
-// never to make: a Step, or a silent Deliver, while the node is dormant. A
-// deaf node ignores messages too, so it stays dormant for good, and waking
-// it anyway would show up as a Step.
+// never to make: a Step, a TransmitProb (the BulkStepper loop's coin), or a
+// silent Deliver, while the node is dormant. A deaf node ignores messages
+// too, so it stays dormant for good, and waking it anyway would show up as a
+// Step or a coin.
 type strictProc struct {
 	*batchProc
 	deaf   bool
@@ -73,6 +74,13 @@ func (s strictProc) Step(r int, rng *bitrand.Source) Action {
 		*s.broken++
 	}
 	return s.batchProc.Step(r, rng)
+}
+
+func (s strictProc) TransmitProb(r int) float64 {
+	if s.Dormant() {
+		*s.broken++
+	}
+	return s.batchProc.TransmitProb(r)
 }
 
 func (s strictProc) Deliver(r int, msg *Message) {
@@ -99,51 +107,40 @@ func (a strictAlg) NewProcesses(net *graph.Dual, spec Spec, rng *bitrand.Source)
 
 // TestDormantNodesSkipped pins the cost side of the Dormant contract on
 // every delivery mechanism — the CSR walk, the clique tally, the
-// complete-topology fast path and the bitmap kernel, with the Step and
-// BulkStepper loops: no dormant node is stepped or handed silence, a message
-// that leaves a node dormant does not wake it, and the run still matches the
-// one with dormancy hidden.
+// complete-topology fast path and the bitmap kernel — under both the
+// BulkStepper loop and, with BulkStepper hidden, the Step loop with silence
+// handed out: no dormant node is stepped, asked for its coin or handed
+// silence, a message that leaves a node dormant does not wake it, and the
+// run still matches the one with dormancy hidden.
 func TestDormantNodesSkipped(t *testing.T) {
-	var src bitrand.Source
-	src.Reseed(0xd0a7)
-	dc, _ := graph.DualClique(64, 3)
-	complete := graph.UniformDual(graph.Clique(48))
-	ring := graph.AugmentDual(&src, graph.RingChords(&src, 4096, 2048), 2048)
-	global := func(s graph.NodeID) Spec { return Spec{Problem: GlobalBroadcast, Source: s} }
-
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		{"csr-walk", Config{Net: ring, Spec: global(9), Plan: PlanScalar, Link: staticPartialLink{}}},
-		{"clique-tally", Config{Net: dc, Spec: global(3), UseCliqueCover: true, Link: staticAllLink{}}},
-		{"complete-fast-path", Config{Net: complete, Spec: global(5), Link: staticAllLink{}}},
-		{"bitmap-kernel", Config{Net: ring, Spec: global(9), Plan: PlanBitmap, Link: staticAllLink{}}},
-		{"csr-walk-no-link", Config{Net: ring, Spec: global(9)}},
-	}
-	for _, tc := range cases {
+	for _, tc := range deliveryMechanisms() {
 		t.Run(tc.name, func(t *testing.T) {
-			broken := 0
-			cfg := tc.cfg
-			cfg.Seed, cfg.MaxRounds, cfg.IgnoreCompletion = 17, 120, true
-			cfg.Algorithm = strictAlg{batchAlg{p: 0.3}, &broken}
-			got, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if broken != 0 {
-				t.Errorf("%d Step or silent Deliver calls reached dormant nodes", broken)
-			}
-			if got.Deliveries == 0 {
-				t.Fatal("no deliveries: the case exercises nothing")
-			}
-			cfg.Algorithm = HideDormancy(cfg.Algorithm)
-			want, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("dormancy changed the result: honoured %+v, hidden %+v", got, want)
+			for _, bulk := range []bool{true, false} {
+				broken := 0
+				cfg := tc.cfg
+				cfg.Seed, cfg.MaxRounds, cfg.IgnoreCompletion = 17, 120, true
+				cfg.Algorithm = strictAlg{batchAlg{p: 0.3}, &broken}
+				if !bulk {
+					cfg.Algorithm = hideBulk{cfg.Algorithm}
+				}
+				got, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if broken != 0 {
+					t.Errorf("bulk %v: %d Step, coin or silent Deliver calls reached dormant nodes", bulk, broken)
+				}
+				if got.Deliveries == 0 {
+					t.Fatal("no deliveries: the case exercises nothing")
+				}
+				cfg.Algorithm = HideDormancy(cfg.Algorithm)
+				want, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("bulk %v: dormancy changed the result: honoured %+v, hidden %+v", bulk, got, want)
+				}
 			}
 		})
 	}

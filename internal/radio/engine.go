@@ -307,6 +307,7 @@ func newEngine(cfg Config) (*engine, error) {
 	e.probers = e.sc.probers
 	e.bulkSteps = e.sc.bulkSteps
 	e.awake = e.sc.awake
+	e.nodeRngs = e.sc.nodeRngs
 	e.allBulk = true
 	for u, p := range e.procs {
 		if tp, ok := p.(TransmitProber); ok {
@@ -318,12 +319,8 @@ func newEngine(cfg Config) (*engine, error) {
 		e.bulkSteps[u] = bs
 		e.allBulk = e.allBulk && ok
 		if d, ok := p.(Dormant); !ok || !d.Dormant() {
-			e.awake[u>>6] |= 1 << (uint(u) & 63)
+			e.wake(u)
 		}
-	}
-	e.nodeRngs = e.sc.nodeRngs
-	for u := range e.nodeRngs {
-		e.nodeRngs[u].Reseed(e.master.SplitSeed(0x20de, uint64(u)))
 	}
 
 	var err error
@@ -547,14 +544,14 @@ func (e *engine) step(r int, res *Result) {
 	// 2. Flip the coins: every awake process steps, lowest id first, so tx
 	// comes out ascending. A dormant node would listen without drawing, so
 	// skipping it leaves every stream where stepping it would. When every
-	// process is a BulkStepper and the bitmap plan is active, the engine
-	// runs the round's Bernoulli trials itself — same per-node streams, same
-	// ascending order, so the draws are bit-for-bit identical to the Step
-	// dispatch — and fills the transmit set without constructing Actions.
+	// process is a BulkStepper, the engine runs the round's Bernoulli trials
+	// itself — same per-node streams, same ascending order, so the draws are
+	// bit-for-bit identical to the Step dispatch — and fills the transmit set
+	// without constructing Actions.
 	e.tx = e.tx[:0]
 	rngs := e.nodeRngs
 	switch {
-	case e.allBulk && e.plan != PlanScalar:
+	case e.allBulk:
 		bulk := e.bulkSteps
 		for lo, hi := e.awakeRun(0); lo < e.n; lo, hi = e.awakeRun(hi) {
 			for u := lo; u < hi; u++ {
@@ -625,10 +622,12 @@ func (e *engine) step(r int, res *Result) {
 }
 
 // deliver computes receptions under the round topology G ∪ selector(E'\E)
-// and invokes Deliver on every awake process and on every dormant one that
-// receives a message (see receive). It returns the delivery list only
-// when a recorder is attached (nil otherwise); the list is backed by the
-// engine's reusable buffer and is valid only until the next round.
+// and hands every received message out (see receive). Silence and
+// collisions go to every awake process, unless every process is a
+// BulkStepper, which ignores them (see BulkStepper): then only messages are
+// handed out. It returns the delivery list only when a recorder is attached
+// (nil otherwise); the list is backed by the engine's reusable buffer and is
+// valid only until the next round.
 //
 //dglint:noalloc gate=TestHotPathAllocs
 func (e *engine) deliver(selector graph.EdgeSelector, r int, res *Result) []Delivery {
@@ -669,7 +668,9 @@ func (e *engine) deliver(selector graph.EdgeSelector, r int, res *Result) []Deli
 			msg := e.msgOf[v]
 			for u := 0; u < e.n; u++ {
 				if u == v {
-					e.procs[u].Deliver(r, nil)
+					if !e.allBulk {
+						e.procs[u].Deliver(r, nil)
+					}
 					continue
 				}
 				e.receive(r, u, msg, res)
@@ -677,7 +678,7 @@ func (e *engine) deliver(selector graph.EdgeSelector, r int, res *Result) []Deli
 					recorded = append(recorded, Delivery{To: u, From: v})
 				}
 			}
-		} else {
+		} else if !e.allBulk {
 			e.silence(r)
 		}
 		for _, v := range e.tx {
@@ -760,9 +761,10 @@ func (e *engine) deliver(selector graph.EdgeSelector, r int, res *Result) []Deli
 		}
 	}
 
-	// Hand out results: touched listeners receive their message or, when
-	// awake, a collision; every other awake node (silent listeners and all
-	// transmitters) hears nil. counts[u] is set to -1 for touched nodes so
+	// Hand out results: touched listeners receive their message. Unless
+	// every process is a BulkStepper, an awake touched listener hears a
+	// collision and every other awake node (silent listeners and all
+	// transmitters) hears nil: counts[u] is set to -1 for touched nodes so
 	// the silence pass skips them, including nodes this round woke, then
 	// reset to 0 for the next round.
 	for _, u := range e.touched {
@@ -771,12 +773,14 @@ func (e *engine) deliver(selector graph.EdgeSelector, r int, res *Result) []Deli
 			if record {
 				recorded = append(recorded, Delivery{To: u, From: e.from[u]})
 			}
-		} else if e.isAwake(u) {
+		} else if !e.allBulk && e.isAwake(u) {
 			e.procs[u].Deliver(r, nil) // collision
 		}
 		e.counts[u] = -1
 	}
-	e.silence(r)
+	if !e.allBulk {
+		e.silence(r)
+	}
 	for _, u := range e.touched {
 		e.counts[u] = 0
 	}
@@ -802,8 +806,18 @@ func (e *engine) receive(r int, u graph.NodeID, msg *Message, res *Result) {
 	e.mon.observe(r, u, msg)
 	res.Deliveries++
 	if !e.isAwake(u) && !p.(Dormant).Dormant() {
-		e.awake[u>>6] |= 1 << (uint(u) & 63)
+		e.wake(u)
 	}
+}
+
+// wake adds u to the awake set and seeds its coin stream. Seeding at wake
+// rather than at set-up is exact: a dormant node draws nothing from its
+// stream, and the master is never advanced after set-up (SplitSeed leaves it
+// where it is), so the seed u gets here is the one set-up would have given
+// it and the stream is untouched until now.
+func (e *engine) wake(u graph.NodeID) {
+	e.awake[u>>6] |= 1 << (uint(u) & 63)
+	e.nodeRngs[u].Reseed(e.master.SplitSeed(0x20de, uint64(u)))
 }
 
 // silence hands nil to every awake node except those the CSR walk's

@@ -105,8 +105,12 @@ func Listen() Action { return Action{} }
 // Transmit returns a transmitting action.
 func Transmit(m *Message) Action { return Action{Transmit: true, Msg: m} }
 
-// Process is one node's randomized protocol. The engine calls Step exactly
-// once per round (before delivery), then Deliver with the outcome.
+// Process is one node's randomized protocol. Each round, the engine calls
+// Step (before delivery), then Deliver with the outcome. Two optional
+// extensions let it skip calls whose outcome is known: a Dormant node is
+// neither stepped nor handed silence while it waits for a message, and when
+// every process is a BulkStepper the engine draws the coins itself and
+// hands out messages only, never silence.
 type Process interface {
 	// Step decides the round-r action. rng is the node's private randomness;
 	// all random choices must come from it so executions are reproducible.
@@ -134,17 +138,23 @@ type TransmitProber interface {
 // protocols: processes whose Step is exactly one Bernoulli trial — flip the
 // round's coin with probability TransmitProb(r) via rng.Coin (which draws no
 // bits at probability 0 or 1), transmit Frame(r) on heads, listen on tails —
-// with no other state change and no other randomness. Decay-family and
-// fixed-probability (ALOHA) processes are of this shape; processes with
-// Step-side state or extra draws must not implement it.
+// with no other state change and no other randomness, and whose
+// Deliver(r, nil) changes nothing, awake or dormant: silence and collisions
+// leave TransmitProb, Frame and (when implemented) Dormant exactly as they
+// were. Decay-family, fixed-probability (ALOHA), round-robin and
+// derandomized processes are of this shape; processes with Step-side state,
+// extra draws or a reaction to silence must not implement it.
 //
-// When every process of an execution is a BulkStepper and the bitmap
-// delivery plan is active, the engine fills the round's transmit-bit vector
-// itself instead of dispatching Step per node. The coins come from each
-// node's own stream in ascending node order — exactly the scalar Step order
-// — so the draws are bit-for-bit identical and the two paths produce the
-// same execution (the bulk contract test enforces this). Dormant nodes (see
-// Dormant) are never stepped on either path.
+// When every process of an execution is a BulkStepper, under every delivery
+// plan, the engine runs the round's coins itself instead of dispatching Step
+// per node, and hands out only the messages nodes receive: no Deliver(r,
+// nil) reaches any process. The coins come from each node's own stream in
+// ascending node order — exactly the scalar Step order — so the draws are
+// bit-for-bit identical, and since silence would have changed nothing, both
+// paths produce the same execution (the bulk contract tests enforce this).
+// A single process that is not a BulkStepper puts the whole execution back
+// on Step dispatch with silence handed to every awake node. Dormant nodes
+// (see Dormant) are never stepped on either path.
 type BulkStepper interface {
 	Process
 	TransmitProber

@@ -61,9 +61,10 @@ type scratch struct {
 	localMon  localMonitor  //dglint:allow scratchreset: newLocalMonitor overwrites the whole struct each execution
 	gossipMon gossipMonitor //dglint:allow scratchreset: newGossipMonitor overwrites the whole struct each execution
 
-	// per-node rng storage: nodeRngs[u] points into rngBlock, reseeded per
-	// execution. algRng is the algorithm-construction stream, reseeded the
-	// same way. probers and bulkSteps cache the per-node TransmitProber and
+	// per-node rng storage: nodeRngs[u] points into rngBlock, reseeded when
+	// u joins the execution's awake set (a dormant node's stream is never
+	// read). algRng is the algorithm-construction stream, reseeded at every
+	// execution's set-up. probers and bulkSteps cache the per-node TransmitProber and
 	// BulkStepper views; awake is the engine's awake-node bitmap
 	// (WordsFor(n) words), cleared by grow and filled by newEngine.
 	nodeRngs  []*bitrand.Source
