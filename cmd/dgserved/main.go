@@ -7,8 +7,10 @@
 // submitting the same spec twice returns the same run, and with -cache set,
 // a spec whose experiments were all executed before — by any earlier run,
 // or by dgbench pointed at the same directory — is served without executing
-// a single task. Overlapping specs execute only their delta. The served
-// tables are byte-identical to a cold `dgbench -all` at the same flags.
+// a single task. Overlapping specs execute only their delta, and experiments
+// this daemon has already served come from its in-memory result memo
+// without reading the cache or replaying aggregation. The served tables are
+// byte-identical to a cold `dgbench -all` at the same flags.
 //
 //	dgserved -addr :8080 -cache /var/cache/dg
 //
@@ -43,10 +45,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"syscall"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/report"
 	"repro/internal/runsvc"
 )
@@ -228,16 +230,15 @@ func (s *server) events(w http.ResponseWriter, r *http.Request) {
 }
 
 // catalog serves the experiment registry with per-configuration task
-// counts: the service-side twin of `dgbench -list -json`.
+// counts: the service-side twin of `dgbench -list -json`, read through the
+// service's plan memo.
 func (s *server) catalog(w http.ResponseWriter, r *http.Request) {
-	cfg := experiments.Config{Quick: true}
 	q := r.URL.Query()
-	if q.Get("full") == "1" || q.Get("full") == "true" {
-		cfg.Quick = false
-	}
+	full := q.Get("full") == "1" || q.Get("full") == "true"
+	trials := 0
 	if t := q.Get("trials"); t != "" {
-		n := 0
-		if _, err := fmt.Sscanf(t, "%d", &n); err != nil || n < 0 {
+		n, err := strconv.Atoi(t)
+		if err != nil || n < 0 {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("trials %q: want a non-negative integer", t))
 			return
 		}
@@ -245,9 +246,9 @@ func (s *server) catalog(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("trials %d exceeds the cap of %d", n, runsvc.MaxTrials))
 			return
 		}
-		cfg.Trials = n
+		trials = n
 	}
-	entries, err := runsvc.Catalog(cfg, s.svc.Catalog())
+	entries, err := s.svc.CatalogEntries(full, trials)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -345,6 +346,20 @@ func TestServeCatalog(t *testing.T) {
 		}
 		byID[e.ID] = e
 	}
+	// The served entries, read through the plan memo, are the ones
+	// `dgbench -list -json` builds straight from a declaration pass.
+	want, err := runsvc.Catalog(experiments.Config{Quick: true}, experiments.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(entries, want) {
+		t.Errorf("served catalog differs from runsvc.Catalog:\n%+v\nwant\n%+v", entries, want)
+	}
+	var again []runsvc.CatalogEntry
+	getJSON(t, ts.URL+"/v1/experiments", &again)
+	if !reflect.DeepEqual(again, entries) {
+		t.Error("a repeated catalog request served different entries")
+	}
 
 	var trialed []runsvc.CatalogEntry
 	getJSON(t, ts.URL+"/v1/experiments?trials=3", &trialed)
@@ -365,7 +380,7 @@ func TestServeCatalog(t *testing.T) {
 		}
 	}
 
-	for _, trials := range []string{"-1", strconv.Itoa(runsvc.MaxTrials + 1)} {
+	for _, trials := range []string{"-1", strconv.Itoa(runsvc.MaxTrials + 1), "5abc", "12.5", "0x10", "7%209"} {
 		resp, err := http.Get(ts.URL + "/v1/experiments?trials=" + trials)
 		if err != nil {
 			t.Fatal(err)

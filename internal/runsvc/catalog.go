@@ -2,6 +2,7 @@ package runsvc
 
 import (
 	"repro/internal/experiments"
+	"repro/internal/shard"
 )
 
 // CatalogEntry is one experiment's machine-readable registry row: identity,
@@ -28,6 +29,27 @@ func Catalog(cfg experiments.Config, exps []experiments.Experiment) ([]CatalogEn
 	if err != nil {
 		return nil, err
 	}
+	return catalogEntries(cfg, exps, plan), nil
+}
+
+// CatalogEntries enumerates the service's registry at one scale and trial
+// count: the configuration is normalized as a submission's is, and the task
+// counts are read through the plan memo, so only the first call at a
+// configuration runs declaration code.
+func (s *Service) CatalogEntries(full bool, trials int) ([]CatalogEntry, error) {
+	rs, err := resolveSpec(Spec{Full: full, Trials: trials}, s.catalog)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := s.planFor(rs)
+	if err != nil {
+		return nil, err
+	}
+	return catalogEntries(rs.cfg, rs.exps, plan), nil
+}
+
+// catalogEntries pairs each experiment with its plan row.
+func catalogEntries(cfg experiments.Config, exps []experiments.Experiment, plan []shard.ExperimentPlan) []CatalogEntry {
 	out := make([]CatalogEntry, len(exps))
 	for i, e := range exps {
 		out[i] = CatalogEntry{
@@ -39,5 +61,5 @@ func Catalog(cfg experiments.Config, exps []experiments.Experiment) ([]CatalogEn
 			Quick:      cfg.Quick,
 		}
 	}
-	return out, nil
+	return out
 }

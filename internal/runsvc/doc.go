@@ -10,7 +10,12 @@
 // through. Results are cached per experiment in internal/shard's artifact
 // format, so an overlapping submission reuses every cached experiment and
 // executes only the delta; because aggregation replays from raw task records
-// either way, a cache-served result is byte-identical to a cold run.
+// either way, a cache-served result is byte-identical to a cold run. Above
+// the cache sit two in-memory memos, each bounded by bytes with
+// least-recently-used eviction: plan rows per experiment and configuration,
+// and — when a cache is configured — merged results per cache key. A
+// submission of experiments the service has already served is a lookup: it
+// runs no experiment's declaration code.
 //
 // Both frontends sit on this package: cmd/dgserved exposes the lifecycle
 // over HTTP, and cmd/dgbench drives the same Service in-process.

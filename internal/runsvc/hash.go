@@ -101,17 +101,3 @@ type scenarioIDPayload struct {
 func ScenarioID(sc ScenarioSpec) string {
 	return "CUSTOM-churn-" + hashJSON(scenarioIDPayload{Cache: CacheSchemaVersion, Scenario: sc})[:12]
 }
-
-type specKeyPayload struct {
-	Cache int  `json:"cache"`
-	Spec  Spec `json:"spec"`
-}
-
-// specKey hashes a normalized spec with its plan-irrelevant fields (seed,
-// workers) zeroed; the service memoizes task plans under it, so repeated
-// submissions of the same selection skip re-running the declaration code.
-func specKey(spec Spec) string {
-	spec.Seed = 0
-	spec.Workers = 0
-	return hashJSON(specKeyPayload{Cache: CacheSchemaVersion, Spec: spec})
-}

@@ -39,7 +39,8 @@ type ExperimentStatus struct {
 	ID    string `json:"id"`
 	Tasks int    `json:"tasks"`
 	Key   string `json:"key"`
-	// Source is "cache" or "executed" once the run reaches Executing.
+	// Source is "cache" (the result memo or the on-disk cache) or
+	// "executed" once the run reaches Executing.
 	Source string `json:"source,omitempty"`
 	Error  string `json:"error,omitempty"`
 	// FailedTasks holds per-experiment task indices for trial-level
@@ -123,7 +124,8 @@ func (r *Run) Err() error {
 }
 
 // Results returns the merged results in experiment order. It errors until
-// the run reaches Merged.
+// the run reaches Merged. The results may be shared with other runs of the
+// service, through its result memo: callers must not modify them.
 func (r *Run) Results() ([]*experiments.Result, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -23,9 +23,12 @@ import (
 // drive the structured-error path through the real merge replay.
 type countingRunner struct {
 	mu        sync.Mutex
-	planCalls int
 	execCalls int
 	executed  int
+	// planned and merged list the experiment IDs handed to Plan and Merge,
+	// in call order.
+	planned []string
+	merged  []string
 	// fail maps experiment ID → per-experiment task indices whose records
 	// get an injected error before they reach the cache and the merge.
 	fail map[string][]int
@@ -33,7 +36,9 @@ type countingRunner struct {
 
 func (c *countingRunner) Plan(cfg experiments.Config, exps []experiments.Experiment) ([]shard.ExperimentPlan, error) {
 	c.mu.Lock()
-	c.planCalls++
+	for _, e := range exps {
+		c.planned = append(c.planned, e.ID)
+	}
 	c.mu.Unlock()
 	return experiments.PlanTasks(cfg, exps)
 }
@@ -58,7 +63,19 @@ func (c *countingRunner) Execute(cfg experiments.Config, exps []experiments.Expe
 }
 
 func (c *countingRunner) Merge(cfg experiments.Config, exps []experiments.Experiment, m *shard.Merged) ([]*experiments.Result, []error) {
+	c.mu.Lock()
+	for _, e := range exps {
+		c.merged = append(c.merged, e.ID)
+	}
+	c.mu.Unlock()
 	return experiments.RunMerged(cfg, exps, m)
+}
+
+// calls snapshots the experiment IDs planned and merged so far.
+func (c *countingRunner) calls() (planned, merged []string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]string(nil), c.planned...), append([]string(nil), c.merged...)
 }
 
 func (c *countingRunner) stats() (execCalls, executed int) {
@@ -140,25 +157,7 @@ func TestServiceColdRepeatAndCacheReload(t *testing.T) {
 	}
 
 	// Byte identity against the engine's own shared-pool runner.
-	results, err := run.Results()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := resolveSpec(testSpec(), svc.catalog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, errs := experiments.RunAll(rs.cfg, rs.exps)
-	for i, e := range rs.exps {
-		if errs[i] != nil {
-			t.Fatalf("%s: %v", e.ID, errs[i])
-		}
-	}
-	for _, opts := range []report.Options{{Markdown: true}, {CSV: true}, {}} {
-		if got, want := renderAll(t, results, opts), renderAll(t, direct, opts); got != want {
-			t.Fatalf("service output diverges from direct run (opts %+v):\n--- service:\n%s\n--- direct:\n%s", opts, got, want)
-		}
-	}
+	matchesDirect(t, svc, testSpec(), run)
 
 	// Repeat submission: same identity, same run, engine untouched.
 	again, existing, err := svc.Submit(testSpec())
@@ -196,19 +195,16 @@ func TestServiceColdRepeatAndCacheReload(t *testing.T) {
 	if calls, executed := runner2.stats(); calls != 0 || executed != 0 {
 		t.Fatalf("cache reload touched the engine: %d calls, %d tasks", calls, executed)
 	}
-	results2, err := run2.Results()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := renderAll(t, results2, report.Options{Markdown: true}), renderAll(t, results, report.Options{Markdown: true}); got != want {
-		t.Fatalf("cache-served output diverges from cold run:\n--- cached:\n%s\n--- cold:\n%s", got, want)
-	}
+	matchesDirect(t, svc2, testSpec(), run2)
 }
 
 // TestServiceRunCallsPerLifecycle counts each selected experiment's Run
 // calls through a wrapping catalog: one declaration per lifecycle call, so
 // a cold run declares three times (submit-time plan, execute, merge) and a
-// fresh service over the warm cache twice (plan, merge).
+// fresh service over the warm cache twice (plan, merge). In the same
+// service, a selection that overlaps an earlier one declares the
+// overlapping experiments no more: the memos serve their plan rows and
+// results.
 func TestServiceRunCallsPerLifecycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite")
@@ -227,23 +223,33 @@ func TestServiceRunCallsPerLifecycle(t *testing.T) {
 		catalog = append(catalog, e)
 	}
 	dir := t.TempDir()
+	overlap := Spec{Experiments: []string{"CHURN-broadcast", "CHURN-gossip"}, Trials: 2}
+	var svc *Service
 	for _, tc := range []struct {
 		name string
-		want int
-	}{{"cold", 3}, {"warm", 2}} {
-		svc, err := New(Options{Catalog: catalog, CacheDir: dir})
-		if err != nil {
-			t.Fatal(err)
+		// fresh starts a new service over the same cache directory.
+		fresh bool
+		spec  Spec
+		want  map[string]int
+	}{
+		{"cold", true, testSpec(), map[string]int{"CHURN-broadcast": 3, "L3.2-hitting": 3}},
+		{"warm", true, testSpec(), map[string]int{"CHURN-broadcast": 2, "L3.2-hitting": 2}},
+		{"overlap", false, overlap, map[string]int{"CHURN-broadcast": 0, "CHURN-gossip": 3}},
+	} {
+		if tc.fresh {
+			var err error
+			if svc, err = New(Options{Catalog: catalog, CacheDir: dir}); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(svc.Close)
 		}
-		_, err = svc.RunSync(testSpec())
-		svc.Close()
-		if err != nil {
+		if _, err := svc.RunSync(tc.spec); err != nil {
 			t.Fatal(err)
 		}
 		mu.Lock()
-		for _, id := range testSpec().Experiments {
-			if calls[id] != tc.want {
-				t.Errorf("%s run called %s's Run %d times, want %d", tc.name, id, calls[id], tc.want)
+		for id, want := range tc.want {
+			if calls[id] != want {
+				t.Errorf("%s run called %s's Run %d times, want %d", tc.name, id, calls[id], want)
 			}
 		}
 		clear(calls)
@@ -293,12 +299,41 @@ func TestServiceDeltaExecution(t *testing.T) {
 		t.Errorf("engine executed %d tasks across both runs, want %d (no re-execution)", executed, total)
 	}
 
-	// The stitched (cache + delta) result is byte-identical to a cold run.
-	results, err := run2.Results()
+	// The stitched (memo + delta) result is byte-identical to a cold run.
+	matchesDirect(t, svc, testSpec(), run2)
+
+	// A selection of experiments this service has already merged is a
+	// lookup: nothing is planned, executed or merged, and the memoized
+	// results render the same bytes as a direct run.
+	planned, merged := runner.calls()
+	execCalls, _ := runner.stats()
+	memoSpec := Spec{Experiments: []string{"L3.2-hitting"}, Trials: 2}
+	run3, err := svc.RunSync(memoSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := resolveSpec(testSpec(), svc.catalog)
+	if run3.ExecutedTasks() != 0 || run3.CachedTasks() != planTotal(run3.Status()) {
+		t.Errorf("memo-served run executed %d and cached %d tasks, want 0 and %d",
+			run3.ExecutedTasks(), run3.CachedTasks(), planTotal(run3.Status()))
+	}
+	planned3, merged3 := runner.calls()
+	execCalls3, _ := runner.stats()
+	if len(planned3) != len(planned) || len(merged3) != len(merged) || execCalls3 != execCalls {
+		t.Errorf("memo-served run planned %v, merged %v and executed %d times, want nothing",
+			planned3[len(planned):], merged3[len(merged):], execCalls3-execCalls)
+	}
+	matchesDirect(t, svc, memoSpec, run3)
+}
+
+// matchesDirect checks that the run renders the same bytes as
+// experiments.RunAll over the spec's selection, in every format.
+func matchesDirect(t *testing.T, svc *Service, spec Spec, run *Run) {
+	t.Helper()
+	results, err := run.Results()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := resolveSpec(spec, svc.catalog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,8 +343,78 @@ func TestServiceDeltaExecution(t *testing.T) {
 			t.Fatal(errs[i])
 		}
 	}
-	if got, want := renderAll(t, results, report.Options{Markdown: true}), renderAll(t, direct, report.Options{Markdown: true}); got != want {
-		t.Fatalf("stitched output diverges from cold run:\n--- stitched:\n%s\n--- cold:\n%s", got, want)
+	for _, opts := range []report.Options{{Markdown: true}, {CSV: true}, {}} {
+		if got, want := renderAll(t, results, opts), renderAll(t, direct, opts); got != want {
+			t.Fatalf("service output diverges from a direct run (opts %+v):\n--- service:\n%s\n--- direct:\n%s", opts, got, want)
+		}
+	}
+}
+
+// TestServiceConcurrentOverlaps submits every overlapping selection of three
+// experiments from its own goroutine, each reading the catalog first, so
+// the plan and result memos are shared by concurrent submissions, runs and
+// catalog reads; CI runs it under -race. Every run merges, and an
+// experiment renders the same bytes whichever run served it.
+func TestServiceConcurrentOverlaps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment suite")
+	}
+	ids := []string{"CHURN-broadcast", "CHURN-gossip", "L3.2-hitting"}
+	var catalog []experiments.Experiment
+	for _, id := range ids {
+		e, _ := experiments.ByID(id)
+		catalog = append(catalog, e)
+	}
+	svc, err := New(Options{Catalog: catalog, CacheDir: t.TempDir(), MaxInFlight: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	runs := make([]*Run, 1<<len(ids)-1)
+	var wg sync.WaitGroup
+	for i := range runs {
+		spec := Spec{Trials: 2}
+		for k, id := range ids {
+			if (i+1)&(1<<k) != 0 {
+				spec.Experiments = append(spec.Experiments, id)
+			}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := svc.CatalogEntries(false, 2); err != nil {
+				t.Error(err)
+				return
+			}
+			r, _, err := svc.Submit(spec)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			runs[i] = r
+		}()
+	}
+	wg.Wait()
+
+	sections := map[string]string{}
+	for _, r := range runs {
+		if r == nil {
+			continue // its submission already failed the test
+		}
+		<-r.Done()
+		results, err := r.Results()
+		if err != nil {
+			t.Fatalf("run %v: %v", r.Spec().Experiments, err)
+		}
+		for _, res := range results {
+			var b bytes.Buffer
+			report.Result(&b, res, report.Options{Markdown: true})
+			if prev, ok := sections[res.ID]; ok && prev != b.String() {
+				t.Errorf("%s renders differently across runs:\n%s\nvs\n%s", res.ID, prev, b.String())
+			}
+			sections[res.ID] = b.String()
+		}
 	}
 }
 
@@ -370,6 +475,49 @@ func TestServiceStructuredErrors(t *testing.T) {
 	}
 }
 
+// TestServiceFailuresNotMemoized: a failed experiment never enters the
+// result memo. With a cache, a second overlapping run in the same service
+// re-merges the failing experiment from its cached records and fails with
+// the same structured error, while its healthy sibling is served from the
+// memo.
+func TestServiceFailuresNotMemoized(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment suite")
+	}
+	runner := &countingRunner{fail: map[string][]int{"CHURN-broadcast": {2}}}
+	svc, err := New(Options{Runner: runner, CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	_, err = svc.RunSync(testSpec())
+	var first *RunError
+	if !errors.As(err, &first) {
+		t.Fatalf("run with injected fault: %v, want a *RunError", err)
+	}
+	_, merged := runner.calls()
+
+	run, err := svc.RunSync(Spec{Experiments: []string{"CHURN-broadcast", "CHURN-gossip", "L3.2-hitting"}, Trials: 2})
+	var second *RunError
+	if !errors.As(err, &second) {
+		t.Fatalf("overlapping run: %v, want a *RunError", err)
+	}
+	if second.Error() != first.Error() || len(second.Experiments) != 1 ||
+		!reflect.DeepEqual(second.Experiments[0].Tasks, first.Experiments[0].Tasks) {
+		t.Errorf("overlapping run failed with %v, want the first run's %v", second, first)
+	}
+	if _, merged2 := runner.calls(); !reflect.DeepEqual(merged2[len(merged):], []string{"CHURN-broadcast", "CHURN-gossip"}) {
+		t.Errorf("overlapping run merged %v, want the failing experiment again and the new one", merged2[len(merged):])
+	}
+	want := map[string]string{"CHURN-broadcast": "cache", "CHURN-gossip": "executed", "L3.2-hitting": "cache"}
+	for _, e := range run.Status().Experiments {
+		if e.Source != want[e.ID] {
+			t.Errorf("experiment %s source %q, want %q", e.ID, e.Source, want[e.ID])
+		}
+	}
+}
+
 // TestServiceScenarioSubmission: a serialized churn scenario round-trips
 // into a runnable experiment with a content-derived identity, and a distinct
 // scenario gets a distinct run.
@@ -411,26 +559,39 @@ func TestServiceScenarioSubmission(t *testing.T) {
 	<-run2.Done()
 }
 
-// TestServicePlanMemoization: repeated submissions of the same selection
-// (even at different seeds) re-enumerate the plan at most once.
+// TestServicePlanMemoization: plan rows are memoized per experiment and
+// configuration. Repeating a selection, even at another seed, or submitting
+// a subset of it plans nothing; an overlapping selection plans only its new
+// experiments. With no cache directory there is no result memo, so every
+// run still executes all its tasks.
 func TestServicePlanMemoization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite")
 	}
 	svc, runner := newTestService(t, "")
-	if _, err := svc.RunSync(testSpec()); err != nil {
-		t.Fatal(err)
-	}
 	seeded := testSpec()
 	seeded.Seed = 99
-	if _, err := svc.RunSync(seeded); err != nil {
+	subset := Spec{Experiments: []string{"L3.2-hitting"}, Trials: 2}
+	for _, spec := range []Spec{testSpec(), seeded, subset} {
+		if _, err := svc.RunSync(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	planned, _ := runner.calls()
+	if !reflect.DeepEqual(planned, testSpec().Experiments) {
+		t.Fatalf("planned %v across a selection, its reseeded repeat and a subset, want %v once",
+			planned, testSpec().Experiments)
+	}
+
+	run, err := svc.RunSync(Spec{Experiments: []string{"CHURN-broadcast", "CHURN-gossip"}, Trials: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	runner.mu.Lock()
-	calls := runner.planCalls
-	runner.mu.Unlock()
-	if calls != 1 {
-		t.Errorf("plan enumerated %d times for one selection, want 1", calls)
+	if planned, _ := runner.calls(); !reflect.DeepEqual(planned[2:], []string{"CHURN-gossip"}) {
+		t.Errorf("overlapping selection planned %v, want only its new experiment", planned[2:])
+	}
+	if total := planTotal(run.Status()); run.ExecutedTasks() != total || run.CachedTasks() != 0 {
+		t.Errorf("uncached overlap executed %d and cached %d tasks, want %d and 0", run.ExecutedTasks(), run.CachedTasks(), total)
 	}
 }
 
