@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"slices"
 	"sync"
 
 	"repro/internal/bitrand"
@@ -18,10 +17,8 @@ import (
 // full rows would be quadratic in n: ~125 GB at n = 10⁶, against tens of
 // megabytes for the block rows of a ring-with-chords network.
 //
-// Rows are stored in the cluster-major id space of a ClusterOrder, so that
-// the neighbors of nearby nodes pack into the same blocks and adjacent rows
-// touch adjacent cache lines. Row u here means cluster-major node u; callers
-// translate via the order's NewID/OldID arrays.
+// Rows are in node-id order: row u is node u, and bit v of a row is node v,
+// so the engine hands row and bit indices to Deliver as they are.
 //
 // Each row also carries a one-word occupancy summary: bit j is set iff the
 // row has a nonzero block whose index falls in region j, where a region is
@@ -52,9 +49,10 @@ func regionShiftFor(w int) uint {
 	return s
 }
 
-// BuildSparseNeighborMasks constructs the block-sparse bitmap adjacency of g
-// with rows and bit positions in ord's cluster-major id space.
-func BuildSparseNeighborMasks(g *Graph, ord *ClusterOrder) *SparseNeighborMasks {
+// BuildSparseNeighborMasks constructs the block-sparse bitmap adjacency of g.
+// A CSR row is sorted, so its nonzero blocks are its runs of neighbors that
+// share v>>6, in ascending block order.
+func BuildSparseNeighborMasks(g *Graph) *SparseNeighborMasks {
 	n := g.N()
 	w := bitrand.WordsFor(n)
 	m := &SparseNeighborMasks{
@@ -64,54 +62,39 @@ func BuildSparseNeighborMasks(g *Graph, ord *ClusterOrder) *SparseNeighborMasks 
 		summ:        make([]uint64, n),
 	}
 	goffs, gadj := g.CSR()
-	rowBuf := make([]uint64, w)
-	touched := make([]int32, 0, 64)
 
-	// Count pass: number of distinct nonzero blocks per row, so the flat
-	// entry arrays are allocated exactly (the worst-case 2·E bound can be an
-	// order of magnitude above the packed count under a good order).
+	// Count pass: number of runs per row, so the flat entry arrays are
+	// allocated exactly (the worst-case 2·E bound can be an order of
+	// magnitude above the packed count).
 	total := 0
-	for nu := 0; nu < n; nu++ {
-		ou := ord.OldID[nu]
-		for _, v := range gadj[goffs[ou]:goffs[ou+1]] {
-			wi := ord.NewID[v] >> 6
-			if rowBuf[wi] == 0 {
-				rowBuf[wi] = 1
-				touched = append(touched, int32(wi))
+	for u := 0; u < n; u++ {
+		prev := -1
+		for _, v := range gadj[goffs[u]:goffs[u+1]] {
+			if v>>6 != prev {
+				prev = v >> 6
 				total++
 			}
 		}
-		for _, wi := range touched {
-			rowBuf[wi] = 0
-		}
-		touched = touched[:0]
-		m.offs[nu+1] = int32(total)
+		m.offs[u+1] = int32(total)
 	}
 
-	// Fill pass: pack each row's blocks in ascending block-index order and
-	// derive its region summary.
-	m.idx = make([]int32, 0, total)
-	m.words = make([]uint64, 0, total)
-	for nu := 0; nu < n; nu++ {
-		ou := ord.OldID[nu]
-		for _, v := range gadj[goffs[ou]:goffs[ou+1]] {
-			nv := ord.NewID[v]
-			wi := int32(nv >> 6)
-			if rowBuf[wi] == 0 {
-				touched = append(touched, wi)
-			}
-			rowBuf[wi] |= 1 << (uint(nv) & 63)
-		}
-		slices.Sort(touched)
+	// Fill pass: one entry per run, and the row's region summary.
+	m.idx = make([]int32, total)
+	m.words = make([]uint64, total)
+	for u := 0; u < n; u++ {
+		k := int(m.offs[u]) - 1
+		prev := -1
 		var s uint64
-		for _, wi := range touched {
-			m.idx = append(m.idx, wi)
-			m.words = append(m.words, rowBuf[wi])
-			rowBuf[wi] = 0
-			s |= 1 << (uint(wi) >> m.regionShift)
+		for _, v := range gadj[goffs[u]:goffs[u+1]] {
+			if wi := v >> 6; wi != prev {
+				prev = wi
+				k++
+				m.idx[k] = int32(wi)
+				s |= 1 << (uint(wi) >> m.regionShift)
+			}
+			m.words[k] |= 1 << (uint(v) & 63)
 		}
-		m.summ[nu] = s
-		touched = touched[:0]
+		m.summ[u] = s
 	}
 	return m
 }
@@ -133,7 +116,7 @@ func (m *SparseNeighborMasks) Bytes() int {
 	return 4*len(m.offs) + 4*len(m.idx) + 8*len(m.words) + 8*len(m.summ)
 }
 
-// BlockRow returns cluster-major node u's nonzero blocks as zero-copy views:
+// BlockRow returns node u's nonzero blocks as zero-copy views:
 // ascending block indices and the matching block words. Like
 // Graph.Neighbors, the views are shared, read-only, and only as alive as the
 // graph they came from.
@@ -155,52 +138,20 @@ func (m *SparseNeighborMasks) Summary(u NodeID) uint64 { return m.summ[u] }
 // contract as BlockRow.
 func (m *SparseNeighborMasks) Summaries() []uint64 { return m.summ }
 
-// SparseMaskSet bundles a dual graph's block-sparse masks under one shared
-// cluster-major order. The order is derived from the reliable graph G — the
-// transmitter bitmap is shared between G and G' rounds, so both mask sets
-// must agree on bit positions. G' masks are built lazily: executions without
-// a link process never pay for them.
-type SparseMaskSet struct {
-	d *Dual
-	// Order is the shared cluster-major relabeling (from G's decomposition).
-	Order *ClusterOrder
-	// G holds the reliable graph's block-sparse rows.
-	G *SparseNeighborMasks
-
-	gpOnce sync.Once
-	gp     *SparseNeighborMasks
-}
-
-// GPrimeMasks returns the block-sparse rows of G' under the set's shared
-// order, built on first use and shared afterwards. When G' is G (uniform
-// duals) the G rows are returned directly.
-func (s *SparseMaskSet) GPrimeMasks() *SparseNeighborMasks {
-	s.gpOnce.Do(func() {
-		if s.d.gp == s.d.g {
-			s.gp = s.G
-		} else {
-			s.gp = BuildSparseNeighborMasks(s.d.gp, s.Order)
-		}
-	})
-	return s.gp
-}
-
-// sparseMaskCache memoizes a dual's sparse mask set (see SparseMasksOf).
+// sparseMaskCache memoizes a graph's block-sparse rows (see SparseMasksOf).
 type sparseMaskCache struct {
 	once sync.Once
-	m    *SparseMaskSet
+	m    *SparseNeighborMasks
 }
 
-// SparseMasksOf returns the dual's block-sparse mask set, computed once per
-// (immutable) network and shared by every trial and epoch revisit — the same
-// memoization contract as CliqueCoverOf, keyed on the Dual because the
-// cluster-major order must be shared between the G and G' rows.
-func SparseMasksOf(d *Dual) *SparseMaskSet {
-	d.sparse.once.Do(func() {
-		ord := ClusterOrderOf(d.g)
-		d.sparse.m = &SparseMaskSet{d: d, Order: ord, G: BuildSparseNeighborMasks(d.g, ord)}
-	})
-	return d.sparse.m
+// SparseMasksOf returns BuildSparseNeighborMasks(g), computed once per graph
+// and shared afterwards — the same memoization contract as CliqueCoverOf and
+// DecompositionOf: graphs are immutable, so every trial and every epoch
+// revisit of the same revision shares one row set. A uniform dual's G' is
+// its G, so its G' rows are its G rows.
+func SparseMasksOf(g *Graph) *SparseNeighborMasks {
+	g.masks.once.Do(func() { g.masks.m = BuildSparseNeighborMasks(g) })
+	return g.masks.m
 }
 
 // EstimateSparseMaskBytes bounds the block-sparse mask footprint of d
@@ -213,12 +164,12 @@ func SparseMasksOf(d *Dual) *SparseMaskSet {
 func EstimateSparseMaskBytes(d *Dual, withGPrime bool) int64 {
 	n := int64(d.N())
 	entries := 2 * int64(d.g.NumEdges())
-	rows := n
+	sets := int64(1)
 	if withGPrime && d.gp != d.g {
 		entries += 2 * int64(d.gp.NumEdges())
-		rows += n
+		sets++
 	}
-	// 12 bytes per entry (int32 index + uint64 word), 12 per row (offset +
-	// summary), 16 per node for the order's two permutation arrays.
-	return 12*entries + 12*rows + 16*n
+	// 12 bytes per entry (int32 index + uint64 word); per row set, n+1
+	// int32 offsets and n uint64 summaries.
+	return 12*entries + sets*(4*(n+1)+8*n)
 }

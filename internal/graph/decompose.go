@@ -32,7 +32,7 @@ import (
 //
 // The output is CSR-style (flat member array plus offsets, BFS order within
 // each cluster) and memoized per immutable graph via DecompositionOf, exactly
-// like CliqueCoverOf and ClusterOrderOf. The decomposition also carries the
+// like CliqueCoverOf and SparseMasksOf. The decomposition also carries the
 // sweep-schedule geometry consumed by the derandomized broadcast algorithm
 // (internal/core/derand.go): per-color phase offsets and lengths, so a round
 // number alone determines the unique transmitting member of every cluster.

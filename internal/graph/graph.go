@@ -40,9 +40,9 @@ type Graph struct {
 	// decomp memoizes BuildDecomposition(g) (see DecompositionOf), again per
 	// immutable graph.
 	decomp decompCache
-	// order memoizes BuildClusterOrder(g) (see ClusterOrderOf), again per
-	// immutable graph.
-	order orderCache
+	// masks memoizes BuildSparseNeighborMasks(g) (see SparseMasksOf), again
+	// per immutable graph.
+	masks sparseMaskCache
 }
 
 // Builder accumulates edges for a Graph as a flat list of packed (u, v) keys;
@@ -213,11 +213,6 @@ type Dual struct {
 	// Geographic embedding, nil/0 when absent.
 	pos    []Point
 	radius float64
-
-	// sparse memoizes SparseMasksOf(d): block-sparse mask rows for G and G'
-	// under one shared cluster-major order. Keyed on the Dual (not the
-	// graphs) because both mask sets must agree on bit positions.
-	sparse sparseMaskCache
 }
 
 // ErrNotSubset is returned when the reliable graph is not a subgraph of G'.

@@ -26,12 +26,12 @@ const (
 	// PlanScalar forces the CSR walk.
 	PlanScalar
 	// PlanBitmap forces the word-parallel path for every round, at any n:
-	// per-node nonzero mask blocks under a cluster-major renumbering (see
-	// graph.SparseMasksOf), with per-row and per-round occupancy summaries
-	// pruning the kernel. Rounds whose selector is neither all nor none have
-	// no precomputed rows and fall back to the CSR walk. With a Recorder
-	// attached, deliveries are reported in cluster-major order rather than
-	// the CSR walk's discovery order (the set of deliveries is identical).
+	// per-node nonzero mask blocks in node order (see graph.SparseMasksOf),
+	// with per-row and per-round occupancy summaries pruning the kernel.
+	// Rounds whose selector is neither all nor none have no precomputed rows
+	// and fall back to the CSR walk. With a Recorder attached, every round
+	// whose selector is all or none reports deliveries in ascending listener
+	// order; the set of deliveries is the CSR walk's.
 	PlanBitmap
 )
 
@@ -73,15 +73,13 @@ const (
 
 // setupPlan derives the delivery plan for the current epoch's topology:
 // called once at engine construction and again at every epoch swap, so churn
-// re-plans at O(revision) cost (masks memoize per network; repeated trials
+// re-plans at O(revision) cost (masks memoize per graph; repeated trials
 // and revisits share one build). On the bitmap plan it hoists the epoch's
-// block-sparse row views and the cluster-major permutation they are stored
-// under.
+// block-sparse rows of G, and of G' when a link process needs them.
 func (e *engine) setupPlan() {
 	e.plan = PlanScalar
 	e.bitmapTxMin = 0
 	e.sparseG, e.sparseGP = nil, nil
-	e.newID, e.oldID = nil, nil
 	switch e.cfg.Plan {
 	case PlanScalar:
 		return
@@ -97,13 +95,10 @@ func (e *engine) setupPlan() {
 	}
 	e.plan = PlanBitmap
 	e.txWords = e.sc.txBitmap(bitrand.WordsFor(e.n))
-	set := graph.SparseMasksOf(e.net)
-	e.sparseG = set.G
+	e.sparseG = graph.SparseMasksOf(e.net.G())
 	if e.cfg.Link != nil {
-		e.sparseGP = set.GPrimeMasks()
+		e.sparseGP = graph.SparseMasksOf(e.net.GPrime())
 	}
-	//dglint:allow viewescape: engine-owned hoist, re-synced by swapEpoch at every epoch boundary
-	e.newID, e.oldID = set.Order.NewID, set.Order.OldID
 	e.sumShift = e.sparseG.RegionShift()
 }
 
@@ -121,8 +116,7 @@ func (e *engine) roundMasks(selector graph.EdgeSelector) *graph.SparseNeighborMa
 }
 
 // fillTxSparse fills the transmitter bitmap from the round's transmitter
-// list in the cluster-major bit space of the sparse masks, maintaining the
-// round's region-occupancy summary as bits are set.
+// list, maintaining the round's region-occupancy summary as bits are set.
 //
 //dglint:noalloc gate=TestBitmapDeliveryAllocs
 func (e *engine) fillTxSparse() {
@@ -130,9 +124,8 @@ func (e *engine) fillTxSparse() {
 	clear(txw)
 	var s uint64
 	for _, v := range e.tx {
-		nv := e.newID[v]
-		txw[nv>>6] |= 1 << (uint(nv) & 63)
-		s |= 1 << (uint(nv>>6) >> e.sumShift)
+		txw[v>>6] |= 1 << (uint(v) & 63)
+		s |= 1 << (uint(v>>6) >> e.sumShift)
 	}
 	e.txSumm = s
 }
@@ -142,11 +135,10 @@ func (e *engine) fillTxSparse() {
 // transmitter bitmap (IntersectOneIndexed), after a one-word AND of the
 // row's region summary against the round's transmitter summary rejects
 // listeners whose neighborhood shares no region with any transmitter. Rows
-// are walked in cluster-major order — the layout's cache order — and every
-// id crossing the Deliver/record boundary is translated back to the
-// original space, so observable output is independent of the renumbering.
-// Every row is classified, since a dormant node may receive; silence goes
-// to awake nodes only, and to none when every process is a BulkStepper.
+// are walked in node order, so a recorder sees deliveries by ascending
+// listener. Every row is classified, since a dormant node may receive;
+// silence goes to awake nodes only, and to none when every process is a
+// BulkStepper.
 //
 //dglint:noalloc gate=TestSparseDeliveryAllocs
 func (e *engine) deliverSparse(r int, res *Result, m *graph.SparseNeighborMasks) []Delivery {
@@ -156,19 +148,16 @@ func (e *engine) deliverSparse(r int, res *Result, m *graph.SparseNeighborMasks)
 	summ := m.Summaries()
 	txw := e.txWords
 	txSumm := e.txSumm
-	oldID := e.oldID
 
 	var recorded []Delivery
 	record := e.cfg.Recorder != nil
 	if record {
 		recorded = e.recordBuf[:0]
 	}
-	for nu := 0; nu < e.n; nu++ {
-		u := oldID[nu]
-		if txw[nu>>6]>>(uint(nu)&63)&1 == 0 && summ[nu]&txSumm != 0 {
-			count, from := bitrand.IntersectOneIndexed(idx[offs[nu]:offs[nu+1]], words[offs[nu]:offs[nu+1]], txw)
+	for u := 0; u < e.n; u++ {
+		if txw[u>>6]>>(uint(u)&63)&1 == 0 && summ[u]&txSumm != 0 {
+			count, v := bitrand.IntersectOneIndexed(idx[offs[u]:offs[u+1]], words[offs[u]:offs[u+1]], txw)
 			if count == 1 {
-				v := oldID[from]
 				e.receive(r, u, e.msgOf[v], res)
 				if record {
 					recorded = append(recorded, Delivery{To: u, From: v})

@@ -16,10 +16,10 @@ const bitmapTrialBudget = 6
 
 // bitmapTrial returns one forced-bitmap decay trial on net, a fresh seed per
 // call. Forcing the plan pins bitmapTxMin to 0, so every round stays on the
-// kernel; the per-network memos (decomposition, cluster order, mask rows)
-// are built by AllocsPerRun's untimed warm-up run, so any per-round
-// allocation in the bulk coin loop, the transmitter fill, or the kernel
-// blows the budget by ~MaxRounds and fails loudly.
+// kernel; the per-graph mask rows are built by AllocsPerRun's untimed
+// warm-up run, so any per-round allocation in the bulk coin loop, the
+// transmitter fill, or the kernel blows the budget by ~MaxRounds and fails
+// loudly.
 func bitmapTrial(t *testing.T, net *graph.Dual) func() {
 	t.Helper()
 	if testing.Short() {
@@ -64,8 +64,7 @@ func TestBitmapDeliveryAllocs(t *testing.T) {
 
 // TestSparseDeliveryAllocs is the //dglint:noalloc gate for the delivery
 // kernel (deliverSparse) on a ring-with-chords network, where the region
-// summaries reject most listeners and the cluster-major id translation
-// carries every delivery.
+// summaries reject most listeners.
 func TestSparseDeliveryAllocs(t *testing.T) {
 	if radio.RaceEnabled {
 		t.Skip("allocation gate: the race runtime drops sync.Pool items on purpose")

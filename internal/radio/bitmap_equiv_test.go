@@ -86,9 +86,11 @@ func runPlan(t testing.TB, cfg radio.Config, plan radio.DeliveryPlan) (radio.Res
 }
 
 // comparePlans runs cfg under the scalar and bitmap plans and fails on any
-// observable difference. The bitmap path reports deliveries in
-// cluster-major order rather than discovery order, so per-round delivery
-// lists compare as sets.
+// observable difference. A bitmap round whose selector is all or none runs
+// the kernel (or the complete-topology fast path), which reports deliveries
+// in ascending listener order; a partial selector takes the CSR walk, which
+// reports them in discovery order. The bitmap order is checked first, then
+// per-round delivery lists compare as sets.
 func comparePlans(t testing.TB, cfg radio.Config) {
 	t.Helper()
 	sres, srec := runPlan(t, cfg, radio.PlanScalar)
@@ -106,6 +108,13 @@ func comparePlans(t testing.TB, cfg radio.Config) {
 		}
 		if sr.SelectorKind != br.SelectorKind {
 			t.Fatalf("round %d selector kind differs: scalar %q, bitmap %q", sr.Round, sr.SelectorKind, br.SelectorKind)
+		}
+		if k := br.SelectorKind; k == "all" || k == "none" {
+			for j := 1; j < len(br.Deliveries); j++ {
+				if br.Deliveries[j-1].To >= br.Deliveries[j].To {
+					t.Fatalf("round %d (%s): bitmap deliveries not in ascending listener order: %v", br.Round, br.SelectorKind, br.Deliveries)
+				}
+			}
 		}
 		radio.SortDeliveries(sr.Deliveries)
 		radio.SortDeliveries(br.Deliveries)

@@ -186,14 +186,11 @@ type engine struct {
 	allBulk     bool
 
 	// Mask state, set when plan is PlanBitmap: the epoch's block-sparse rows
-	// for G and G' (sparseGP nil without a link), the cluster-major
-	// permutation pair they are stored under, the region shift of the
-	// per-row occupancy summaries, and the current round's transmitter-side
-	// summary (txSumm), rebuilt by every fill.
+	// for G and G' (sparseGP nil without a link), in node order, the region
+	// shift of the per-row occupancy summaries, and the current round's
+	// transmitter-side summary (txSumm), rebuilt by every fill.
 	sparseG  *graph.SparseNeighborMasks
 	sparseGP *graph.SparseNeighborMasks
-	newID    []graph.NodeID
-	oldID    []graph.NodeID
 	sumShift uint
 	txSumm   uint64
 
