@@ -16,6 +16,7 @@
 //	dgbench -cache DIR         # content-addressed result cache (see dgserved)
 //	dgbench -csv               # tables as CSV
 //	dgbench -markdown          # reference-table markdown output
+//	dgbench -cpuprofile FILE   # CPU profile of the whole invocation (any mode)
 //
 // Execution goes through the same run-service core as dgserved
 // (internal/runsvc): the run is planned, partitioned against the result
@@ -46,6 +47,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -83,7 +85,7 @@ func parseShardSpec(spec string) (index, count int, err error) {
 	return index, count, nil
 }
 
-func run(w io.Writer, args []string) error {
+func run(w io.Writer, args []string) (err error) {
 	fs := flag.NewFlagSet("dgbench", flag.ContinueOnError)
 	var (
 		list      = fs.Bool("list", false, "print the experiment index (ID and title) without running anything")
@@ -102,9 +104,21 @@ func run(w io.Writer, args []string) error {
 		shardSpec = fs.String("shard", "", "execute shard i/K of the task plan and write an artifact (requires -out)")
 		out       = fs.String("out", "", "artifact path for -shard")
 		merge     = fs.String("merge", "", "merge shard artifacts matching this glob and replay the aggregation")
+		cpuprof   = fs.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *cpuprof != "" {
+		stop, perr := startCPUProfile(*cpuprof)
+		if perr != nil {
+			return perr
+		}
+		defer func() {
+			if serr := stop(); err == nil {
+				err = serr
+			}
+		}()
 	}
 	cfg := experiments.Config{
 		Quick:    *quick && !*full,
@@ -119,7 +133,7 @@ func run(w io.Writer, args []string) error {
 		// combining it with an execution mode is a contradiction. The -run
 		// filter composes with it; -json additionally admits the
 		// configuration flags, because task counts depend on them.
-		allowed := map[string]bool{"list": true, "run": true, "json": true}
+		allowed := map[string]bool{"list": true, "run": true, "json": true, "cpuprofile": true}
 		if *jsonOut {
 			for _, name := range []string{"full", "quick", "trials", "seed"} {
 				allowed[name] = true
@@ -162,7 +176,7 @@ func run(w io.Writer, args []string) error {
 		var conflict []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "merge", "csv", "markdown", "plot":
+			case "merge", "csv", "markdown", "plot", "cpuprofile":
 			default:
 				conflict = append(conflict, "-"+f.Name)
 			}
@@ -267,6 +281,26 @@ func run(w io.Writer, args []string) error {
 		report.Result(w, results[0], perOpts)
 	}
 	return report.Summary(w, ran, failed)
+}
+
+// startCPUProfile starts a CPU profile written to path; stop ends it and
+// closes the file.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("-cpuprofile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("-cpuprofile: %w", err)
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		return nil
+	}, nil
 }
 
 // selectExperiments resolves the -run substring filter against the

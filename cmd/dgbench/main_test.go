@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -279,5 +280,36 @@ func TestMergeRejectsMixedRuns(t *testing.T) {
 	}
 	if err := run(io.Discard, []string{"-merge", filepath.Join(dir, "shard_*.json")}); err == nil {
 		t.Fatal("merge of artifacts from different seeds accepted")
+	}
+}
+
+// TestCPUProfile pins -cpuprofile: the profile covers the whole invocation
+// and is written in every mode, stdout is byte-identical with and without
+// it, and a profile path that cannot be created is an error.
+func TestCPUProfile(t *testing.T) {
+	dir := t.TempDir()
+	for i, args := range [][]string{
+		{"-run", "L3.2", "-trials", "2", "-csv"},
+		{"-all", "-run", "2", "-trials", "2", "-markdown"},
+		{"-list", "-run", "L3.2"},
+	} {
+		var plain, profiled bytes.Buffer
+		if err := run(&plain, args); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("cpu%d.pprof", i))
+		if err := run(&profiled, append([]string{"-cpuprofile", path}, args...)); err != nil {
+			t.Fatalf("args %v: %v", args, err)
+		}
+		if !bytes.Equal(plain.Bytes(), profiled.Bytes()) {
+			t.Errorf("args %v: stdout differs with -cpuprofile:\n%s\nwant:\n%s", args, profiled.String(), plain.String())
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("args %v: profile %s missing or empty (%v)", args, path, err)
+		}
+	}
+	bad := filepath.Join(dir, "no-such-dir", "cpu.pprof")
+	if err := run(io.Discard, []string{"-cpuprofile", bad, "-list"}); err == nil {
+		t.Fatal("uncreatable -cpuprofile path accepted")
 	}
 }

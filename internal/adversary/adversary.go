@@ -12,7 +12,9 @@
 //     fresh randomness under sparse dynamics, labels each round dense or
 //     sparse by the sampled transmitter count (the Lemma 4.4/4.5 isolated
 //     broadcast function machinery), and commits: dense → all unreliable
-//     edges (collision smothering), sparse → none (isolation).
+//     edges (collision smothering), sparse → none (isolation). The seeds are
+//     fixed at commit and the labels computed on demand, so the
+//     presimulations reach only as far as the execution consults.
 //
 // Online adaptive:
 //   - DenseSparse: the Theorem 3.1 adversary. Each round it computes

@@ -11,10 +11,11 @@ import (
 // fixed-schedule algorithms like plain decay).
 //
 // Before the execution begins — which is when an oblivious link process must
-// decide everything — it pre-simulates the algorithm on the same network
-// with *fresh, independent randomness*, under sparse dynamics (no unreliable
-// edges). This realizes the isolated broadcast functions of Lemma 4.4: the
-// sampled per-round transmitter counts Y¹_r. By the concentration argument
+// decide everything — it commits to the labels of a pre-simulation of the
+// algorithm on the same network with *fresh, independent randomness*, under
+// sparse dynamics (no unreliable edges). This realizes the isolated
+// broadcast functions of Lemma 4.4: the sampled per-round transmitter
+// counts Y¹_r. By the concentration argument
 // of Lemma 4.5, the counts of the real execution Y²_r track the sampled
 // ones: rounds sampled dense (count > C·ln n) will, with high probability,
 // have ≥ 2 real transmitters, and rounds sampled sparse will have O(log n).
@@ -35,10 +36,24 @@ import (
 // not just epoch 0's (a swap that connects a previously isolated region
 // changes who can be informed, and with it every later count).
 //
-// Horizon caps the presimulation length; beyond it the schedule stays
-// sparse. On the bracelet network the natural horizon is the band length
-// (the validity window of the isolated broadcast functions); on the dual
-// clique it may be as long as the round budget.
+// Horizon caps the labelled rounds; beyond it the schedule stays sparse. On
+// the bracelet network the natural horizon is the band length (the validity
+// window of the isolated broadcast functions); on the dual clique it may be
+// as long as the round budget.
+//
+// The labels are computed lazily. CommitSchedule fixes everything they
+// depend on — the per-sample seeds, the threshold, the horizon, and the
+// environment's network, epochs, problem and algorithm — and runs no
+// presimulation. SelectorFor labels rounds on demand: when asked about a
+// round past the labelled prefix, it presimulates every sample again at
+// twice the previous budget (at least the asked round + 1, at least 16
+// rounds, at most Horizon), so an execution that stops after R rounds
+// presimulates at most max(4R, 16) rounds per sample, not Horizon. A
+// presimulation runs with IgnoreCompletion, so its count for a round does
+// not depend on its budget, and every label is the one an eager
+// presimulation to the horizon would commit. The adversary stays
+// oblivious: each label is the same function of commit-time information,
+// only evaluated later, and nothing it computes reads the real execution.
 type Presample struct {
 	// C scales the dense threshold C·ln n (default 2).
 	C float64
@@ -49,8 +64,10 @@ type Presample struct {
 	// network-wide delivery. With E[|X|] below ~8, P(|X| = 1) is far from
 	// negligible, so such rounds must be treated as sparse.
 	Floor float64
-	// Horizon is the number of presimulated rounds (default min(MaxRounds,
-	// 8n)).
+	// Horizon is the number of labelled rounds (default min(MaxRounds, 8n));
+	// rounds at or past it are sparse. It bounds what the schedule may
+	// presimulate, not what it does: presimulations reach only as far as
+	// the execution consults.
 	Horizon int
 	// Samples is the number of independent presimulations (default 3). A
 	// round is labeled dense only when every sample exceeds the threshold,
@@ -60,10 +77,22 @@ type Presample struct {
 
 var _ radio.ObliviousLink = Presample{}
 
-// presampleSchedule is the committed schedule: a bit per presimulated round.
+// presampleMinBudget is the shortest presimulation a schedule runs, so the
+// opening rounds of an execution do not each trigger a re-run.
+const presampleMinBudget = 16
+
+// presampleSchedule is the committed schedule. dense labels the prefix of
+// rounds presimulated so far; the rest is fixed at commit and determines
+// every later label.
 type presampleSchedule struct {
-	dense   []bool
-	horizon int
+	// sim is the presimulation template: the environment's network (or
+	// epoch schedule), problem and algorithm under sparse dynamics. Each
+	// presimulation sets its own Seed, MaxRounds and Recorder.
+	sim       radio.Config
+	seeds     []uint64
+	threshold float64
+	horizon   int
+	dense     []bool
 }
 
 // SelectorFor implements radio.Schedule.
@@ -71,10 +100,52 @@ func (s *presampleSchedule) SelectorFor(round int) graph.EdgeSelector {
 	if round >= s.horizon {
 		return graph.SelectNone{}
 	}
+	if round >= len(s.dense) {
+		s.label(min(s.horizon, max(2*len(s.dense), round+1, presampleMinBudget)))
+	}
 	if s.dense[round] {
 		return graph.SelectAll{}
 	}
 	return graph.SelectNone{}
+}
+
+// label presimulates every sample for budget rounds and relabels them: a
+// round is dense when every sample's transmitter count exceeds the
+// threshold.
+func (s *presampleSchedule) label(budget int) {
+	dense := make([]bool, budget)
+	for r := range dense {
+		dense[r] = true
+	}
+	for _, seed := range s.seeds {
+		counts := s.presimulate(seed, budget)
+		for r := range dense {
+			dense[r] = dense[r] && r < len(counts) && float64(counts[r]) > s.threshold
+		}
+	}
+	s.dense = dense
+}
+
+// presimulate runs one presimulation for at least budget rounds and returns
+// its per-round transmitter counts.
+func (s *presampleSchedule) presimulate(seed uint64, budget int) []int {
+	// Every scheduled rumor injection must still fall inside the budget (the
+	// engine rejects a spec whose injections can never enter); counts past
+	// the labelled budget are discarded by the caller.
+	for _, inj := range s.sim.Spec.Injections {
+		budget = max(budget, inj.Round+1)
+	}
+	rec := &radio.TxCountRecorder{Counts: make([]int, 0, budget)}
+	cfg := s.sim
+	cfg.Seed, cfg.MaxRounds, cfg.Recorder = seed, budget, rec
+	if _, err := radio.Run(cfg); err != nil {
+		// A presimulation failure leaves the adversary without information;
+		// it degrades to the all-sparse schedule rather than aborting the
+		// host execution. The failure does not depend on the budget, so
+		// every relabelling agrees.
+		return nil
+	}
+	return rec.Counts
 }
 
 // CommitSchedule implements radio.ObliviousLink.
@@ -103,72 +174,30 @@ func (a Presample) CommitSchedule(env *radio.Env) radio.Schedule {
 		threshold = floor
 	}
 
-	mins := make([]float64, horizon)
-	for r := range mins {
-		mins[r] = -1
+	s := &presampleSchedule{
+		sim: radio.Config{
+			Algorithm:        env.Algorithm,
+			Spec:             env.Spec,
+			Link:             nil,  // sparse dynamics: reliable edges only
+			IgnoreCompletion: true, // a count must not depend on the budget
+			UseCliqueCover:   true,
+		},
+		seeds:     make([]uint64, samples),
+		threshold: threshold,
+		horizon:   horizon,
 	}
-	for s := 0; s < samples; s++ {
-		counts := a.sampleOnce(env, horizon, uint64(s))
-		for r := 0; r < horizon; r++ {
-			v := 0.0
-			if r < len(counts) {
-				v = float64(counts[r])
-			}
-			if mins[r] < 0 || v < mins[r] {
-				mins[r] = v
-			}
-		}
-	}
-	dense := make([]bool, horizon)
-	for r := range dense {
-		if mins[r] > threshold {
-			dense[r] = true
-		}
-	}
-	return &presampleSchedule{dense: dense, horizon: horizon}
-}
-
-// sampleOnce runs one presimulation with fresh randomness and returns the
-// per-round transmitter counts.
-func (a Presample) sampleOnce(env *radio.Env, horizon int, label uint64) []int {
-	rec := &radio.TxCountRecorder{}
-	// Fresh seed from the adversary's own committed randomness: independent
+	// Fresh seeds from the adversary's own committed randomness: independent
 	// of the real execution's coins, as obliviousness requires.
-	seed := env.Rng.Split(0x5a3b, label).Uint64()
-	// The presimulation budget is the horizon, except that every scheduled
-	// rumor injection must still fall inside it (the engine rejects a spec
-	// whose injections can never enter); counts beyond the horizon are
-	// discarded by the caller either way.
-	budget := horizon
-	for _, inj := range env.Spec.Injections {
-		if inj.Round >= budget {
-			budget = inj.Round + 1
-		}
-	}
-	cfg := radio.Config{
-		Algorithm:        env.Algorithm,
-		Spec:             env.Spec,
-		Link:             nil, // sparse dynamics: reliable edges only
-		Seed:             seed,
-		MaxRounds:        budget,
-		Recorder:         rec,
-		IgnoreCompletion: true, // labels must cover the whole horizon
-		UseCliqueCover:   true,
+	for i := range s.seeds {
+		s.seeds[i] = env.Rng.Split(0x5a3b, uint64(i)).Uint64()
 	}
 	// Pre-simulate under the execution's own topology schedule: per-epoch
 	// transmitter counts, not epoch-0-only ones. Static runs keep the
 	// static path.
 	if len(env.Epochs) > 0 {
-		cfg.Epochs = env.Epochs
+		s.sim.Epochs = env.Epochs
 	} else {
-		cfg.Net = env.Net
+		s.sim.Net = env.Net
 	}
-	_, err := radio.Run(cfg)
-	if err != nil {
-		// A presimulation failure leaves the adversary without information;
-		// it degrades to the all-sparse schedule rather than aborting the
-		// host execution.
-		return nil
-	}
-	return rec.Counts
+	return s
 }

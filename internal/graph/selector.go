@@ -14,6 +14,11 @@ type EdgeSelector interface {
 	// this round. Implementations must be symmetric: Includes(u, v) =
 	// Includes(v, u) — edges are undirected. Behavior on pairs outside
 	// E' \ E is unspecified; the engine only queries potential edges.
+	//
+	// Includes must be pure: its answer depends only on (u, v) and the
+	// selector, and asking has no effect. The engine relies on this to skip
+	// queries whose answer cannot change the round's outcome, so a selector
+	// sees only some of the round's potential edges, in no promised order.
 	Includes(u, v NodeID) bool
 	// All reports whether every edge of E' \ E is included; a fast-path hint.
 	All() bool
@@ -88,7 +93,8 @@ func (s *SelectSet) None() bool { return len(s.set) == 0 }
 func (s *SelectSet) Len() int { return len(s.set) }
 
 // SelectFunc adapts a predicate to an EdgeSelector. Used by hash-based
-// oblivious adversaries that decide each edge from (seed, round, u, v).
+// oblivious adversaries that decide each edge from (seed, round, u, v). F
+// must be pure, as Includes must.
 type SelectFunc struct {
 	F func(u, v NodeID) bool
 }

@@ -748,9 +748,13 @@ func (e *engine) deliver(selector graph.EdgeSelector, r int, res *Result) []Deli
 				}
 			}
 		} else {
+			// Ask only about listeners whose outcome the answer can change: a
+			// transmitter hears nothing, and a listener that already counts
+			// two transmitters collides whatever the answer. Includes is pure
+			// (see graph.EdgeSelector), so a skipped query changes nothing.
 			for _, v := range e.tx {
 				for _, u := range e.exAdj[e.exOffs[v]:e.exOffs[v+1]] {
-					if selector.Includes(v, u) {
+					if !e.txFlag[u] && e.counts[u] < 2 && selector.Includes(v, u) {
 						add(u, v)
 					}
 				}

@@ -75,6 +75,12 @@ func (v *View) SumTransmitProbs() float64 {
 
 // Schedule is a committed oblivious link schedule: a pure function of the
 // round number fixed before the execution begins.
+//
+// A schedule may label lazily: it may compute a round's selection only when
+// SelectorFor is first asked about it, and keep what it computed, as long as
+// SelectorFor(r) depends only on r and on information fixed at commit — never
+// on when, how often or in what order it is asked. The engine calls
+// SelectorFor from one goroutine, once per round in ascending order.
 type Schedule interface {
 	// SelectorFor returns the E'\E selection for the given round.
 	SelectorFor(round int) graph.EdgeSelector
