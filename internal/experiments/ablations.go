@@ -37,13 +37,13 @@ func runPermutationAblation(cfg Config) (*Result, error) {
 	if !cfg.Quick {
 		n = 2048
 	}
-	d, _ := graph.DualClique(n, 3)
+	d := lazyDualClique(n)
 	medians := map[string]float64{}
 	sw := newSweep(cfg)
 	for _, alg := range []radio.Algorithm{core.PermutedGlobal{}, core.DecayGlobal{}} {
 		sw.point(cfg.trials(), func(seed uint64) radio.Config {
 			return radio.Config{
-				Net: d, Algorithm: alg,
+				Net: d(), Algorithm: alg,
 				Spec: radio.Spec{Problem: radio.GlobalBroadcast, Source: 0},
 				Link: adversary.Presample{C: 1, Horizon: 4 * n},
 				Seed: seed, MaxRounds: 400 * n, UseCliqueCover: true,

@@ -14,6 +14,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/adversary"
 	"repro/internal/bitrand"
@@ -30,6 +31,43 @@ func init() {
 		Title:      "Adversaries vs churn windows (two reliable cliques, storm epochs)",
 		PaperClaim: "adaptivity to *when* the topology is degraded — not raw smothering power — is what slows broadcast under churn",
 		Run:        runChurnWindowFamily,
+	})
+}
+
+// lazyStorm returns the family's storm timeline on graph.TwoCliques(n),
+// compiled on the first call and shared by every later one: its epochs and
+// their degraded-window flags. graph.TwoCliques is the dual clique's
+// reliable skeleton with G' = G: no standing unreliable fringe, so the only
+// E'\E edges that ever exist are the ones the storm epochs flare up, and the
+// degraded windows are the adversary's entire attack surface. Ten storm
+// epochs of two decay sweeps each start before the natural bridge crossing
+// and cover its whole distribution, and every epoch flares 6n transient
+// unreliable pairs (the bridge listener gains ~12 interference neighbors)
+// plus a few demotions.
+//
+// Only trials run on the timeline, so it is built from a point's factory and
+// a declaration that plans or merges builds none. Its parameters are fixed,
+// so a generation or compile error is a bug: the panic fails the trial that
+// hit it, as a *TrialError.
+func lazyStorm(n int, seed uint64) func() ([]radio.Epoch, []bool) {
+	return sync.OnceValues(func() ([]radio.Epoch, []bool) {
+		gen := scenario.GenConfig{
+			Epochs:    10,
+			EpochLen:  2 * bitrand.LogN(n),
+			Demotions: 8,
+			Storms:    6 * n,
+			Protected: []graph.NodeID{0},
+			MaxRounds: 400 * n,
+		}
+		sc, err := scenario.Generate(graph.TwoCliques(n), bitrand.New(seed), gen)
+		var epochs []radio.Epoch
+		if err == nil {
+			epochs, err = sc.Compile()
+		}
+		if err != nil {
+			panic(fmt.Sprintf("experiments: storm scenario at n=%d: %v", n, err))
+		}
+		return epochs, sc.DegradedWindows()
 	})
 }
 
@@ -50,56 +88,35 @@ func runChurnWindowFamily(cfg Config) (*Result, error) {
 	sw := newSweep(cfg)
 	for _, n := range sizes {
 		n := n
-		// graph.TwoCliques: the dual clique's reliable skeleton with G' = G.
-		// No standing unreliable fringe — the only E'\E edges that ever exist
-		// are the ones the scenario's storm epochs flare up, so the degraded
-		// windows are the adversary's entire attack surface.
-		base := graph.TwoCliques(n)
 		maxRounds := 400 * n
-		// Ten storm epochs of two decay sweeps each: the windows start before
-		// the natural bridge crossing and cover its whole distribution, and
-		// every epoch flares 6n transient unreliable pairs (the bridge
-		// listener gains ~12 interference neighbors) plus a few demotions.
-		gen := scenario.GenConfig{
-			Epochs:    10,
-			EpochLen:  2 * bitrand.LogN(n),
-			Demotions: 8,
-			Storms:    6 * n,
-			Protected: []graph.NodeID{0},
-			MaxRounds: maxRounds,
-		}
-		sc, err := scenario.Generate(base, bitrand.New(3000+uint64(n)), gen)
-		if err != nil {
-			return nil, err
-		}
-		epochs, err := sc.Compile()
-		if err != nil {
-			return nil, err
-		}
-		wins := sc.DegradedWindows()
+		storm := lazyStorm(n, 3000+uint64(n))
 		var blindMed float64
 		for _, row := range []struct {
 			name string
-			link any
+			link func(wins []bool) any // nil: no adversary
 		}{
 			// Declaration order fixes aggregation order: the blind row must
 			// aggregate before the aligned rows that report ratios against it.
 			{"none", nil},
-			{"static-all", adversary.AlwaysAll()},
-			{"churn-blind", adversary.ChurnWindowOffline{Windows: wins, Invert: true}},
-			{"churnwindow-online", adversary.ChurnWindow{Windows: wins, C: 1}},
-			{"churnwindow", adversary.ChurnWindowOffline{Windows: wins}},
+			{"static-all", func([]bool) any { return adversary.AlwaysAll() }},
+			{"churn-blind", func(wins []bool) any { return adversary.ChurnWindowOffline{Windows: wins, Invert: true} }},
+			{"churnwindow-online", func(wins []bool) any { return adversary.ChurnWindow{Windows: wins, C: 1} }},
+			{"churnwindow", func(wins []bool) any { return adversary.ChurnWindowOffline{Windows: wins} }},
 		} {
 			row := row
 			sw.point(trials, func(seed uint64) radio.Config {
-				return radio.Config{
+				epochs, wins := storm()
+				c := radio.Config{
 					Epochs:    epochs,
 					Algorithm: core.DecayGlobal{},
 					Spec:      radio.Spec{Problem: radio.GlobalBroadcast, Source: 0},
-					Link:      row.link,
 					Seed:      seed,
 					MaxRounds: maxRounds,
 				}
+				if row.link != nil {
+					c.Link = row.link(wins)
+				}
+				return c
 			}, func(out trialOutcome) {
 				if out.Solved < out.Trials {
 					res.Pass = false

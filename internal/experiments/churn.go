@@ -257,7 +257,7 @@ func runContention(cfg Config) (*Result, error) {
 	var kXs, kSoj []float64
 	sw := newSweep(cfg)
 	for _, n := range sizes {
-		d, _ := graph.DualClique(n, 3)
+		d := lazyDualClique(n)
 		for _, k := range ks {
 			k := k
 			n := n
@@ -273,7 +273,7 @@ func runContention(cfg Config) (*Result, error) {
 			base := cfg.BaseSeed
 			sw.tasks(trials, func(i int) ([]float64, error) {
 				r, err := radio.Run(radio.Config{
-					Net:       d,
+					Net:       d(),
 					Algorithm: gossip.TDM{},
 					Spec:      spec,
 					Link:      adversary.RandomLoss{P: 0.5},

@@ -20,13 +20,12 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/adversary"
-	"repro/internal/bitrand"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/radio"
-	"repro/internal/scenario"
 	"repro/internal/stats"
 )
 
@@ -77,8 +76,12 @@ func runExtDerand(cfg Config) (*Result, error) {
 	sw := newSweep(cfg)
 	for _, n := range sizes {
 		n := n
-		d, _ := graph.DualClique(n, 3)
-		fringe := halfFringe(d)
+		// Only the grid's trials read the dual clique and its committed
+		// fringe selection: the point's first trial builds both.
+		dc := sync.OnceValues(func() (*graph.Dual, graph.EdgeSelector) {
+			d, _ := graph.DualClique(n, 3)
+			return d, halfFringe(d)
+		})
 		ns = append(ns, float64(n))
 		for _, alg := range algs {
 			alg := alg
@@ -87,22 +90,26 @@ func runExtDerand(cfg Config) (*Result, error) {
 			var staticMed float64
 			for _, adv := range []struct {
 				name string
-				link any
+				link func(fringe graph.EdgeSelector) any // nil: no adversary
 			}{
 				{"static", nil},
-				{"oblivious-static", adversary.Static{Selector: fringe}},
-				{"presample", adversary.Presample{}},
+				{"oblivious-static", func(fringe graph.EdgeSelector) any { return adversary.Static{Selector: fringe} }},
+				{"presample", func(graph.EdgeSelector) any { return adversary.Presample{} }},
 			} {
 				adv := adv
 				sw.point(gridTrials, func(seed uint64) radio.Config {
-					return radio.Config{
+					d, fringe := dc()
+					c := radio.Config{
 						Net:       d,
 						Algorithm: alg,
 						Spec:      radio.Spec{Problem: radio.GlobalBroadcast, Source: 0},
-						Link:      adv.link,
 						Seed:      seed,
 						MaxRounds: 400 * n,
 					}
+					if adv.link != nil {
+						c.Link = adv.link(fringe)
+					}
+					return c
 				}, func(out trialOutcome) {
 					if out.Solved < out.Trials {
 						res.Pass = false
@@ -148,44 +155,31 @@ func runExtDerand(cfg Config) (*Result, error) {
 	// needs two simultaneous transmitters to act — which the decomposition
 	// schedule almost never offers it.
 	churnN := 64
-	base := graph.TwoCliques(churnN)
-	gen := scenario.GenConfig{
-		Epochs:    10,
-		EpochLen:  2 * bitrand.LogN(churnN),
-		Demotions: 8,
-		Storms:    6 * churnN,
-		Protected: []graph.NodeID{0},
-		MaxRounds: 400 * churnN,
-	}
-	sc, err := scenario.Generate(base, bitrand.New(3100+uint64(churnN)), gen)
-	if err != nil {
-		return nil, err
-	}
-	epochs, err := sc.Compile()
-	if err != nil {
-		return nil, err
-	}
-	wins := sc.DegradedWindows()
+	storm := lazyStorm(churnN, 3100+uint64(churnN))
 	for _, alg := range algs {
 		alg := alg
 		var noneMed float64
 		for _, adv := range []struct {
 			name string
-			link any
+			link func(wins []bool) any // nil: no adversary
 		}{
 			{"static", nil},
-			{"churnwindow", adversary.ChurnWindowOffline{Windows: wins}},
+			{"churnwindow", func(wins []bool) any { return adversary.ChurnWindowOffline{Windows: wins} }},
 		} {
 			adv := adv
 			sw.point(trials, func(seed uint64) radio.Config {
-				return radio.Config{
+				epochs, wins := storm()
+				c := radio.Config{
 					Epochs:    epochs,
 					Algorithm: alg,
 					Spec:      radio.Spec{Problem: radio.GlobalBroadcast, Source: 0},
-					Link:      adv.link,
 					Seed:      seed,
 					MaxRounds: 400 * churnN,
 				}
+				if adv.link != nil {
+					c.Link = adv.link(wins)
+				}
+				return c
 			}, func(out trialOutcome) {
 				if out.Solved < out.Trials {
 					res.Pass = false

@@ -45,7 +45,7 @@ func runGossipExt(cfg Config) (*Result, error) {
 	var kXs, kTs []float64
 	sw := newSweep(cfg)
 	for _, n := range sizes {
-		d, _ := graph.DualClique(n, 3)
+		d := lazyDualClique(n)
 		for _, k := range ks {
 			sources := make([]graph.NodeID, k)
 			for i := range sources {
@@ -53,7 +53,7 @@ func runGossipExt(cfg Config) (*Result, error) {
 			}
 			sw.point(trials, func(seed uint64) radio.Config {
 				return radio.Config{
-					Net:       d,
+					Net:       d(),
 					Algorithm: gossip.TDM{},
 					Spec:      radio.Spec{Problem: radio.Gossip, Sources: sources},
 					Link:      adversary.RandomLoss{P: 0.5},
@@ -105,11 +105,11 @@ func runLeaderExt(cfg Config) (*Result, error) {
 	sw := newSweep(cfg)
 	var dcNs, dcTs []float64
 	for _, n := range dcSizes {
-		d, _ := graph.DualClique(n, 3)
+		d := lazyDualClique(n)
 		leader := alg.Leader(n)
 		sw.point(trials, func(seed uint64) radio.Config {
 			return radio.Config{
-				Net:       d,
+				Net:       d(),
 				Algorithm: alg,
 				Spec:      radio.Spec{Problem: radio.GlobalBroadcast, Source: leader},
 				Link:      adversary.RandomLoss{P: 0.5},

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/adversary"
 	"repro/internal/core"
@@ -83,6 +84,18 @@ func dualCliqueSpec(problem radio.Problem, m graph.DualCliqueMarkers) radio.Spec
 	return radio.Spec{Problem: radio.LocalBroadcast, Broadcasters: b}
 }
 
+// lazyDualClique returns graph.DualClique(n, 3) built on the first call and
+// shared by every later one. Only trials run on a dual clique — no table,
+// note or plan reads it — so a declaration builds it from its point's
+// factory: planning and merging a declaration build nothing, and a shard
+// builds only the networks its owned trials run on.
+func lazyDualClique(n int) func() *graph.Dual {
+	return sync.OnceValue(func() *graph.Dual {
+		d, _ := graph.DualClique(n, 3)
+		return d
+	})
+}
+
 // dualCliqueAlg picks the natural algorithm for a problem.
 func dualCliqueAlg(problem radio.Problem) radio.Algorithm {
 	if problem == radio.GlobalBroadcast {
@@ -109,10 +122,14 @@ func runDualCliqueScaling(cfg Config, id, claim string, problem radio.Problem, l
 	var ns, ts []float64
 	sw := newSweep(cfg)
 	for _, n := range sizes {
-		d, m := graph.DualClique(n, 3)
-		spec := dualCliqueSpec(problem, m)
+		// Built by the point's first trial, as lazyDualClique is.
+		net := sync.OnceValues(func() (*graph.Dual, radio.Spec) {
+			d, m := graph.DualClique(n, 3)
+			return d, dualCliqueSpec(problem, m)
+		})
 		alg := dualCliqueAlg(problem)
 		sw.point(cfg.trials(), func(seed uint64) radio.Config {
+			d, spec := net()
 			return radio.Config{
 				Net: d, Algorithm: alg, Spec: spec, Link: link,
 				Seed: seed, MaxRounds: 400 * n, UseCliqueCover: true,
@@ -153,7 +170,7 @@ func runObliviousGlobal(cfg Config) (*Result, error) {
 	var permNs, permTs []float64
 	sw := newSweep(cfg)
 	for _, n := range sizes {
-		d, _ := graph.DualClique(n, 3)
+		d := lazyDualClique(n)
 		links := map[string]any{
 			"presample":   adversary.Presample{C: 1, Horizon: 4 * n},
 			"random-loss": adversary.RandomLoss{P: 0.5},
@@ -163,7 +180,7 @@ func runObliviousGlobal(cfg Config) (*Result, error) {
 			for _, alg := range []radio.Algorithm{core.PermutedGlobal{}, core.DecayGlobal{}} {
 				sw.point(cfg.trials(), func(seed uint64) radio.Config {
 					return radio.Config{
-						Net: d, Algorithm: alg,
+						Net: d(), Algorithm: alg,
 						Spec: radio.Spec{Problem: radio.GlobalBroadcast, Source: 0},
 						Link: link, Seed: seed, MaxRounds: 400 * n, UseCliqueCover: true,
 					}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/bitrand"
 	"repro/internal/core"
@@ -52,11 +53,11 @@ func runStaticGlobal(cfg Config) (*Result, error) {
 	sw := newSweep(cfg)
 	for _, alg := range algs {
 		for _, n := range sizes {
-			net := lineNet(n)
+			net := sync.OnceValue(func() *graph.Dual { return lineNet(n) })
 			d := n - 1
 			sw.point(cfg.trials(), func(seed uint64) radio.Config {
 				return radio.Config{
-					Net: net, Algorithm: alg,
+					Net: net(), Algorithm: alg,
 					Spec: radio.Spec{Problem: radio.GlobalBroadcast, Source: 0},
 					Seed: seed, MaxRounds: 200 * n,
 				}

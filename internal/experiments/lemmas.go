@@ -191,8 +191,9 @@ func runLemma42(cfg Config) (*Result, error) {
 						tx++
 					}
 				}
+				pre := bitrand.HashPrefix(uint64(trial), uint64(r))
 				for s := 0; s < shape.igp; s++ {
-					present := bitrand.HashFloat(uint64(trial), uint64(r), uint64(s)) < shape.presence
+					present := bitrand.UnitFloat(bitrand.HashFrom(pre, uint64(s))) < shape.presence
 					if present && src.Coin(p) {
 						tx++
 					}

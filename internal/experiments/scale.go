@@ -39,53 +39,34 @@ func init() {
 	})
 }
 
-// scaleSubstrate is one network size of the family, with the G' fringe the
-// oblivious rows select from.
+// scaleSubstrate is one network size of the family. Only trials run on the
+// network, so net builds it on its first call and shares it with every
+// later one: planning or merging SCALE-n builds none of the 10⁵/10⁶-node
+// graphs, and an execution builds each once, on the first trial that runs
+// on it, and drops it with the declaration.
 type scaleSubstrate struct {
 	n     int
 	label string
-	net   *graph.Dual
+	net   func() *graph.Dual
 }
 
-// scaleNetsMemo caches the built substrates per scale for the process
-// lifetime. Substrates are immutable and deterministic in their seeds, and a
-// service-driven run declares each experiment once per lifecycle call —
-// submit-time planning, execute, and merge — so without the memo each
-// declaration would rebuild the 10⁵/10⁶-node graphs from scratch.
-var scaleNetsMemo struct {
-	sync.Mutex
-	nets map[bool][]scaleSubstrate
-}
-
-func scaleNets(full bool) []scaleSubstrate {
-	scaleNetsMemo.Lock()
-	defer scaleNetsMemo.Unlock()
-	if nets, ok := scaleNetsMemo.nets[full]; ok {
-		return nets
-	}
-	nets := buildScaleNets(full)
-	if scaleNetsMemo.nets == nil {
-		scaleNetsMemo.nets = make(map[bool][]scaleSubstrate, 2)
-	}
-	scaleNetsMemo.nets[full] = nets
-	return nets
-}
-
-// buildScaleNets builds the family's substrates. Diameters are kept
+// buildScaleNets declares the family's substrates. Diameters are kept
 // comparable across sizes (degree scales with n for the circulants; the
 // chord expander is logarithmic by construction), so the scaling curve
 // isolates the log n factors of the decay bound instead of conflating them
 // with D growth.
 func buildScaleNets(full bool) []scaleSubstrate {
-	build := func(n, deg, extra int, seed uint64) *graph.Dual {
-		src := bitrand.New(seed)
-		var g *graph.Graph
-		if deg > 0 {
-			g = graph.Circulant(n, deg)
-		} else {
-			g = graph.RingChords(src, n, 2*n)
-		}
-		return graph.AugmentDual(src, g, extra)
+	build := func(n, deg, extra int, seed uint64) func() *graph.Dual {
+		return sync.OnceValue(func() *graph.Dual {
+			src := bitrand.New(seed)
+			var g *graph.Graph
+			if deg > 0 {
+				g = graph.Circulant(n, deg)
+			} else {
+				g = graph.RingChords(src, n, 2*n)
+			}
+			return graph.AugmentDual(src, g, extra)
+		})
 	}
 	nets := []scaleSubstrate{
 		{1000, "circulant d=64", build(1000, 64, 2000, 0x5ca1e03)},
@@ -131,11 +112,12 @@ func halfFringe(d *graph.Dual) graph.EdgeSelector {
 }
 
 // scaleRow is one measured configuration of a substrate: an algorithm, an
-// adversary label, and an explicit round budget.
+// adversary label with the link a trial runs against (nil: none), and an
+// explicit round budget.
 type scaleRow struct {
 	alg  radio.Algorithm
 	name string
-	link any
+	link func() any
 	max  int
 }
 
@@ -147,7 +129,7 @@ func runScale(cfg Config) (*Result, error) {
 		Table:      stats.NewTable("n", "substrate", "algorithm", "adversary", "median", "p90", "solved"),
 	}
 	trials := cfg.trials()
-	nets := scaleNets(!cfg.Quick)
+	nets := buildScaleNets(!cfg.Quick)
 	res.Pass = true
 
 	var ns, decayMed []float64
@@ -167,12 +149,13 @@ func runScale(cfg Config) (*Result, error) {
 			// The adversarial row stops at 10⁵: a committed fringe selection
 			// only adds fringe edges to the CSR walk, and at 10⁶ the point of
 			// the row is the scale curve itself.
-			rows = append(rows, scaleRow{core.DecayGlobal{}, "oblivious-static", adversary.Static{Selector: halfFringe(sub.net)}, budget})
+			fringe := sync.OnceValue(func() graph.EdgeSelector { return halfFringe(sub.net()) })
+			rows = append(rows, scaleRow{core.DecayGlobal{}, "oblivious-static", func() any { return adversary.Static{Selector: fringe()} }, budget})
 		}
 		if sub.n == 1000 {
 			// The sampling-oblivious adversary only runs at the smallest size:
 			// presampling simulates its whole horizon per trial.
-			rows = append(rows, scaleRow{core.DecayGlobal{}, "presample", adversary.Presample{Horizon: 1024}, budget})
+			rows = append(rows, scaleRow{core.DecayGlobal{}, "presample", func() any { return adversary.Presample{Horizon: 1024} }, budget})
 		}
 		if sub.n <= 10000 {
 			// The Θ(n) foil runs on both circulants so its own scaling (~n
@@ -183,14 +166,17 @@ func runScale(cfg Config) (*Result, error) {
 		for _, row := range rows {
 			row := row
 			sw.point(scaleTrials(trials, sub.n), func(seed uint64) radio.Config {
-				return radio.Config{
-					Net:       sub.net,
+				c := radio.Config{
+					Net:       sub.net(),
 					Algorithm: row.alg,
 					Spec:      radio.Spec{Problem: radio.GlobalBroadcast, Source: 0},
-					Link:      row.link,
 					Seed:      seed,
 					MaxRounds: row.max,
 				}
+				if row.link != nil {
+					c.Link = row.link()
+				}
+				return c
 			}, func(out trialOutcome) {
 				if out.Solved < out.Trials {
 					res.Pass = false

@@ -107,6 +107,9 @@ func (s *sweep) tasks(n int, fn func(i int) ([]float64, error), agg func(recs []
 // sequential reference runner seeds them. A trial's record is its executed
 // round count and a solved bit — the raw data aggregateTrials (and, after a
 // sharded merge, the replayed aggregation) condenses into a trialOutcome.
+// mk runs inside each trial's task, never at declaration, so a substrate
+// that only trials run on belongs behind a sync.OnceValue that mk calls:
+// planning and merging, which run no trial, then build nothing.
 func (s *sweep) point(trials int, mk func(seed uint64) radio.Config, agg func(trialOutcome)) {
 	if trials < 0 {
 		trials = 0

@@ -227,7 +227,9 @@ func resultFingerprint(res *Result) string {
 // TestSchedulerDeterminism asserts that forced-sequential (Workers: 1) and
 // parallel (Workers: 8) execution produce identical tables, notes, and
 // series for one experiment per link model: static (no link process),
-// oblivious (committed schedules), and online adaptive.
+// oblivious (committed schedules), and online adaptive — plus EXT-derand,
+// whose trials share lazily built substrates (a dual clique, its committed
+// fringe and a compiled storm scenario) that the first trial to run builds.
 func TestSchedulerDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite")
@@ -236,6 +238,7 @@ func TestSchedulerDeterminism(t *testing.T) {
 		"F1-static-local",            // static: nil link
 		"F1-oblivious-local-general", // oblivious: presample adversary
 		"F1-online-global",           // online adaptive: dense/sparse
+		"EXT-derand",                 // lazy substrates shared by concurrent trials
 	} {
 		id := id
 		t.Run(id, func(t *testing.T) {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -298,6 +299,66 @@ func TestLifecycleRunsEachExperimentOnce(t *testing.T) {
 		t.Fatal(errors.Join(errs...))
 	}
 	runs.expectOnce(t, "RunAll", exps)
+}
+
+// TestPlanAndMergeBuildNothing pins what a declaration builds: only what
+// its aggregation or build step reads. PlanTasks and RunMerged run no trial,
+// so they must not build the dual cliques, storm scenarios and SCALE-n
+// networks that only trials run on. The bounds are about twice what the
+// declarations themselves allocate (closures, tables, the eager geo grids,
+// bracelets and CHURN scenarios whose sizes the tables print); one eagerly
+// built substrate family overshoots them several times over.
+func TestPlanAndMergeBuildNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment suite")
+	}
+	if raceEnabled {
+		t.Skip("the race runtime inflates allocation")
+	}
+	allocMB := func(f func()) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	}
+	exps := All()
+	check := func(what string, mb, bound float64) {
+		t.Logf("%s allocated %.1f MB", what, mb)
+		if mb > bound {
+			t.Errorf("%s allocated %.1f MB, bound %.1f MB: a declaration is building what only its trials run on", what, mb, bound)
+		}
+	}
+	for _, c := range []struct {
+		cfg   Config
+		bound float64
+	}{
+		{Config{Quick: true}, 4},
+		{Config{}, 25},
+	} {
+		var err error
+		mb := allocMB(func() { _, err = PlanTasks(c.cfg, exps) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("PlanTasks(All(), Quick=%v)", c.cfg.Quick), mb, c.bound)
+	}
+
+	cfg := Config{Quick: true, Trials: 1}
+	art, err := ExecuteShard(cfg, exps, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := shard.Merge([]*shard.Artifact{art})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var errs []error
+	mb := allocMB(func() { _, errs = RunMerged(ConfigFromMerged(merged), exps, merged) })
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	check("RunMerged(All())", mb, 4)
 }
 
 // TestDeclareRejectsSweepCount: the lifecycle needs exactly one sweep per
