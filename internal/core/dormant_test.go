@@ -86,12 +86,14 @@ func sourceMessage(t *testing.T, src radio.Process) *radio.Message {
 }
 
 // TestBulkStepperSilenceContract drives one node of every radio.BulkStepper
-// implementer, awake and (where it can be) dormant, through the silence
-// clause the engine relies on when it hands bulk steppers no silence: over
-// 512 rounds of Deliver(r, nil) the node must declare the same transmit
-// probability, frame and dormancy as a twin that hears nothing, and its
-// Step must take the same action and draw the same bits from a same-seed
-// stream.
+// implementer, awake and (where it can be) dormant, through the two clauses
+// the engine relies on when it hands bulk steppers only the messages that
+// wake them. Silence: over 512 rounds of Deliver(r, nil) the node must
+// declare the same transmit probability, frame and dormancy as a twin that
+// hears nothing, and its Step must take the same action and draw the same
+// bits from a same-seed stream. Messages: an awake node handed the source's
+// message every round must match the same twin. The silent node never
+// wakes; it is handed the message while dormant and must match too.
 func TestBulkStepperSilenceContract(t *testing.T) {
 	net, _ := graph.DualClique(32, 2)
 	global := radio.Spec{Problem: radio.GlobalBroadcast, Source: 0}
@@ -104,17 +106,27 @@ func TestBulkStepperSilenceContract(t *testing.T) {
 		u    graph.NodeID
 		// wake hands both twins the source's message before round 1.
 		wake bool
+		// message hands the node the source's message every round instead
+		// of silence.
+		message bool
 	}{
-		{"decay-global/source", DecayGlobal{}, global, 0, false},
-		{"decay-global/awake", DecayGlobal{}, global, 7, true},
-		{"decay-global/dormant", DecayGlobal{}, global, 7, false},
-		{"decay-local/awake", DecayLocal{}, local, 7, false},
-		{"silent/dormant", DecayLocal{}, local, 9, false},
-		{"round-robin/awake", RoundRobin{}, global, 7, true},
-		{"round-robin/dormant", RoundRobin{}, global, 7, false},
-		{"aloha/awake", Aloha{P: 0.3}, local, 7, false},
-		{"derand/awake", DerandBroadcast{}, global, 7, true},
-		{"derand/dormant", DerandBroadcast{}, global, 7, false},
+		{"decay-global/source", DecayGlobal{}, global, 0, false, false},
+		{"decay-global/awake", DecayGlobal{}, global, 7, true, false},
+		{"decay-global/dormant", DecayGlobal{}, global, 7, false, false},
+		{"decay-local/awake", DecayLocal{}, local, 7, false, false},
+		{"silent/dormant", DecayLocal{}, local, 9, false, false},
+		{"round-robin/awake", RoundRobin{}, global, 7, true, false},
+		{"round-robin/dormant", RoundRobin{}, global, 7, false, false},
+		{"aloha/awake", Aloha{P: 0.3}, local, 7, false, false},
+		{"derand/awake", DerandBroadcast{}, global, 7, true, false},
+		{"derand/dormant", DerandBroadcast{}, global, 7, false, false},
+		{"decay-global/source/message", DecayGlobal{}, global, 0, false, true},
+		{"decay-global/awake/message", DecayGlobal{}, global, 7, true, true},
+		{"decay-local/awake/message", DecayLocal{}, local, 7, false, true},
+		{"silent/dormant/message", DecayLocal{}, local, 9, false, true},
+		{"round-robin/awake/message", RoundRobin{}, global, 7, true, true},
+		{"aloha/awake/message", Aloha{P: 0.3}, local, 7, false, true},
+		{"derand/awake/message", DerandBroadcast{}, global, 7, true, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -125,10 +137,16 @@ func TestBulkStepperSilenceContract(t *testing.T) {
 				t.Fatalf("node %d (%T) is not a radio.BulkStepper", tc.u, procs[tc.u])
 			}
 			twin := twins[tc.u].(radio.BulkStepper)
+			// The message comes from a third slab, so stepping its source
+			// moves neither twin.
+			msg := sourceMessage(t, tc.alg.NewProcesses(net, tc.spec, bitrand.New(1))[0])
 			if tc.wake {
-				msg := sourceMessage(t, procs[0])
 				p.Deliver(0, msg)
 				twin.Deliver(0, msg)
+			}
+			var heard *radio.Message
+			if tc.message {
+				heard = msg
 			}
 			if d, ok := p.(radio.Dormant); ok && d.Dormant() == (tc.wake || tc.u == tc.spec.Source) {
 				t.Fatalf("Dormant() = %v, not the state the case names", d.Dormant())
@@ -136,20 +154,20 @@ func TestBulkStepperSilenceContract(t *testing.T) {
 			rng, twinRng := bitrand.New(2), bitrand.New(2)
 			for r := 1; r <= rounds; r++ {
 				if a, b := p.TransmitProb(r), twin.TransmitProb(r); a != b {
-					t.Fatalf("round %d: TransmitProb %v after silence, %v without", r, a, b)
+					t.Fatalf("round %d: TransmitProb %v after hearing %v, %v without", r, a, heard, b)
 				}
 				if a, b := p.Frame(r), twin.Frame(r); (a == nil) != (b == nil) || a != nil && *a != *b {
-					t.Fatalf("round %d: Frame %+v after silence, %+v without", r, a, b)
+					t.Fatalf("round %d: Frame %+v after hearing %v, %+v without", r, a, heard, b)
 				}
 				if d, ok := p.(radio.Dormant); ok && d.Dormant() != twin.(radio.Dormant).Dormant() {
-					t.Fatalf("round %d: Dormant %v after silence", r, d.Dormant())
+					t.Fatalf("round %d: Dormant %v after hearing %v", r, d.Dormant(), heard)
 				}
 				a, b := p.Step(r, rng), twin.Step(r, twinRng)
 				if a.Transmit != b.Transmit || rng.Consumed() != twinRng.Consumed() {
-					t.Fatalf("round %d: Step transmits %v drawing %d bits after silence, %v drawing %d without",
-						r, a.Transmit, rng.Consumed(), b.Transmit, twinRng.Consumed())
+					t.Fatalf("round %d: Step transmits %v drawing %d bits after hearing %v, %v drawing %d without",
+						r, a.Transmit, rng.Consumed(), heard, b.Transmit, twinRng.Consumed())
 				}
-				p.Deliver(r, nil)
+				p.Deliver(r, heard)
 			}
 		})
 	}

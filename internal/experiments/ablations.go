@@ -37,7 +37,7 @@ func runPermutationAblation(cfg Config) (*Result, error) {
 	if !cfg.Quick {
 		n = 2048
 	}
-	d := lazyDualClique(n)
+	d := lazyDualClique(cfg, n)
 	medians := map[string]float64{}
 	sw := newSweep(cfg)
 	for _, alg := range []radio.Algorithm{core.PermutedGlobal{}, core.DecayGlobal{}} {

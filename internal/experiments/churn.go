@@ -257,7 +257,7 @@ func runContention(cfg Config) (*Result, error) {
 	var kXs, kSoj []float64
 	sw := newSweep(cfg)
 	for _, n := range sizes {
-		d := lazyDualClique(n)
+		d := lazyDualClique(cfg, n)
 		for _, k := range ks {
 			k := k
 			n := n

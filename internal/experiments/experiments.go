@@ -35,6 +35,12 @@ type Config struct {
 	// of running it: sweep.finish appends its sweep and build step here for
 	// the run lifecycle (declare, in scheduler.go) to fill and finish.
 	declared *[]declaration
+	// duals, when non-nil, is the table of dual-clique builds that the
+	// declarations of one lifecycle call share (see lazyDualClique). RunAll,
+	// declareAll and RunMerged make a fresh one per call, so it and
+	// everything it built are dropped when the call returns; a direct Run
+	// leaves it nil and builds its own.
+	duals dualCliques
 }
 
 func (c Config) trials() int {

@@ -45,7 +45,7 @@ func runGossipExt(cfg Config) (*Result, error) {
 	var kXs, kTs []float64
 	sw := newSweep(cfg)
 	for _, n := range sizes {
-		d := lazyDualClique(n)
+		d := lazyDualClique(cfg, n)
 		for _, k := range ks {
 			sources := make([]graph.NodeID, k)
 			for i := range sources {
@@ -105,7 +105,7 @@ func runLeaderExt(cfg Config) (*Result, error) {
 	sw := newSweep(cfg)
 	var dcNs, dcTs []float64
 	for _, n := range dcSizes {
-		d := lazyDualClique(n)
+		d := lazyDualClique(cfg, n)
 		leader := alg.Leader(n)
 		sw.point(trials, func(seed uint64) radio.Config {
 			return radio.Config{

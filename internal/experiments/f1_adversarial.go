@@ -84,16 +84,40 @@ func dualCliqueSpec(problem radio.Problem, m graph.DualCliqueMarkers) radio.Spec
 	return radio.Spec{Problem: radio.LocalBroadcast, Broadcasters: b}
 }
 
-// lazyDualClique returns graph.DualClique(n, 3) built on the first call and
-// shared by every later one. Only trials run on a dual clique — no table,
-// note or plan reads it — so a declaration builds it from its point's
-// factory: planning and merging a declaration build nothing, and a shard
-// builds only the networks its owned trials run on.
-func lazyDualClique(n int) func() *graph.Dual {
-	return sync.OnceValue(func() *graph.Dual {
-		d, _ := graph.DualClique(n, 3)
-		return d
+// dualCliques maps a size n to the once that builds graph.DualClique(n, 3).
+// Declarations run one after another on the goroutine of their lifecycle
+// call, so the map needs no lock; the onces themselves run in trials.
+type dualCliques map[int]func() (*graph.Dual, graph.DualCliqueMarkers)
+
+// dualClique returns the once that builds graph.DualClique(n, 3) on its
+// first call and shares it with every later one. Under the run lifecycle
+// the once comes from cfg's table, so every declaration of one call that
+// runs on the size shares one build: F1-offline-global and F1-offline-local
+// run on the same two sizes, as do F1-online-global and F1-online-local.
+func (c Config) dualClique(n int) func() (*graph.Dual, graph.DualCliqueMarkers) {
+	if build, ok := c.duals[n]; ok {
+		return build
+	}
+	build := sync.OnceValues(func() (*graph.Dual, graph.DualCliqueMarkers) {
+		return graph.DualClique(n, 3)
 	})
+	if c.duals != nil {
+		c.duals[n] = build
+	}
+	return build
+}
+
+// lazyDualClique returns graph.DualClique(n, 3) built on the first call and
+// shared by every later one (see Config.dualClique). Only trials run on a
+// dual clique — no table, note or plan reads it — so a declaration builds
+// it from its point's factory: planning and merging a declaration build
+// nothing, and a shard builds only the networks its owned trials run on.
+func lazyDualClique(cfg Config, n int) func() *graph.Dual {
+	build := cfg.dualClique(n)
+	return func() *graph.Dual {
+		d, _ := build()
+		return d
+	}
 }
 
 // dualCliqueAlg picks the natural algorithm for a problem.
@@ -123,8 +147,9 @@ func runDualCliqueScaling(cfg Config, id, claim string, problem radio.Problem, l
 	sw := newSweep(cfg)
 	for _, n := range sizes {
 		// Built by the point's first trial, as lazyDualClique is.
+		dual := cfg.dualClique(n)
 		net := sync.OnceValues(func() (*graph.Dual, radio.Spec) {
-			d, m := graph.DualClique(n, 3)
+			d, m := dual()
 			return d, dualCliqueSpec(problem, m)
 		})
 		alg := dualCliqueAlg(problem)
@@ -170,7 +195,7 @@ func runObliviousGlobal(cfg Config) (*Result, error) {
 	var permNs, permTs []float64
 	sw := newSweep(cfg)
 	for _, n := range sizes {
-		d := lazyDualClique(n)
+		d := lazyDualClique(cfg, n)
 		links := map[string]any{
 			"presample":   adversary.Presample{C: 1, Horizon: 4 * n},
 			"random-loss": adversary.RandomLoss{P: 0.5},

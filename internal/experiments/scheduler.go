@@ -116,7 +116,7 @@ func (s *sweep) point(trials int, mk func(seed uint64) radio.Config, agg func(tr
 	}
 	base := s.cfg.BaseSeed
 	s.tasks(trials, func(i int) ([]float64, error) {
-		res, err := radio.Run(mk(base + uint64(i) + 1))
+		res, err := runTrial(mk(base + uint64(i) + 1))
 		return []float64{float64(res.Rounds), boolBit(res.Solved)}, err
 	}, func(recs []taskRecord) error {
 		out, err := aggregateTrials(recs)
@@ -127,6 +127,10 @@ func (s *sweep) point(trials int, mk func(seed uint64) radio.Config, agg func(tr
 		return nil
 	})
 }
+
+// runTrial executes one trial of a sweep point. It is radio.Run; a test may
+// swap it to see the configurations trials run on.
+var runTrial = radio.Run
 
 // finish ends an experiment's Run. build is the code that turns the
 // aggregated sweep into the experiment's Result — its table, notes, series
@@ -320,6 +324,7 @@ func (d declaration) finish() (*Result, error) {
 // each experiment's output is identical to running it alone — trials are
 // independently seeded, and aggregation order is fixed by declaration order.
 func RunAll(cfg Config, exps []Experiment) ([]*Result, []error) {
+	cfg.duals = dualCliques{}
 	ds := make([]declaration, len(exps))
 	errs := make([]error, len(exps))
 	for i, e := range exps {

@@ -33,6 +33,7 @@ import (
 // declareAll declares every experiment, in order, failing on the first
 // declaration error.
 func declareAll(cfg Config, exps []Experiment) ([]declaration, error) {
+	cfg.duals = dualCliques{}
 	ds := make([]declaration, len(exps))
 	for i, e := range exps {
 		var err error
@@ -112,6 +113,7 @@ func ExecuteShard(cfg Config, exps []Experiment, index, count int) (*shard.Artif
 // cfg must be the merged run's configuration (ConfigFromMerged); results and
 // errors are aligned with exps.
 func RunMerged(cfg Config, exps []Experiment, m *shard.Merged) ([]*Result, []error) {
+	cfg.duals = dualCliques{}
 	results := make([]*Result, len(exps))
 	errs := make([]error, len(exps))
 	for i, e := range exps {

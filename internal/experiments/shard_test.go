@@ -8,6 +8,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/adversary"
+	"repro/internal/graph"
+	"repro/internal/radio"
 	"repro/internal/shard"
 )
 
@@ -381,6 +384,67 @@ func TestDeclareRejectsSweepCount(t *testing.T) {
 		_, err := PlanTasks(Config{Quick: true, Trials: 2}, []Experiment{mustByID(t, "L3.2-hitting"), bad})
 		if err == nil || !strings.Contains(err.Error(), bad.ID) {
 			t.Errorf("PlanTasks with %s: error %v, want one naming it", bad.ID, err)
+		}
+	}
+}
+
+// TestDualCliquesSharedPerCall pins the dual-clique table of a lifecycle
+// call: in one ExecuteShard of the four F1 adaptive-adversary experiments,
+// both experiments of a pair run at each size on the same *graph.Dual —
+// F1-offline-global and F1-offline-local on DualClique(64, 3) and
+// (256, 3), F1-online-global and F1-online-local on (128, 3) and (512, 3)
+// — so each size is built once. It swaps runTrial, so it must not run in
+// parallel with other tests.
+func TestDualCliquesSharedPerCall(t *testing.T) {
+	ids := []string{"F1-offline-global", "F1-offline-local", "F1-online-global", "F1-online-local"}
+	exps := make([]Experiment, len(ids))
+	for i, id := range ids {
+		e, ok := ByID(id)
+		if !ok {
+			t.Fatalf("experiment %q not registered", id)
+		}
+		exps[i] = e
+	}
+	// A trial is named by its problem, adversary and size.
+	type point struct {
+		problem radio.Problem
+		link    string
+		n       int
+	}
+	var mu sync.Mutex
+	nets := map[point]map[*graph.Dual]bool{}
+	defer func(run func(radio.Config) (radio.Result, error)) { runTrial = run }(runTrial)
+	runTrial = func(cfg radio.Config) (radio.Result, error) {
+		mu.Lock()
+		p := point{cfg.Spec.Problem, fmt.Sprintf("%T", cfg.Link), cfg.Net.N()}
+		if nets[p] == nil {
+			nets[p] = map[*graph.Dual]bool{}
+		}
+		nets[p][cfg.Net] = true
+		mu.Unlock()
+		return radio.Run(cfg)
+	}
+	if _, err := ExecuteShard(Config{Quick: true, Trials: 2, Workers: 2}, exps, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range []struct {
+		link  string
+		sizes []int
+	}{
+		{fmt.Sprintf("%T", adversary.Jam{}), []int{64, 256}},
+		{fmt.Sprintf("%T", adversary.DenseSparse{}), []int{128, 512}},
+	} {
+		for _, n := range pair.sizes {
+			global := nets[point{radio.GlobalBroadcast, pair.link, n}]
+			local := nets[point{radio.LocalBroadcast, pair.link, n}]
+			if len(global) != 1 || len(local) != 1 {
+				t.Fatalf("%s n=%d: global trials ran on %d networks, local on %d, want 1 each", pair.link, n, len(global), len(local))
+			}
+			for d := range global {
+				if !local[d] {
+					t.Errorf("%s n=%d: the global and local experiments ran on two builds of one dual clique", pair.link, n)
+				}
+			}
 		}
 	}
 }

@@ -17,7 +17,8 @@ import (
 // PlanBitmap with no recorder attached — a recorder pins PlanAuto to the
 // scalar walk, so the differential harness in bitmap_equiv_test.go never
 // reaches PlanAuto's bitmap epochs — each as is, with dormancy hidden
-// (hideDormancy) and with BulkStepper hidden, and require identical Results.
+// (hideDormancy, which hides BulkStepper too) and with BulkStepper hidden,
+// and require identical Results.
 //
 // The probe algorithm is defined here rather than borrowed from
 // internal/core (which imports this package): informed nodes flood with a

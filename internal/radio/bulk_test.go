@@ -74,10 +74,11 @@ func deliveryMechanisms() []deliveryCase {
 	}
 }
 
-// probeProc is a batchProc that counts the Step and Deliver calls it gets.
+// probeProc is a batchProc that counts the Step and Deliver calls it gets,
+// and the messages it is handed while it already holds the rumor.
 type probeProc struct {
 	batchProc
-	steps, calls, nils int
+	steps, calls, nils, awakeMsgs int
 	// awakeAt is the first round the node holds the rumor: 0 for the
 	// source, the round of its first message otherwise, -1 until then.
 	awakeAt int
@@ -90,10 +91,13 @@ func (p *probeProc) Step(r int, rng *bitrand.Source) Action {
 
 func (p *probeProc) Deliver(r int, msg *Message) {
 	p.calls++
-	if msg == nil {
+	switch {
+	case msg == nil:
 		p.nils++
-	} else if p.awakeAt < 0 {
+	case p.awakeAt < 0:
 		p.awakeAt = r
+	default:
+		p.awakeMsgs++
 	}
 	p.batchProc.Deliver(r, msg)
 }
@@ -127,11 +131,12 @@ func (a probeAlg) NewProcesses(net *graph.Dual, spec Spec, rng *bitrand.Source) 
 // TestBulkSteppersHearNoSilence pins the cost side of the BulkStepper
 // contract on every delivery mechanism, under every plan the cases use:
 // when every process is a BulkStepper, the engine draws the coins itself
-// (no Step call) and no process is ever handed Deliver(r, nil) — no
-// collision, no silent listener, no transmitter. One process that is not a
-// BulkStepper restores Step dispatch and silence for the whole execution:
-// every node then gets exactly one Deliver per round from the round it
-// holds the rumor on.
+// (no Step call), no process is ever handed Deliver(r, nil) — no
+// collision, no silent listener, no transmitter — and no awake process is
+// handed a message: the only Deliver a node gets is the one that wakes it.
+// One process that is not a BulkStepper restores Step dispatch, silence and
+// every message for the whole execution: every node then gets exactly one
+// Deliver per round from the round it holds the rumor on.
 func TestBulkSteppersHearNoSilence(t *testing.T) {
 	const rounds = 120
 	for _, tc := range deliveryMechanisms() {
@@ -140,7 +145,7 @@ func TestBulkSteppersHearNoSilence(t *testing.T) {
 				var procs []*probeProc
 				cfg := tc.cfg
 				cfg.Seed, cfg.MaxRounds, cfg.IgnoreCompletion = 17, rounds, true
-				cfg.Algorithm = probeAlg{batchAlg{p: 0.3}, mixed, &procs}
+				cfg.Algorithm = probeAlg{batchAlg{p: 0.1}, mixed, &procs}
 				res, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -148,10 +153,11 @@ func TestBulkSteppersHearNoSilence(t *testing.T) {
 				if res.Deliveries == 0 {
 					t.Fatal("no deliveries: the case exercises nothing")
 				}
-				steps, nils, wrong := 0, 0, 0
+				steps, nils, awakeMsgs, wrong := 0, 0, 0, 0
 				for _, p := range procs {
 					steps += p.steps
 					nils += p.nils
+					awakeMsgs += p.awakeMsgs
 					want := 0
 					if p.awakeAt >= 0 {
 						want = rounds - p.awakeAt
@@ -165,10 +171,14 @@ func TestBulkSteppersHearNoSilence(t *testing.T) {
 					t.Errorf("all BulkSteppers: %d Step calls, want 0", steps)
 				case !mixed && nils != 0:
 					t.Errorf("all BulkSteppers: %d Deliver(r, nil) calls, want 0", nils)
+				case !mixed && awakeMsgs != 0:
+					t.Errorf("all BulkSteppers: %d messages handed to awake nodes, want 0", awakeMsgs)
 				case mixed && wrong != 0:
 					t.Errorf("one Step process mixed in: %d of %d nodes did not get one Deliver per awake round", wrong, len(procs))
 				case mixed && nils == 0:
 					t.Error("one Step process mixed in: no silence handed out")
+				case mixed && awakeMsgs == 0:
+					t.Error("one Step process mixed in: no awake node received a message, so the case cannot show one withheld")
 				}
 			}
 		})

@@ -9,11 +9,14 @@ import (
 )
 
 // hideDormancy wraps an algorithm so the engine sees every node as awake:
-// its processes forward Process, TransmitProber, BulkStepper and EpochAware
-// to the wrapped ones, but not Dormant. Dormancy changes cost, never output,
-// so a run of the wrapper must match a run of the algorithm itself bit for
-// bit. The wrapper has a Name of its own and is no ProcessFactory, so it
-// never shares a process arena with the algorithm it wraps.
+// its processes forward Process, TransmitProber and EpochAware to the
+// wrapped ones, but not Dormant. Dormancy changes cost, never output, so a
+// run of the wrapper must match a run of the algorithm itself bit for bit.
+// The wrapper forwards no BulkStepper either: an awake bulk stepper must
+// ignore messages (see BulkStepper), and a wrapped node that waits for one
+// is awake only because its dormancy is hidden. The wrapper has a Name of
+// its own and is no ProcessFactory, so it never shares a process arena with
+// the algorithm it wraps.
 type hideDormancy struct{ Algorithm }
 
 func (h hideDormancy) Name() string { return h.Algorithm.Name() + "+awake" }
@@ -22,12 +25,9 @@ func (h hideDormancy) NewProcesses(net *graph.Dual, spec Spec, rng *bitrand.Sour
 	procs := h.Algorithm.NewProcesses(net, spec, rng)
 	for u, p := range procs {
 		a := awakeProc{p}
-		switch q := p.(type) {
-		case BulkStepper:
-			procs[u] = awakeBulk{awakeProber{a, q}, q}
-		case TransmitProber:
-			procs[u] = awakeProber{a, q}
-		default:
+		if tp, ok := p.(TransmitProber); ok {
+			procs[u] = awakeProber{a, tp}
+		} else {
 			procs[u] = a
 		}
 	}
@@ -50,13 +50,6 @@ type awakeProber struct {
 }
 
 func (a awakeProber) TransmitProb(r int) float64 { return a.tp.TransmitProb(r) }
-
-type awakeBulk struct {
-	awakeProber
-	bs BulkStepper
-}
-
-func (a awakeBulk) Frame(r int) *Message { return a.bs.Frame(r) }
 
 // strictProc is a batchProc that counts every call the engine promises
 // never to make: a Step, a TransmitProb (the BulkStepper loop's coin), or a

@@ -3,6 +3,7 @@ package radio
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/bitrand"
@@ -150,8 +151,10 @@ type engine struct {
 	// carries across epoch swaps like the processes themselves.
 	awake []uint64
 
-	master   bitrand.Source
-	nodeRngs []*bitrand.Source
+	// master seeds every stream; rngs[u] is node u's coin stream, a view of
+	// the scratch's rngBlock, seeded when u wakes (see wake).
+	master bitrand.Source
+	rngs   []bitrand.Source
 
 	mon monitor
 
@@ -197,10 +200,10 @@ type engine struct {
 	txByNode []int64
 
 	// Per-round buffers, views into the pooled scratch (see scratch.go).
+	// tally is the CSR walk's one word per node (see deliver), all zero
+	// between rounds; touched lists the listeners the walk tallied.
 	sc        *scratch
-	txFlag    []bool
-	counts    []int32
-	from      []graph.NodeID
+	tally     []int32
 	touched   []graph.NodeID
 	tx        []graph.NodeID
 	msgOf     []*Message
@@ -249,6 +252,9 @@ func newEngine(cfg Config) (*engine, error) {
 		return nil, fmt.Errorf("%w: rumor injections are only valid for gossip, not %v", ErrBadConfig, cfg.Spec.Problem)
 	}
 	n := cfg.Net.N()
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: %d nodes do not fit the delivery tally's int32 words (at most %d)", ErrBadConfig, n, math.MaxInt32)
+	}
 	if cfg.MaxRounds <= 0 {
 		if n > maxDefaultRoundsNodes {
 			// int64 math: at n = 10⁶ the would-be default is 6.4×10¹³ rounds,
@@ -304,7 +310,7 @@ func newEngine(cfg Config) (*engine, error) {
 	e.probers = e.sc.probers
 	e.bulkSteps = e.sc.bulkSteps
 	e.awake = e.sc.awake
-	e.nodeRngs = e.sc.nodeRngs
+	e.rngs = e.sc.rngBlock
 	e.allBulk = true
 	for u, p := range e.procs {
 		if tp, ok := p.(TransmitProber); ok {
@@ -371,10 +377,8 @@ func newEngine(cfg Config) (*engine, error) {
 		e.accel = graph.CliqueCoverOf(cfg.Net.G())
 	}
 
-	e.txFlag = e.sc.txFlag
+	e.tally = e.sc.tally
 	e.txByNode = e.sc.txByNode
-	e.counts = e.sc.counts
-	e.from = e.sc.from
 	e.touched = e.sc.touched[:0]
 	e.tx = e.sc.tx[:0]
 	e.msgOf = e.sc.msgOf
@@ -546,7 +550,7 @@ func (e *engine) step(r int, res *Result) {
 	// bit-for-bit identical to the Step dispatch — and fills the transmit set
 	// without constructing Actions.
 	e.tx = e.tx[:0]
-	rngs := e.nodeRngs
+	rngs := e.rngs
 	switch {
 	case e.allBulk:
 		bulk := e.bulkSteps
@@ -569,7 +573,7 @@ func (e *engine) step(r int, res *Result) {
 		procs := e.procs
 		for lo, hi := e.awakeRun(0); lo < e.n; lo, hi = e.awakeRun(hi) {
 			for u := lo; u < hi; u++ {
-				act := procs[u].Step(r, rngs[u])
+				act := procs[u].Step(r, &rngs[u])
 				if act.Transmit {
 					if act.Msg == nil {
 						// A transmission without a message is treated as
@@ -618,13 +622,26 @@ func (e *engine) step(r int, res *Result) {
 	}
 }
 
+// The CSR walk's tally holds one word per node for the round: 0 means the
+// node has heard no transmitter yet, v+1 that it has heard exactly one, v,
+// and the negative values below that it transmits, that it has heard two or
+// more (a collision), or that the hand-out has served it, so the silence
+// pass skips it. A transmitter or a collided listener stays where it is
+// whatever else it hears, so its outcome is fixed. Every word is back at 0
+// when the round ends.
+const (
+	tallyTx       int32 = -1
+	tallyCollided int32 = -2
+	tallyServed   int32 = -3
+)
+
 // deliver computes receptions under the round topology G ∪ selector(E'\E)
 // and hands every received message out (see receive). Silence and
 // collisions go to every awake process, unless every process is a
-// BulkStepper, which ignores them (see BulkStepper): then only messages are
-// handed out. It returns the delivery list only when a recorder is attached
-// (nil otherwise); the list is backed by the engine's reusable buffer and is
-// valid only until the next round.
+// BulkStepper, which ignores them (see BulkStepper): then only the messages
+// that reach dormant nodes are handed out. It returns the delivery list
+// only when a recorder is attached (nil otherwise); the list is backed by
+// the engine's reusable buffer and is valid only until the next round.
 //
 //dglint:noalloc gate=TestHotPathAllocs
 func (e *engine) deliver(selector graph.EdgeSelector, r int, res *Result) []Delivery {
@@ -638,11 +655,6 @@ func (e *engine) deliver(selector graph.EdgeSelector, r int, res *Result) []Deli
 			return e.deliverSparse(r, res, m)
 		}
 	}
-
-	for _, v := range e.tx {
-		e.txFlag[v] = true
-	}
-	e.touched = e.touched[:0]
 
 	var recorded []Delivery
 	record := e.cfg.Recorder != nil
@@ -678,63 +690,63 @@ func (e *engine) deliver(selector graph.EdgeSelector, r int, res *Result) []Deli
 		} else if !e.allBulk {
 			e.silence(r)
 		}
-		for _, v := range e.tx {
-			e.txFlag[v] = false
-		}
 		return recorded
 	}
 
-	add := func(u, v graph.NodeID) {
-		if e.txFlag[u] {
-			return
+	tally, touched := e.tally, e.touched[:0]
+	for _, v := range e.tx {
+		tally[v] = tallyTx
+	}
+	// hear tallies transmitter v at listener u.
+	hear := func(u, v graph.NodeID) {
+		switch t := tally[u]; {
+		case t == 0:
+			tally[u] = int32(v) + 1
+			touched = append(touched, u)
+		case t > 0:
+			tally[u] = tallyCollided
 		}
-		if e.counts[u] == 0 {
-			e.touched = append(e.touched, u)
-		}
-		e.counts[u]++
-		e.from[u] = v
 	}
 
 	// Reliable edges.
 	if e.accel != nil {
-		for i := range e.cliqueTx {
-			e.cliqueTx[i] = 0
-		}
+		clear(e.cliqueTx)
 		for _, v := range e.tx {
 			c := e.accel.Of[v]
 			e.cliqueTx[c]++
 			e.cliqueS[c] = v
 		}
 		if len(e.tx) > 0 {
+			// The clique pass comes first, so every listener's word is
+			// still 0 and every other word is a transmitter's.
 			for u := 0; u < e.n; u++ {
-				if e.txFlag[u] {
+				if tally[u] != 0 {
 					continue
 				}
-				k := e.cliqueTx[e.accel.Of[u]]
-				if k == 0 {
+				c := e.accel.Of[u]
+				switch k := e.cliqueTx[c]; {
+				case k == 0:
 					continue
+				case k == 1:
+					tally[u] = int32(e.cliqueS[c]) + 1
+				default:
+					tally[u] = tallyCollided
 				}
-				if e.counts[u] == 0 {
-					e.touched = append(e.touched, u)
-				}
-				e.counts[u] += k
-				if k == 1 {
-					e.from[u] = e.cliqueS[e.accel.Of[u]]
-				}
+				touched = append(touched, u)
 			}
 		}
 		for _, edge := range e.accel.Residual {
-			if e.txFlag[edge.U] {
-				add(edge.V, edge.U)
+			if tally[edge.U] == tallyTx {
+				hear(edge.V, edge.U)
 			}
-			if e.txFlag[edge.V] {
-				add(edge.U, edge.V)
+			if tally[edge.V] == tallyTx {
+				hear(edge.U, edge.V)
 			}
 		}
 	} else {
 		for _, v := range e.tx {
 			for _, u := range e.gAdj[e.gOffs[v]:e.gOffs[v+1]] {
-				add(u, v)
+				hear(u, v)
 			}
 		}
 	}
@@ -744,18 +756,19 @@ func (e *engine) deliver(selector graph.EdgeSelector, r int, res *Result) []Deli
 		if selector.All() {
 			for _, v := range e.tx {
 				for _, u := range e.exAdj[e.exOffs[v]:e.exOffs[v+1]] {
-					add(u, v)
+					hear(u, v)
 				}
 			}
 		} else {
-			// Ask only about listeners whose outcome the answer can change: a
-			// transmitter hears nothing, and a listener that already counts
-			// two transmitters collides whatever the answer. Includes is pure
-			// (see graph.EdgeSelector), so a skipped query changes nothing.
+			// Ask only about listeners whose outcome the answer can change
+			// (tally ≥ 0): a transmitter hears nothing, and a listener that
+			// already heard two transmitters collides whatever the answer.
+			// Includes is pure (see graph.EdgeSelector), so a skipped query
+			// changes nothing.
 			for _, v := range e.tx {
 				for _, u := range e.exAdj[e.exOffs[v]:e.exOffs[v+1]] {
-					if !e.txFlag[u] && e.counts[u] < 2 && selector.Includes(v, u) {
-						add(u, v)
+					if tally[u] >= 0 && selector.Includes(v, u) {
+						hear(u, v)
 					}
 				}
 			}
@@ -765,30 +778,30 @@ func (e *engine) deliver(selector graph.EdgeSelector, r int, res *Result) []Deli
 	// Hand out results: touched listeners receive their message. Unless
 	// every process is a BulkStepper, an awake touched listener hears a
 	// collision and every other awake node (silent listeners and all
-	// transmitters) hears nil: counts[u] is set to -1 for touched nodes so
-	// the silence pass skips them, including nodes this round woke, then
-	// reset to 0 for the next round.
-	for _, u := range e.touched {
-		if e.counts[u] == 1 {
-			e.receive(r, u, e.msgOf[e.from[u]], res)
+	// transmitters) hears nil: the hand-out marks the touched nodes served,
+	// including nodes this round woke, so the silence pass skips them.
+	for _, u := range touched {
+		if t := tally[u]; t > 0 {
+			v := graph.NodeID(t - 1)
+			e.receive(r, u, e.msgOf[v], res)
 			if record {
-				recorded = append(recorded, Delivery{To: u, From: e.from[u]})
+				recorded = append(recorded, Delivery{To: u, From: v})
 			}
 		} else if !e.allBulk && e.isAwake(u) {
 			e.procs[u].Deliver(r, nil) // collision
 		}
-		e.counts[u] = -1
+		tally[u] = tallyServed
 	}
 	if !e.allBulk {
 		e.silence(r)
 	}
-	for _, u := range e.touched {
-		e.counts[u] = 0
+	for _, u := range touched {
+		tally[u] = 0
 	}
-
 	for _, v := range e.tx {
-		e.txFlag[v] = false
+		tally[v] = 0
 	}
+	e.touched = touched
 	return recorded
 }
 
@@ -797,18 +810,22 @@ func (e *engine) isAwake(u graph.NodeID) bool {
 	return e.awake[u>>6]>>(uint(u)&63)&1 != 0
 }
 
-// receive hands u the round's message and reports it to the monitor. A
-// dormant node is asked again whether it is still dormant — the only point
-// at which dormancy can end — and joins the awake set once it is not; it
-// must be a Dormant process, since every other process started awake.
+// receive hands u the round's message and reports it to the monitor. An
+// awake node of an all-BulkStepper execution is not handed it, since the
+// message would change nothing (see BulkStepper). A dormant node is asked
+// again whether it is still dormant — the only point at which dormancy can
+// end — and joins the awake set once it is not; it must be a Dormant
+// process, since every other process started awake.
 func (e *engine) receive(r int, u graph.NodeID, msg *Message, res *Result) {
-	p := e.procs[u]
-	p.Deliver(r, msg)
+	if awake := e.isAwake(u); !awake || !e.allBulk {
+		p := e.procs[u]
+		p.Deliver(r, msg)
+		if !awake && !p.(Dormant).Dormant() {
+			e.wake(u)
+		}
+	}
 	e.mon.observe(r, u, msg)
 	res.Deliveries++
-	if !e.isAwake(u) && !p.(Dormant).Dormant() {
-		e.wake(u)
-	}
 }
 
 // wake adds u to the awake set and seeds its coin stream. Seeding at wake
@@ -818,17 +835,17 @@ func (e *engine) receive(r int, u graph.NodeID, msg *Message, res *Result) {
 // it and the stream is untouched until now.
 func (e *engine) wake(u graph.NodeID) {
 	e.awake[u>>6] |= 1 << (uint(u) & 63)
-	e.nodeRngs[u].Reseed(e.master.SplitSeed(0x20de, uint64(u)))
+	e.rngs[u].Reseed(e.master.SplitSeed(0x20de, uint64(u)))
 }
 
 // silence hands nil to every awake node except those the CSR walk's
-// hand-out already served (counts[u] == -1). Dormant nodes ignore silence by
-// contract, so they are skipped.
+// hand-out already served. Dormant nodes ignore silence by contract, so they
+// are skipped.
 func (e *engine) silence(r int) {
-	procs, counts := e.procs, e.counts
+	procs, tally := e.procs, e.tally
 	for lo, hi := e.awakeRun(0); lo < e.n; lo, hi = e.awakeRun(hi) {
 		for u := lo; u < hi; u++ {
-			if counts[u] != -1 {
+			if tally[u] != tallyServed {
 				procs[u].Deliver(r, nil)
 			}
 		}

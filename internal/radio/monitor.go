@@ -19,8 +19,12 @@ type monitor interface {
 // globalMonitor tracks global broadcast: every node must hold the source
 // message. A node holds it after receiving any message originating at the
 // source (relays preserve Origin); the source holds it from the start.
+// informed has bit u set once u holds it: most receptions after the take-off
+// reach informed nodes, and the bitmap, n/8 bytes, answers them with one bit
+// test where informedAt would cost a random load from an n-word array.
 type globalMonitor struct {
 	source     graph.NodeID
+	informed   []uint64
 	informedAt []int
 	remaining  int
 }
@@ -32,18 +36,21 @@ func newGlobalMonitor(n int, source graph.NodeID, sc *scratch) (*globalMonitor, 
 		return nil, fmt.Errorf("radio: global broadcast source %d out of range [0,%d)", source, n)
 	}
 	m := &sc.globalMon
-	*m = globalMonitor{source: source, informedAt: sc.monInts, remaining: n - 1}
+	*m = globalMonitor{source: source, informed: sc.monBits, informedAt: sc.monInts, remaining: n - 1}
 	for i := range m.informedAt {
 		m.informedAt[i] = -1
 	}
 	m.informedAt[source] = 0
+	m.informed[source>>6] |= 1 << (uint(source) & 63)
 	return m, nil
 }
 
 func (m *globalMonitor) observe(round int, to graph.NodeID, msg *Message) {
-	if msg.Origin != m.source || m.informedAt[to] != -1 {
+	w, bit := &m.informed[to>>6], uint64(1)<<(uint(to)&63)
+	if *w&bit != 0 || msg.Origin != m.source {
 		return
 	}
+	*w |= bit
 	m.informedAt[to] = round
 	m.remaining--
 }

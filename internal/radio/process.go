@@ -110,7 +110,7 @@ func Transmit(m *Message) Action { return Action{Transmit: true, Msg: m} }
 // extensions let it skip calls whose outcome is known: a Dormant node is
 // neither stepped nor handed silence while it waits for a message, and when
 // every process is a BulkStepper the engine draws the coins itself and
-// hands out messages only, never silence.
+// hands out only the messages that wake dormant nodes, never silence.
 type Process interface {
 	// Step decides the round-r action. rng is the node's private randomness;
 	// all random choices must come from it so executions are reproducible.
@@ -141,20 +141,26 @@ type TransmitProber interface {
 // with no other state change and no other randomness, and whose
 // Deliver(r, nil) changes nothing, awake or dormant: silence and collisions
 // leave TransmitProb, Frame and (when implemented) Dormant exactly as they
-// were. Decay-family, fixed-probability (ALOHA), round-robin and
-// derandomized processes are of this shape; processes with Step-side state,
-// extra draws or a reaction to silence must not implement it.
+// were. Once the process is awake — it does not implement Dormant, or
+// Dormant has reported false — Deliver(r, msg) changes nothing either, for
+// every message: a node that waits for a message to act on must implement
+// Dormant and wake on it. Decay-family, fixed-probability (ALOHA),
+// round-robin and derandomized processes are of this shape; processes with
+// Step-side state, extra draws, a reaction to silence or a reaction to a
+// message after waking must not implement it.
 //
 // When every process of an execution is a BulkStepper, under every delivery
 // plan, the engine runs the round's coins itself instead of dispatching Step
-// per node, and hands out only the messages nodes receive: no Deliver(r,
-// nil) reaches any process. The coins come from each node's own stream in
-// ascending node order — exactly the scalar Step order — so the draws are
-// bit-for-bit identical, and since silence would have changed nothing, both
+// per node, and hands a process only the message that wakes it: no
+// Deliver(r, nil) reaches any process, and no Deliver at all reaches an
+// awake one. The coins come from each node's own stream in ascending node
+// order — exactly the scalar Step order — so the draws are bit-for-bit
+// identical, and since the withheld calls would have changed nothing, both
 // paths produce the same execution (the bulk contract tests enforce this).
-// A single process that is not a BulkStepper puts the whole execution back
-// on Step dispatch with silence handed to every awake node. Dormant nodes
-// (see Dormant) are never stepped on either path.
+// The problem monitor still sees every reception. A single process that is
+// not a BulkStepper puts the whole execution back on Step dispatch with
+// silence and every message handed to every awake node. Dormant nodes (see
+// Dormant) are never stepped on either path.
 type BulkStepper interface {
 	Process
 	TransmitProber

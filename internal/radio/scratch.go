@@ -22,9 +22,9 @@ type scratch struct {
 	// -1 for an oversized scratch that is never pooled.
 	class int //dglint:allow scratchreset: getScratch stamps it on every checkout
 
-	txFlag   []bool
-	counts   []int32
-	from     []graph.NodeID
+	// tally is the CSR walk's per-node word (see deliver); the walk leaves
+	// every entry at 0, and grow clears it for a reused scratch.
+	tally    []int32
 	touched  []graph.NodeID
 	tx       []graph.NodeID
 	msgOf    []*Message
@@ -48,10 +48,12 @@ type scratch struct {
 
 	// monitor backing stores: the round-stamp slice shared by the global and
 	// local monitors (and repurposed as the gossip monitor's source index),
-	// the local monitor's two membership sets, and the gossip monitor's
-	// per-rumor round-stamp matrix — rows over one flat n·k backing array,
-	// resized in place by rumor().
+	// the global monitor's informed bitmap (WordsFor(n) words), the local
+	// monitor's two membership sets, and the gossip monitor's per-rumor
+	// round-stamp matrix — rows over one flat n·k backing array, resized in
+	// place by rumor().
 	monInts  []int
+	monBits  []uint64
 	monB     []bool
 	monR     []bool
 	monRumor []int
@@ -61,13 +63,12 @@ type scratch struct {
 	localMon  localMonitor  //dglint:allow scratchreset: newLocalMonitor overwrites the whole struct each execution
 	gossipMon gossipMonitor //dglint:allow scratchreset: newGossipMonitor overwrites the whole struct each execution
 
-	// per-node rng storage: nodeRngs[u] points into rngBlock, reseeded when
-	// u joins the execution's awake set (a dormant node's stream is never
+	// per-node rng storage: rngBlock[u] is node u's stream, reseeded when u
+	// joins the execution's awake set (a dormant node's stream is never
 	// read). algRng is the algorithm-construction stream, reseeded at every
 	// execution's set-up. probers and bulkSteps cache the per-node TransmitProber and
 	// BulkStepper views; awake is the engine's awake-node bitmap
 	// (WordsFor(n) words), cleared by grow and filled by newEngine.
-	nodeRngs  []*bitrand.Source
 	rngBlock  []bitrand.Source
 	algRng    bitrand.Source //dglint:allow scratchreset: newEngine reseeds it before any draw, every execution
 	probers   []TransmitProber
@@ -160,13 +161,11 @@ func putScratch(s *scratch) {
 }
 
 // grow sizes every buffer for n nodes and clears the state an execution
-// relies on: transmit flags and counts at zero, transmission tallies at
-// zero, no retained message pointers, and membership sets empty.
+// relies on: delivery tally at zero, transmission counts at zero, no
+// retained message pointers, and membership sets empty.
 func (s *scratch) grow(n int) {
-	if cap(s.txFlag) < n {
-		s.txFlag = make([]bool, n)
-		s.counts = make([]int32, n)
-		s.from = make([]graph.NodeID, n)
+	if cap(s.tally) < n {
+		s.tally = make([]int32, n)
 		s.touched = make([]graph.NodeID, 0, n)
 		s.tx = make([]graph.NodeID, 0, n)
 		s.msgOf = make([]*Message, n)
@@ -175,24 +174,20 @@ func (s *scratch) grow(n int) {
 		s.txByNode = make([]int64, n)
 		s.noise = make([]Message, n)
 		s.monInts = make([]int, n)
+		s.monBits = make([]uint64, bitrand.WordsFor(n))
 		s.monB = make([]bool, n)
 		s.monR = make([]bool, n)
 		s.rngBlock = make([]bitrand.Source, n)
-		s.nodeRngs = make([]*bitrand.Source, n)
 		s.probers = make([]TransmitProber, n)
 		s.bulkSteps = make([]BulkStepper, n)
 		s.awake = make([]uint64, bitrand.WordsFor(n))
 		for u := range s.noise {
 			s.noise[u] = Message{Origin: u}
-			s.nodeRngs[u] = &s.rngBlock[u]
 		}
 		return
 	}
-	s.txFlag = s.txFlag[:n]
-	clear(s.txFlag)
-	s.counts = s.counts[:n]
-	clear(s.counts)
-	s.from = s.from[:n]
+	s.tally = s.tally[:n]
+	clear(s.tally)
 	s.touched = s.touched[:0]
 	s.tx = s.tx[:0]
 	// Clear message pointers over the full capacity, not just [:n]: a
@@ -206,12 +201,13 @@ func (s *scratch) grow(n int) {
 	clear(s.txByNode)
 	s.noise = s.noise[:n]
 	s.monInts = s.monInts[:n]
+	s.monBits = s.monBits[:bitrand.WordsFor(n)]
+	clear(s.monBits)
 	s.monB = s.monB[:n]
 	clear(s.monB)
 	s.monR = s.monR[:n]
 	clear(s.monR)
 	s.rngBlock = s.rngBlock[:n]
-	s.nodeRngs = s.nodeRngs[:n]
 	// probers and bulkSteps need no clear: the engine writes every entry.
 	s.probers = s.probers[:n]
 	s.bulkSteps = s.bulkSteps[:n]

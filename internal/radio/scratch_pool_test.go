@@ -44,8 +44,8 @@ func TestScratchPoolClasses(t *testing.T) {
 	if s2 != s1 && !raceEnabled {
 		t.Errorf("same-class checkout did not reuse the pooled scratch")
 	}
-	if len(s2.txFlag) != 128 {
-		t.Errorf("reused scratch sized for %d nodes, want 128", len(s2.txFlag))
+	if len(s2.tally) != 128 {
+		t.Errorf("reused scratch sized for %d nodes, want 128", len(s2.tally))
 	}
 
 	// Different class: a class-12 checkout must not see the class-7 scratch.
