@@ -33,84 +33,3 @@ func TestBitOps(t *testing.T) {
 		t.Fatalf("OnesCount after clear = %d, want 6", got)
 	}
 }
-
-// TestIntersectOneExhaustive cross-checks IntersectOne against a naive
-// per-bit scan on random vectors of varied densities and lengths.
-func TestIntersectOneExhaustive(t *testing.T) {
-	src := New(0xb17)
-	for trial := 0; trial < 2000; trial++ {
-		n := 1 + src.Intn(260)
-		w := WordsFor(n)
-		a := make([]uint64, w)
-		b := make([]uint64, w)
-		// Density varies from near-empty to near-full across trials.
-		ka := src.Intn(n + 1)
-		kb := src.Intn(n/8 + 2)
-		for i := 0; i < kb; i++ {
-			SetBit(a, src.Intn(n))
-		}
-		for i := 0; i < ka; i++ {
-			SetBit(b, src.Intn(n))
-		}
-		wantCount, wantIdx := 0, -1
-		for i := 0; i < n; i++ {
-			if TestBit(a, i) && TestBit(b, i) {
-				wantCount++
-				if wantCount == 1 {
-					wantIdx = i
-				}
-			}
-		}
-		if wantCount > 1 {
-			wantCount, wantIdx = 2, -1
-		}
-		gotCount, gotIdx := IntersectOne(a, b)
-		if gotCount != wantCount || gotIdx != wantIdx {
-			t.Fatalf("trial %d (n=%d): IntersectOne = (%d, %d), want (%d, %d)",
-				trial, n, gotCount, gotIdx, wantCount, wantIdx)
-		}
-	}
-}
-
-// TestIntersectOneIndexedMatchesDense cross-checks the block-sparse kernel
-// against IntersectOne: a dense row and its sparse (index, word) form must
-// classify every transmitter vector identically.
-func TestIntersectOneIndexedMatchesDense(t *testing.T) {
-	src := New(0xb18)
-	for trial := 0; trial < 2000; trial++ {
-		n := 1 + src.Intn(520)
-		w := WordsFor(n)
-		row := make([]uint64, w)
-		b := make([]uint64, w)
-		for i, k := 0, src.Intn(n/4+2); i < k; i++ {
-			SetBit(row, src.Intn(n))
-		}
-		for i, k := 0, src.Intn(n+1); i < k; i++ {
-			SetBit(b, src.Intn(n))
-		}
-		var idx []int32
-		var words []uint64
-		for i, x := range row {
-			if x != 0 {
-				idx = append(idx, int32(i))
-				words = append(words, x)
-			}
-		}
-		wantCount, wantIdx := IntersectOne(row, b)
-		gotCount, gotIdx := IntersectOneIndexed(idx, words, b)
-		if gotCount != wantCount || gotIdx != wantIdx {
-			t.Fatalf("trial %d (n=%d): IntersectOneIndexed = (%d, %d), want (%d, %d)",
-				trial, n, gotCount, gotIdx, wantCount, wantIdx)
-		}
-	}
-}
-
-func TestIntersectOneShortA(t *testing.T) {
-	// b longer than a: only len(a) words are read.
-	a := []uint64{1 << 5}
-	b := []uint64{1<<5 | 1<<9, ^uint64(0)}
-	count, idx := IntersectOne(a, b)
-	if count != 1 || idx != 5 {
-		t.Fatalf("IntersectOne = (%d, %d), want (1, 5)", count, idx)
-	}
-}

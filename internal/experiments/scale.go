@@ -5,11 +5,12 @@ package experiments
 // the hundreds so sweeps finish in seconds; these rows instead stress the
 // engine's delivery paths at sizes far beyond them. The substrates
 // deliberately straddle the auto-plan boundaries (internal/radio/bitmap.go):
-// n = 10³ sits below the bitmap node floor, the dense n = 10⁴ circulant
-// clears both the node and density gates and runs block-sparse bitmap
-// rounds, 64 candidate senders per word, and the sparse n = 10⁵ and 10⁶
-// ring-with-chords substrates fail the density gate, so their rounds take
-// the CSR walk and cost the awake nodes' coins plus the transmitters' edges.
+// n = 10³ sits below the bitmap node floor; the dense n = 10⁴ circulant
+// clears both the node and density gates, so its rounds run the push kernel
+// over block-sparse rows, 64 listeners per word, at the cost of the
+// transmitters' row blocks; and the sparse n = 10⁵ and 10⁶ ring-with-chords
+// substrates fail the density gate, so their rounds take the CSR walk and
+// cost the awake nodes' coins plus the transmitters' edges.
 // The measured tables are plan-invariant — the differential equivalence
 // tests pin that bit for bit — so the rows read as one scaling curve, not
 // two code paths.
@@ -146,8 +147,10 @@ func runScale(cfg Config) (*Result, error) {
 			{core.DecayGlobal{}, "none", nil, budget},
 		}
 		if sub.n < 1000000 {
-			// The adversarial row stops at 10⁵: a committed fringe selection
-			// only adds fringe edges to the CSR walk, and at 10⁶ the point of
+			// The adversarial row stops at 10⁵. A committed fringe selection
+			// adds its edges to the CSR walk at 10³ and 10⁵, and at 10⁴ the
+			// bitmap plan builds rows for G plus the selected fringe once per
+			// epoch, so every round runs the push kernel; at 10⁶ the point of
 			// the row is the scale curve itself.
 			fringe := sync.OnceValue(func() graph.EdgeSelector { return halfFringe(sub.net()) })
 			rows = append(rows, scaleRow{core.DecayGlobal{}, "oblivious-static", func() any { return adversary.Static{Selector: fringe()} }, budget})

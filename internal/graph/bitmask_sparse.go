@@ -7,46 +7,27 @@ import (
 )
 
 // SparseNeighborMasks is the word-parallel adjacency representation of a
-// graph: bit v of node u's bitmap row is set iff (u, v) is an edge, and the
-// engine's bitmap delivery path intersects a row with the round's
-// transmitter bitmap to classify reception 64 candidate senders per word.
-// Each row stores only its nonzero 64-bit blocks — a block index array plus
-// the packed block words, CSR-style over one flat backing pair — instead of
-// the full ⌈n/64⌉ words. Storage is proportional to the edge count (at most
-// one entry per directed edge, far fewer once neighbors share blocks), where
+// graph: bit v of node u's bitmap row is set iff (u, v) is an edge. The
+// engine's bitmap delivery path pushes from the transmitters: it ORs each
+// transmitter's row into per-round bit-planes, 64 candidate listeners per
+// word, so a round costs the transmitters' rows and no term in n. Each row
+// stores only its nonzero 64-bit blocks — a block index array plus the
+// packed block words, CSR-style over one flat backing pair — instead of the
+// full ⌈n/64⌉ words. Storage is proportional to the edge count (at most one
+// entry per directed edge, far fewer once neighbors share blocks), where
 // full rows would be quadratic in n: ~125 GB at n = 10⁶, against tens of
 // megabytes for the block rows of a ring-with-chords network.
 //
 // Rows are in node-id order: row u is node u, and bit v of a row is node v,
 // so the engine hands row and bit indices to Deliver as they are.
-//
-// Each row also carries a one-word occupancy summary: bit j is set iff the
-// row has a nonzero block whose index falls in region j, where a region is
-// 1<<RegionShift consecutive blocks (regions sized so ≤ 64 cover the row).
-// The engine keeps the matching transmitter-side summary incrementally per
-// round, and one AND of the two words rejects most listeners of a sparse
-// round before any block is read.
 type SparseNeighborMasks struct {
-	w           int
-	regionShift uint
+	w int
 
 	// offs is the CSR row index: row u's entries are idx[offs[u]:offs[u+1]]
 	// (block indices, ascending) and words[offs[u]:offs[u+1]] (block words).
 	offs  []int32
 	idx   []int32
 	words []uint64
-	// summ[u] is row u's region-occupancy summary.
-	summ []uint64
-}
-
-// regionShiftFor returns the smallest shift such that at most 64 regions of
-// 1<<shift blocks cover a row of w blocks.
-func regionShiftFor(w int) uint {
-	s := uint(0)
-	for (w+(1<<s)-1)>>s > 64 {
-		s++
-	}
-	return s
 }
 
 // BuildSparseNeighborMasks constructs the block-sparse bitmap adjacency of g.
@@ -54,12 +35,9 @@ func regionShiftFor(w int) uint {
 // share v>>6, in ascending block order.
 func BuildSparseNeighborMasks(g *Graph) *SparseNeighborMasks {
 	n := g.N()
-	w := bitrand.WordsFor(n)
 	m := &SparseNeighborMasks{
-		w:           w,
-		regionShift: regionShiftFor(w),
-		offs:        make([]int32, n+1),
-		summ:        make([]uint64, n),
+		w:    bitrand.WordsFor(n),
+		offs: make([]int32, n+1),
 	}
 	goffs, gadj := g.CSR()
 
@@ -78,34 +56,73 @@ func BuildSparseNeighborMasks(g *Graph) *SparseNeighborMasks {
 		m.offs[u+1] = int32(total)
 	}
 
-	// Fill pass: one entry per run, and the row's region summary.
+	// Fill pass: one entry per run.
 	m.idx = make([]int32, total)
 	m.words = make([]uint64, total)
 	for u := 0; u < n; u++ {
 		k := int(m.offs[u]) - 1
 		prev := -1
-		var s uint64
 		for _, v := range gadj[goffs[u]:goffs[u+1]] {
 			if wi := v >> 6; wi != prev {
 				prev = wi
 				k++
 				m.idx[k] = int32(wi)
-				s |= 1 << (uint(wi) >> m.regionShift)
 			}
 			m.words[k] |= 1 << (uint(v) & 63)
 		}
-		m.summ[u] = s
 	}
 	return m
+}
+
+// BuildSelected rebuilds m in place as the block-sparse rows of d's round
+// topology under sel: G plus the E'\E edges sel includes. Each row is G's
+// memoized row (SparseMasksOf) merged with the row's selected extra
+// neighbors, which are ascending like the blocks and share no bit with
+// them, since E'\E and E are disjoint. The rows reuse m's backing arrays,
+// so an owner that rebuilds one value for every execution allocates only
+// when a row set outgrows the last; the rows are read-only until the next
+// rebuild. sel is asked about every directed E'\E pair once, and must be
+// pure (see EdgeSelector).
+func (m *SparseNeighborMasks) BuildSelected(d *Dual, sel EdgeSelector) {
+	n := d.N()
+	g := SparseMasksOf(d.G())
+	exOffs, exAdj := d.ExtraCSR()
+	m.w = g.w
+	if cap(m.offs) < n+1 {
+		m.offs = make([]int32, n+1)
+	}
+	m.offs = m.offs[:n+1]
+	idx, words := m.idx[:0], m.words[:0]
+	for u := 0; u < n; u++ {
+		gi, ge := g.offs[u], g.offs[u+1]
+		start := len(idx)
+		for _, v := range exAdj[exOffs[u]:exOffs[u+1]] {
+			if !sel.Includes(u, v) {
+				continue
+			}
+			b, bit := int32(v>>6), uint64(1)<<(uint(v)&63)
+			for ; gi < ge && g.idx[gi] < b; gi++ {
+				idx, words = append(idx, g.idx[gi]), append(words, g.words[gi])
+			}
+			switch {
+			case len(idx) > start && idx[len(idx)-1] == b:
+				words[len(words)-1] |= bit
+			case gi < ge && g.idx[gi] == b:
+				idx, words = append(idx, b), append(words, g.words[gi]|bit)
+				gi++
+			default:
+				idx, words = append(idx, b), append(words, bit)
+			}
+		}
+		idx, words = append(idx, g.idx[gi:ge]...), append(words, g.words[gi:ge]...)
+		m.offs[u+1] = int32(len(idx))
+	}
+	m.idx, m.words = idx, words
 }
 
 // W returns the width in words of the bit space the rows index into:
 // WordsFor(n), the length of a transmitter bitmap.
 func (m *SparseNeighborMasks) W() int { return m.w }
-
-// RegionShift returns the summary granularity: region j covers block indices
-// [j<<RegionShift, (j+1)<<RegionShift).
-func (m *SparseNeighborMasks) RegionShift() uint { return m.regionShift }
 
 // Entries returns the total number of stored (block index, block word)
 // pairs.
@@ -113,7 +130,7 @@ func (m *SparseNeighborMasks) Entries() int { return len(m.idx) }
 
 // Bytes returns the memory footprint of the flat backing arrays.
 func (m *SparseNeighborMasks) Bytes() int {
-	return 4*len(m.offs) + 4*len(m.idx) + 8*len(m.words) + 8*len(m.summ)
+	return 4*len(m.offs) + 4*len(m.idx) + 8*len(m.words)
 }
 
 // BlockRow returns node u's nonzero blocks as zero-copy views:
@@ -130,13 +147,6 @@ func (m *SparseNeighborMasks) BlockRow(u NodeID) (idx []int32, words []uint64) {
 func (m *SparseNeighborMasks) Rows() (offs, idx []int32, words []uint64) {
 	return m.offs, m.idx, m.words
 }
-
-// Summary returns row u's region-occupancy summary word.
-func (m *SparseNeighborMasks) Summary(u NodeID) uint64 { return m.summ[u] }
-
-// Summaries exposes the flat per-row summary array. Read-only, same lifetime
-// contract as BlockRow.
-func (m *SparseNeighborMasks) Summaries() []uint64 { return m.summ }
 
 // sparseMaskCache memoizes a graph's block-sparse rows (see SparseMasksOf).
 type sparseMaskCache struct {
@@ -156,11 +166,11 @@ func SparseMasksOf(g *Graph) *SparseNeighborMasks {
 
 // EstimateSparseMaskBytes bounds the block-sparse mask footprint of d
 // without building it: at most one (index, word) entry per directed edge
-// plus the per-row offset and summary arrays, doubled across G and G' when
-// the execution needs unreliable rows. The engine's PlanAuto gate compares
-// this bound against its memory budget — the estimate is an upper bound
-// (neighbors sharing a block collapse into one entry), so a passing gate can
-// only overstate the real cost.
+// plus the per-row offset array, doubled across G and G' when the execution
+// needs unreliable rows. The engine's PlanAuto gate compares this bound
+// against its memory budget — the estimate is an upper bound (neighbors
+// sharing a block collapse into one entry), so a passing gate can only
+// overstate the real cost.
 func EstimateSparseMaskBytes(d *Dual, withGPrime bool) int64 {
 	n := int64(d.N())
 	entries := 2 * int64(d.g.NumEdges())
@@ -169,7 +179,7 @@ func EstimateSparseMaskBytes(d *Dual, withGPrime bool) int64 {
 		entries += 2 * int64(d.gp.NumEdges())
 		sets++
 	}
-	// 12 bytes per entry (int32 index + uint64 word); per row set, n+1
-	// int32 offsets and n uint64 summaries.
-	return 12*entries + sets*(4*(n+1)+8*n)
+	// 12 bytes per entry (int32 index + uint64 word) and n+1 int32 offsets
+	// per row set.
+	return 12*entries + sets*4*(n+1)
 }

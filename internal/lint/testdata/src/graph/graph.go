@@ -38,7 +38,6 @@ type SparseNeighborMasks struct {
 	offs  []int32
 	idx   []int32
 	words []uint64
-	summ  []uint64
 }
 
 // BlockRow returns a row's block views.
@@ -50,6 +49,3 @@ func (m *SparseNeighborMasks) BlockRow(u NodeID) (idx []int32, words []uint64) {
 func (m *SparseNeighborMasks) Rows() (offs, idx []int32, words []uint64) {
 	return m.offs, m.idx, m.words
 }
-
-// Summaries returns the per-row summary array.
-func (m *SparseNeighborMasks) Summaries() []uint64 { return m.summ }

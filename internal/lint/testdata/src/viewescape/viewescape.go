@@ -10,7 +10,6 @@ type holder struct {
 	adj   []graph.NodeID
 	idx   []int32
 	words []uint64
-	summ  []uint64
 }
 
 var pkgView []graph.NodeID
@@ -48,13 +47,9 @@ func sparseRowsStore(h *holder, m *graph.SparseNeighborMasks) {
 	h.offs, h.idx, h.words = m.Rows() // want `stored in h\.offs` `stored in h\.idx` `stored in h\.words`
 }
 
-func sparseSummStore(h *holder, m *graph.SparseNeighborMasks) {
-	h.summ = m.Summaries() // want `stored in h\.summ`
-}
-
 func sparseTainted(h *holder, m *graph.SparseNeighborMasks) {
-	s := m.Summaries()
-	h.summ = s // want `stored in h\.summ`
+	_, words := m.BlockRow(2)
+	h.words = words // want `stored in h\.words`
 }
 
 func sparseOK(m *graph.SparseNeighborMasks) int {
@@ -63,7 +58,8 @@ func sparseOK(m *graph.SparseNeighborMasks) int {
 	for _, w := range words {
 		total += int(w & 1)
 	}
-	return total + len(m.Summaries())
+	offs, _, _ := m.Rows()
+	return total + len(offs)
 }
 
 func closure(g *graph.Graph) func() int {

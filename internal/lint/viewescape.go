@@ -32,9 +32,9 @@ var ViewEscape = &Analyzer{
 }
 
 // viewMethodNames are the view-returning accessors of the graph API.
-// BlockRow, Rows and Summaries are the SparseNeighborMasks accessors: mask
-// rows are per-network storage with exactly the CSR views' lifetime, so a
-// stashed row goes just as stale at an epoch swap.
+// BlockRow and Rows are the SparseNeighborMasks accessors: mask rows are
+// per-network storage with exactly the CSR views' lifetime, so a stashed
+// row goes just as stale at an epoch swap.
 var viewMethodNames = map[string]bool{
 	"Neighbors":      true,
 	"ExtraNeighbors": true,
@@ -42,7 +42,6 @@ var viewMethodNames = map[string]bool{
 	"ExtraCSR":       true,
 	"BlockRow":       true,
 	"Rows":           true,
-	"Summaries":      true,
 }
 
 func runViewEscape(pass *Pass) {

@@ -81,9 +81,9 @@ func (staticAllLink) CommitSchedule(*Env) Schedule {
 	return StaticSchedule{Selector: graph.SelectAll{}}
 }
 
-// staticPartialLink commits a fixed partial selector, which has no
-// precomputed mask rows: bitmap-plan rounds under it take the scalar walk
-// with the bulk-drawn transmitter list.
+// staticPartialLink commits a fixed partial selector: on a bitmap epoch the
+// engine builds rows for G plus the selected edges, and the push kernel
+// serves every round from the bulk-drawn transmitter list.
 type staticPartialLink struct{}
 
 func (staticPartialLink) CommitSchedule(*Env) Schedule {
@@ -105,16 +105,15 @@ func TestBatchCoinEquivalence(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		// A flood keeps most rounds above PlanAuto's bitmapTxMin, so both
-		// bitmap plans run them through the kernel.
+		// A flood: every informed node transmits at p = 0.4, and both
+		// bitmap plans run every round through the push kernel.
 		{"dense-flood", Config{
 			Net: denseNet, Algorithm: batchAlg{p: 0.4},
 			Spec: Spec{Problem: LocalBroadcast, Broadcasters: []graph.NodeID{1, 700, 1900}},
 			Seed: 41, MaxRounds: 96, IgnoreCompletion: true,
 		}},
-		// A trickle's early rounds fall under PlanAuto's bitmapTxMin =
-		// WordsFor(n) and take the scalar walk; later rounds clear it and
-		// take the kernel.
+		// A trickle: the early rounds have a handful of transmitters, which
+		// the push kernel serves at the cost of their rows alone.
 		{"dense-auto-trickle", Config{
 			Net: denseNet, Algorithm: batchAlg{p: 0.02},
 			Spec: Spec{Problem: GlobalBroadcast, Source: 7},
@@ -131,8 +130,9 @@ func TestBatchCoinEquivalence(t *testing.T) {
 			Link: staticAllLink{},
 			Seed: 44, MaxRounds: 40, IgnoreCompletion: true,
 		}},
-		// A committed partial selector has no mask rows: every round takes
-		// the scalar walk over the bulk-drawn transmitter list.
+		// A committed partial selector: the bitmap plan builds the rows of
+		// G plus the selected edges, and every round takes the push kernel
+		// over the bulk-drawn transmitter list.
 		{"sparse-static-partial", Config{
 			Net: sparseLinked, Algorithm: batchAlg{p: 0.3},
 			Spec: Spec{Problem: LocalBroadcast, Broadcasters: []graph.NodeID{0, 500, 1500}},

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/adversary"
 	"repro/internal/bitrand"
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -27,8 +28,8 @@ func (l fixedLink) CommitSchedule(*radio.Env) radio.Schedule {
 }
 
 // flickerLink is an online adaptive adversary that rotates through all /
-// none / a partial cross-cut, exercising the precomputed G and G' rows and
-// the per-round scalar fallback (partial adaptive selectors have no mask).
+// none / a partial cross-cut, exercising the G and G' rows and the
+// per-round scalar walk (partial adaptive selectors have no rows).
 type flickerLink struct{}
 
 func (flickerLink) ChooseOnline(env *radio.Env, view *radio.View) graph.EdgeSelector {
@@ -85,14 +86,24 @@ func runPlan(t testing.TB, cfg radio.Config, plan radio.DeliveryPlan) (radio.Res
 	return res, rec
 }
 
+// thirdCut is a committed cross-cut: the edges inside each side of a
+// one-third/two-thirds split.
+var thirdCut = graph.SelectCrossCut{InA: func(u graph.NodeID) bool { return u%3 == 0 }}
+
 // comparePlans runs cfg under the scalar and bitmap plans and fails on any
-// observable difference. A bitmap round whose selector is all or none runs
-// the kernel (or the complete-topology fast path), which reports deliveries
-// in ascending listener order; a partial selector takes the CSR walk, which
+// observable difference. A bitmap round whose selector is all or none, or
+// is a committed static selector, runs the push kernel (or the
+// complete-topology fast path), which reports deliveries in ascending
+// listener order; an adaptive partial selector takes the CSR walk, which
 // reports them in discovery order. The bitmap order is checked first, then
 // per-round delivery lists compare as sets.
 func comparePlans(t testing.TB, cfg radio.Config) {
 	t.Helper()
+	static := false
+	switch cfg.Link.(type) {
+	case fixedLink, adversary.Targeted:
+		static = true
+	}
 	sres, srec := runPlan(t, cfg, radio.PlanScalar)
 	bres, brec := runPlan(t, cfg, radio.PlanBitmap)
 	if !reflect.DeepEqual(sres, bres) {
@@ -109,7 +120,7 @@ func comparePlans(t testing.TB, cfg radio.Config) {
 		if sr.SelectorKind != br.SelectorKind {
 			t.Fatalf("round %d selector kind differs: scalar %q, bitmap %q", sr.Round, sr.SelectorKind, br.SelectorKind)
 		}
-		if k := br.SelectorKind; k == "all" || k == "none" {
+		if k := br.SelectorKind; k == "all" || k == "none" || static {
 			for j := 1; j < len(br.Deliveries); j++ {
 				if br.Deliveries[j-1].To >= br.Deliveries[j].To {
 					t.Fatalf("round %d (%s): bitmap deliveries not in ascending listener order: %v", br.Round, br.SelectorKind, br.Deliveries)
@@ -126,6 +137,7 @@ func comparePlans(t testing.TB, cfg radio.Config) {
 
 func TestBitmapScalarEquivalence(t *testing.T) {
 	d := denseDual(t, 96, 10, 400, 0x5ca1e)
+	d2 := denseDual(t, 96, 6, 250, 0x5ca1f)
 	global := radio.Spec{Problem: radio.GlobalBroadcast, Source: 3}
 	local := radio.Spec{Problem: radio.LocalBroadcast, Broadcasters: []graph.NodeID{0, 7, 19, 40, 66, 91}}
 
@@ -157,6 +169,31 @@ func TestBitmapScalarEquivalence(t *testing.T) {
 		{"decay-local", radio.Config{
 			Net: d, Algorithm: core.DecayLocal{}, Spec: local,
 			Link: flickerLink{}, Seed: 16, MaxRounds: 160,
+		}},
+		{"static-targeted", radio.Config{
+			Net: d, Algorithm: core.DecayGlobal{}, Spec: global,
+			Link: adversary.Targeted{Victims: []graph.NodeID{3, 17, 40, 41, 90}}, Seed: 17, MaxRounds: 160,
+		}},
+		{"static-cross-cut", radio.Config{
+			Net: d, Algorithm: core.DecayGlobal{}, Spec: global,
+			Link: fixedLink{thirdCut}, Seed: 18, MaxRounds: 160,
+		}},
+		{"aloha-cross-cut", radio.Config{
+			Net: d, Algorithm: core.Aloha{P: 0.25}, Spec: local,
+			Link: fixedLink{thirdCut}, Seed: 19, MaxRounds: 160,
+			IgnoreCompletion: true,
+		}},
+		// The static rows are rebuilt at every epoch swap, for the live
+		// revision's E'\E.
+		{"epochs-static-set", radio.Config{
+			Epochs:    []radio.Epoch{{Start: 0, Net: d}, {Start: 7, Net: d2}, {Start: 25, Net: d}},
+			Algorithm: core.DecayGlobal{}, Spec: global,
+			Link: fixedLink{graph.NewSelectSet(append(halfExtraEdges(d), halfExtraEdges(d2)...))}, Seed: 20, MaxRounds: 160,
+		}},
+		{"epochs-static-cross-cut", radio.Config{
+			Epochs:    []radio.Epoch{{Start: 0, Net: d}, {Start: 7, Net: d2}, {Start: 25, Net: d}},
+			Algorithm: core.DecayGlobal{}, Spec: global,
+			Link: fixedLink{thirdCut}, Seed: 21, MaxRounds: 160,
 		}},
 	}
 	for _, tc := range cases {
@@ -210,15 +247,21 @@ func TestBitmapMatchesReference(t *testing.T) {
 }
 
 // FuzzBitmapScalarEquivalence is the differential fuzzer: random sparse-ish
-// duals, every adversary shape, both plans, each plan also run with
-// dormancy hidden (HideDormancy), and the bitmap plan cross-checked per
-// round against the reference oracle. Wired into the CI fuzz-smoke job.
+// duals, every adversary shape — no link, static all and none, the
+// committed partial selectors (a half-fringe set, Targeted's SelectFunc, a
+// cross-cut, and a set over an epoch schedule) and an online flicker — both
+// plans, each plan also run with dormancy hidden (HideDormancy), and the
+// bitmap plan cross-checked per round against the reference oracle. Wired
+// into the CI fuzz-smoke job.
 func FuzzBitmapScalarEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(64), uint16(40), uint16(120), uint8(0), false)
 	f.Add(uint64(2), uint16(100), uint16(0), uint16(300), uint8(1), true)
 	f.Add(uint64(3), uint16(33), uint16(50), uint16(80), uint8(2), false)
 	f.Add(uint64(4), uint16(150), uint16(10), uint16(500), uint8(3), true)
 	f.Add(uint64(5), uint16(70), uint16(70), uint16(0), uint8(4), false)
+	f.Add(uint64(6), uint16(120), uint16(30), uint16(400), uint8(5), false)
+	f.Add(uint64(7), uint16(90), uint16(60), uint16(350), uint8(6), true)
+	f.Add(uint64(8), uint16(110), uint16(20), uint16(450), uint8(7), false)
 	f.Fuzz(func(t *testing.T, seed uint64, n, chords, extra uint16, selKind uint8, local bool) {
 		nn := 8 + int(n)%250
 		var src bitrand.Source
@@ -226,7 +269,7 @@ func FuzzBitmapScalarEquivalence(f *testing.F) {
 		d := graph.AugmentDual(&src, graph.RingChords(&src, nn, int(chords)%256), int(extra)%600)
 
 		var link any
-		switch selKind % 5 {
+		switch selKind % 8 {
 		case 1:
 			link = fixedLink{graph.SelectAll{}}
 		case 2:
@@ -240,6 +283,19 @@ func FuzzBitmapScalarEquivalence(f *testing.F) {
 			}
 		case 4:
 			link = flickerLink{}
+		case 5:
+			link = adversary.Targeted{Victims: []graph.NodeID{0, nn / 2, nn - 1}}
+		case 6:
+			link = fixedLink{thirdCut}
+		}
+
+		net, epochs := d, []radio.Epoch(nil)
+		if selKind%8 == 7 {
+			// A committed set over an epoch schedule: the static rows are
+			// rebuilt at every swap, for the live revision's E'\E.
+			d2 := graph.AugmentDual(&src, graph.RingChords(&src, nn, int(chords)%128), int(extra)%300)
+			link = fixedLink{graph.NewSelectSet(append(halfExtraEdges(d), halfExtraEdges(d2)...))}
+			net, epochs = nil, []radio.Epoch{{Start: 0, Net: d}, {Start: 9, Net: d2}, {Start: 30, Net: d}}
 		}
 
 		var alg radio.Algorithm
@@ -253,7 +309,7 @@ func FuzzBitmapScalarEquivalence(f *testing.F) {
 			spec = radio.Spec{Problem: radio.GlobalBroadcast, Source: int(seed) % nn}
 		}
 
-		cfg := radio.Config{Net: d, Algorithm: alg, Spec: spec, Link: link,
+		cfg := radio.Config{Net: net, Epochs: epochs, Algorithm: alg, Spec: spec, Link: link,
 			Seed: seed, MaxRounds: 64, IgnoreCompletion: local}
 		comparePlans(t, cfg)
 		compareDormancy(t, cfg, radio.PlanScalar)
@@ -261,7 +317,13 @@ func FuzzBitmapScalarEquivalence(f *testing.F) {
 
 		_, brec := runPlan(t, cfg, radio.PlanBitmap)
 		for _, r := range brec.Rounds {
-			want := radio.ReferenceDeliveries(d, r.Selector, r.Transmitters)
+			live := d
+			for _, ep := range epochs {
+				if ep.Start <= r.Round {
+					live = ep.Net
+				}
+			}
+			want := radio.ReferenceDeliveries(live, r.Selector, r.Transmitters)
 			radio.SortDeliveries(want)
 			got := append([]radio.Delivery(nil), r.Deliveries...)
 			radio.SortDeliveries(got)

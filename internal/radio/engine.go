@@ -148,8 +148,10 @@ type engine struct {
 	// in the pooled scratch: every process except the Dormant ones that
 	// reported dormant at set-up. A dormant node joins it when a delivered
 	// message ends its dormancy (see receive) and never leaves it; the set
-	// carries across epoch swaps like the processes themselves.
-	awake []uint64
+	// carries across epoch swaps like the processes themselves. awakeWords
+	// is its second level: bit i is set iff awake word i has a bit set, so
+	// awakeRun passes 64 empty words with one test.
+	awake, awakeWords []uint64
 
 	// master seeds every stream; rngs[u] is node u's coin stream, a view of
 	// the scratch's rngBlock, seeded when u wakes (see wake).
@@ -177,25 +179,24 @@ type engine struct {
 	gAdj, exAdj   []graph.NodeID
 
 	// Word-parallel delivery state, derived per epoch by setupPlan. plan is
-	// the epoch's resolved delivery plan (never PlanAuto), txWords the pooled
-	// transmitter bitmap, and bitmapTxMin the per-round transmitter count
-	// below which the scalar walk is cheaper (0 when the plan is forced).
-	// bulkSteps[u] is non-nil when procs[u] implements BulkStepper; allBulk
-	// reports whether every entry is.
-	plan        DeliveryPlan
-	bitmapTxMin int
-	txWords     []uint64
-	bulkSteps   []BulkStepper
-	allBulk     bool
+	// the epoch's resolved delivery plan (never PlanAuto); txWords,
+	// heardOnce and heardTwice are the push kernel's pooled bit-planes, all
+	// zero between rounds. bulkSteps[u] is non-nil when procs[u] implements
+	// BulkStepper; allBulk reports whether every entry is.
+	plan       DeliveryPlan
+	txWords    []uint64
+	heardOnce  []uint64
+	heardTwice []uint64
+	bulkSteps  []BulkStepper
+	allBulk    bool
 
 	// Mask state, set when plan is PlanBitmap: the epoch's block-sparse rows
-	// for G and G' (sparseGP nil without a link), in node order, the region
-	// shift of the per-row occupancy summaries, and the current round's
-	// transmitter-side summary (txSumm), rebuilt by every fill.
-	sparseG  *graph.SparseNeighborMasks
-	sparseGP *graph.SparseNeighborMasks
-	sumShift uint
-	txSumm   uint64
+	// in node order, for G, for G' (nil without a link), and for G plus the
+	// E'\E edges of a committed static partial selector (sparseSel, in the
+	// scratch; sparseGP is then nil).
+	sparseG   *graph.SparseNeighborMasks
+	sparseGP  *graph.SparseNeighborMasks
+	sparseSel *graph.SparseNeighborMasks
 
 	txByNode []int64
 
@@ -309,7 +310,7 @@ func newEngine(cfg Config) (*engine, error) {
 	}
 	e.probers = e.sc.probers
 	e.bulkSteps = e.sc.bulkSteps
-	e.awake = e.sc.awake
+	e.awake, e.awakeWords = e.sc.awake, e.sc.awakeWords
 	e.rngs = e.sc.rngBlock
 	e.allBulk = true
 	for u, p := range e.procs {
@@ -645,14 +646,12 @@ const (
 //
 //dglint:noalloc gate=TestHotPathAllocs
 func (e *engine) deliver(selector graph.EdgeSelector, r int, res *Result) []Delivery {
-	// Word-parallel dispatch: rounds whose selector has precomputed mask
-	// rows and enough transmitters to beat the CSR walk go through the
-	// bitmap kernel. The complete-graph fast path below stays first in line
-	// (it is O(n) with no per-word work).
-	if e.plan == PlanBitmap && len(e.tx) >= e.bitmapTxMin && !(selector.All() && e.net.UnionComplete()) {
+	// Word-parallel dispatch: on a bitmap epoch, every round whose selector
+	// has mask rows goes through the push kernel. The complete-graph fast
+	// path below stays first in line (it is O(n) with no per-word work).
+	if e.plan == PlanBitmap && !(selector.All() && e.net.UnionComplete()) {
 		if m := e.roundMasks(selector); m != nil {
-			e.fillTxSparse()
-			return e.deliverSparse(r, res, m)
+			return e.deliverPush(r, res, m)
 		}
 	}
 
@@ -835,6 +834,7 @@ func (e *engine) receive(r int, u graph.NodeID, msg *Message, res *Result) {
 // it and the stream is untouched until now.
 func (e *engine) wake(u graph.NodeID) {
 	e.awake[u>>6] |= 1 << (uint(u) & 63)
+	e.awakeWords[u>>12] |= 1 << (uint(u>>6) & 63)
 	e.rngs[u].Reseed(e.master.SplitSeed(0x20de, uint64(u)))
 }
 
@@ -854,23 +854,47 @@ func (e *engine) silence(r int) {
 
 // awakeRun returns the first run [lo, hi) of consecutive awake nodes at or
 // after u; lo is n when there is none. The per-round loops walk the awake
-// set run by run with a plain loop inside each run, so a round with every
-// node awake pays one scan of the bitmap on top of a loop over all n. Bits
-// at n and above are never set, so a run never extends past n.
+// set run by run with a plain loop inside each run. The start of a run is
+// found through the second level, which passes 64 empty awake words a test,
+// so a round with few nodes awake costs them and not n/64 words; a round
+// with every node awake pays one scan of the bitmap on top of a loop over
+// all n. Bits at n and above are never set, so a run never extends past n.
 func (e *engine) awakeRun(u int) (lo, hi int) {
-	for ; u < e.n; u = (u | 63) + 1 {
-		if w := e.awake[u>>6] >> (uint(u) & 63); w != 0 {
-			u += bits.TrailingZeros64(w)
-			break
-		}
-	}
 	if u >= e.n {
 		return e.n, e.n
 	}
+	wi := u >> 6
+	w := e.awake[wi] >> (uint(u) & 63)
+	if w == 0 {
+		if wi = e.nextAwakeWord(wi + 1); wi < 0 {
+			return e.n, e.n
+		}
+		u, w = wi<<6, e.awake[wi]
+	}
+	u += bits.TrailingZeros64(w)
 	for hi = u; hi < e.n; hi = (hi | 63) + 1 {
 		if w := ^e.awake[hi>>6] >> (uint(hi) & 63); w != 0 {
 			return u, hi + bits.TrailingZeros64(w)
 		}
 	}
 	return u, e.n
+}
+
+// nextAwakeWord returns the index of the first nonzero awake word at or
+// after wi, or -1 when there is none.
+func (e *engine) nextAwakeWord(wi int) int {
+	words := e.awakeWords
+	si := wi >> 6
+	if si >= len(words) {
+		return -1
+	}
+	if s := words[si] >> (uint(wi) & 63); s != 0 {
+		return wi + bits.TrailingZeros64(s)
+	}
+	for si++; si < len(words); si++ {
+		if s := words[si]; s != 0 {
+			return si<<6 + bits.TrailingZeros64(s)
+		}
+	}
+	return -1
 }

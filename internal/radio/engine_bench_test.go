@@ -59,18 +59,19 @@ func BenchmarkEngineRoundDelivery(b *testing.B) {
 
 	// Word-parallel delivery on a SCALE-class circulant: n = 10⁴, degree
 	// 2048, every node an aloha broadcaster at p = 1/2, so every round
-	// carries ~n/2 transmitters — the regime the bitmap kernel exists for.
-	// The scalar row walks ~10M adjacency entries per round; the bitmap
-	// classifies every listener in a few masked popcounts over its row's
-	// blocks. PlanAuto resolves to the same bitmap path here (dense rounds,
-	// thresholds cleared), measured separately to pin the hybrid dispatch
-	// overhead.
+	// carries ~n/2 transmitters. The scalar row walks ~10M adjacency entries
+	// per round; the push kernel ORs each transmitter's ~33 row blocks into
+	// the round's bit-planes, 64 listeners a word. PlanAuto resolves to the
+	// same bitmap path here (density gate cleared), measured separately to
+	// pin the dispatch overhead, and a committed half-fringe selection runs
+	// the kernel over the rows of G plus the selected edges.
 	// Built lazily: the benchmark function body re-runs for every selected
 	// sub-benchmark, and the ~20M-entry CSR would otherwise bloat the live
 	// heap (and every small sub-bench's GC bill) even when no dense row is
 	// selected.
 	var dense *graph.Dual
 	var denseSpec radio.Spec
+	var denseFringe any
 	mkDense := func() {
 		if dense != nil {
 			return
@@ -81,47 +82,60 @@ func BenchmarkEngineRoundDelivery(b *testing.B) {
 			everyone[u] = u
 		}
 		denseSpec = radio.Spec{Problem: radio.LocalBroadcast, Broadcasters: everyone}
+		denseFringe = fixedLink{graph.NewSelectSet(halfExtraEdges(dense))}
 	}
-	runDense := func(b *testing.B, plan radio.DeliveryPlan) {
+	runDense := func(b *testing.B, plan radio.DeliveryPlan, static bool) {
 		b.Helper()
 		mkDense()
+		cfg := radio.Config{
+			Net:              dense,
+			Algorithm:        core.Aloha{P: 0.5},
+			Spec:             denseSpec,
+			MaxRounds:        1,
+			Plan:             plan,
+			IgnoreCompletion: true,
+		}
+		if static {
+			cfg.Link = denseFringe
+		}
+		// One untimed round builds what trials share (the memoized mask
+		// rows, the scratch's static rows), so allocs/op prices the trials.
+		if _, err := radio.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+		cfg.MaxRounds = 32
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, err := radio.Run(radio.Config{
-				Net:              dense,
-				Algorithm:        core.Aloha{P: 0.5},
-				Spec:             denseSpec,
-				Seed:             uint64(i),
-				MaxRounds:        32,
-				Plan:             plan,
-				IgnoreCompletion: true,
-			})
-			if err != nil {
+			cfg.Seed = uint64(i)
+			if _, err := radio.Run(cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("dense/n=10000/scalar", func(b *testing.B) { runDense(b, radio.PlanScalar) })
-	b.Run("dense/n=10000/bitmap", func(b *testing.B) { runDense(b, radio.PlanBitmap) })
-	b.Run("dense/n=10000/auto", func(b *testing.B) { runDense(b, radio.PlanAuto) })
+	b.Run("dense/n=10000/scalar", func(b *testing.B) { runDense(b, radio.PlanScalar, false) })
+	b.Run("dense/n=10000/bitmap", func(b *testing.B) { runDense(b, radio.PlanBitmap, false) })
+	b.Run("dense/n=10000/auto", func(b *testing.B) { runDense(b, radio.PlanAuto, false) })
+	b.Run("dense/n=10000/static/scalar", func(b *testing.B) { runDense(b, radio.PlanScalar, true) })
+	b.Run("dense/n=10000/static/auto", func(b *testing.B) { runDense(b, radio.PlanAuto, true) })
 }
 
 // BenchmarkSparseDelivery races the scalar CSR walk against the bitmap
-// plan's block-sparse kernel on full aloha trials on the SCALE-family
+// plan's push kernel on full aloha trials on the SCALE-family
 // ring-with-chords substrates, and shows what PlanAuto picks at 10⁵. Every
-// node transmits at p = 1/2, so half the nodes transmit each round: the
-// round most favourable to the rows, which visit every listener while the
-// walk costs the transmitters' edges. Even this flood only brings the rows
-// level on these sparse networks — on a 2-vCPU x86-64 host, 115–152 ms/op
-// on the walk against 118–144 ms/op on the rows at n = 10⁵, and 0.85–1.14 s
-// against 0.77–0.94 s at 10⁶ — while decay, whose rounds mostly have few
-// transmitters, runs a 10⁵ trial twice as fast on the walk; so PlanAuto's
-// density gate keeps sparse networks on the walk at every n (see
-// setupPlan). IgnoreCompletion pins the round count so ns/op compares across
-// plans. The substrates are built lazily and memoized for the same reason as
-// the dense circulant above — the 10⁶-node dual alone holds ~10⁷ CSR entries
-// plus, once the bitmap runs, its memoized mask rows.
+// node transmits at p = 1/2, so half the nodes transmit each round. Both
+// paths cost the transmitters' side of the round, the walk one add per
+// transmitter edge and the kernel three passes over the transmitters' row
+// blocks, and a sparse row holds about one neighbor a block, so the two
+// come out level — on a 2-vCPU x86-64 host, 127–134 ms/op on the kernel
+// against 128–155 ms/op on the walk at n = 10⁵ (a third walk run read
+// 367 ms), and 0.79–0.92 s against 0.75–0.88 s at 10⁶ — and PlanAuto's
+// density gate keeps sparse networks on the walk, which builds no masks, at
+// every n (see setupPlan). IgnoreCompletion pins the round count so ns/op
+// compares across plans. The substrates are built lazily and memoized for
+// the same reason as the dense circulant above — the 10⁶-node dual alone
+// holds ~10⁷ CSR entries plus, once the bitmap runs, its memoized mask
+// rows.
 func BenchmarkSparseDelivery(b *testing.B) {
 	nets := map[int]*graph.Dual{}
 	mk := func(n int) *graph.Dual {
@@ -140,19 +154,24 @@ func BenchmarkSparseDelivery(b *testing.B) {
 		for u := range everyone {
 			everyone[u] = u
 		}
+		cfg := radio.Config{
+			Net:              net,
+			Algorithm:        core.Aloha{P: 0.5},
+			Spec:             radio.Spec{Problem: radio.LocalBroadcast, Broadcasters: everyone},
+			MaxRounds:        1,
+			Plan:             plan,
+			IgnoreCompletion: true,
+		}
+		// One untimed round builds the memoized mask rows.
+		if _, err := radio.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+		cfg.MaxRounds = rounds
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, err := radio.Run(radio.Config{
-				Net:              net,
-				Algorithm:        core.Aloha{P: 0.5},
-				Spec:             radio.Spec{Problem: radio.LocalBroadcast, Broadcasters: everyone},
-				Seed:             uint64(i),
-				MaxRounds:        rounds,
-				Plan:             plan,
-				IgnoreCompletion: true,
-			})
-			if err != nil {
+			cfg.Seed = uint64(i)
+			if _, err := radio.Run(cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

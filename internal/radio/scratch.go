@@ -16,7 +16,7 @@ import (
 // pool and the next trial reuses it. grow re-clears everything an execution
 // reads before writing, so pooling never leaks state between trials.
 //
-//dglint:pooled reset=grow,clique,rumor,arenaStore,arenaDrop,txBitmap
+//dglint:pooled reset=grow,clique,rumor,arenaStore,arenaDrop,planes,selectedRows
 type scratch struct {
 	// class is the pool bucket this scratch belongs to (see getScratch), or
 	// -1 for an oversized scratch that is never pooled.
@@ -41,10 +41,20 @@ type scratch struct {
 	cliqueTx []int32
 	cliqueS  []graph.NodeID
 
-	// per-round transmitter bitmap (W words), sized on demand when an
-	// execution picks the bitmap plan. fillTxSparse clears it before every
-	// fill, so it leaks no state across trials.
-	txWords []uint64
+	// the push kernel's per-round bit-planes (W words each: the
+	// transmitters, the listeners heard once and those heard twice), sized
+	// and cleared on demand when an execution picks the bitmap plan. The
+	// kernel zeroes every word it set before the round ends.
+	txWords    []uint64
+	heardOnce  []uint64
+	heardTwice []uint64
+	// selRows holds the block-sparse rows of G plus a committed static
+	// selector's E'\E edges, built in place by selectedRows; selNet and
+	// selSet name the network and the *SelectSet they were last built for
+	// (selSet nil for any other selector).
+	selRows graph.SparseNeighborMasks
+	selNet  *graph.Dual
+	selSet  *graph.SelectSet
 
 	// monitor backing stores: the round-stamp slice shared by the global and
 	// local monitors (and repurposed as the gossip monitor's source index),
@@ -68,12 +78,14 @@ type scratch struct {
 	// read). algRng is the algorithm-construction stream, reseeded at every
 	// execution's set-up. probers and bulkSteps cache the per-node TransmitProber and
 	// BulkStepper views; awake is the engine's awake-node bitmap
-	// (WordsFor(n) words), cleared by grow and filled by newEngine.
-	rngBlock  []bitrand.Source
-	algRng    bitrand.Source //dglint:allow scratchreset: newEngine reseeds it before any draw, every execution
-	probers   []TransmitProber
-	bulkSteps []BulkStepper
-	awake     []uint64
+	// (WordsFor(n) words) and awakeWords its second level, one bit per
+	// nonzero awake word, both cleared by grow and filled by wake.
+	rngBlock   []bitrand.Source
+	algRng     bitrand.Source //dglint:allow scratchreset: newEngine reseeds it before any draw, every execution
+	probers    []TransmitProber
+	bulkSteps  []BulkStepper
+	awake      []uint64
+	awakeWords []uint64
 
 	// Process arena: the slab of the last execution that used this scratch,
 	// plus the identity it was built for. When the next execution matches
@@ -181,6 +193,7 @@ func (s *scratch) grow(n int) {
 		s.probers = make([]TransmitProber, n)
 		s.bulkSteps = make([]BulkStepper, n)
 		s.awake = make([]uint64, bitrand.WordsFor(n))
+		s.awakeWords = make([]uint64, bitrand.WordsFor(bitrand.WordsFor(n)))
 		for u := range s.noise {
 			s.noise[u] = Message{Origin: u}
 		}
@@ -213,6 +226,8 @@ func (s *scratch) grow(n int) {
 	s.bulkSteps = s.bulkSteps[:n]
 	s.awake = s.awake[:bitrand.WordsFor(n)]
 	clear(s.awake)
+	s.awakeWords = s.awakeWords[:bitrand.WordsFor(bitrand.WordsFor(n))]
+	clear(s.awakeWords)
 }
 
 // clique sizes the clique-cover accelerator buffers for count cliques.
@@ -224,13 +239,35 @@ func (s *scratch) clique(count int) ([]int32, []graph.NodeID) {
 	return s.cliqueTx[:count], s.cliqueS[:count]
 }
 
-// txBitmap sizes the round transmitter bitmap for w words. fillTxSparse
-// clears it before every fill, so no cross-trial clear is needed here.
-func (s *scratch) txBitmap(w int) []uint64 {
+// planes sizes the push kernel's three bit-planes for w words and clears
+// them.
+func (s *scratch) planes(w int) (tx, once, twice []uint64) {
 	if cap(s.txWords) < w {
 		s.txWords = make([]uint64, w)
+		s.heardOnce = make([]uint64, w)
+		s.heardTwice = make([]uint64, w)
 	}
-	return s.txWords[:w]
+	s.txWords, s.heardOnce, s.heardTwice = s.txWords[:w], s.heardOnce[:w], s.heardTwice[:w]
+	clear(s.txWords)
+	clear(s.heardOnce)
+	clear(s.heardTwice)
+	return s.txWords, s.heardOnce, s.heardTwice
+}
+
+// selectedRows returns the scratch-owned rows of d's round topology under
+// the committed partial selector sel (see graph.BuildSelected). It keeps
+// the rows it last built when they were built for the same network and the
+// same *SelectSet: a set is immutable, so its pointer names its edges, and
+// the trials of one configuration share one build. No other selector is
+// compared, since SelectFunc and SelectCrossCut hold funcs, which compare
+// only by panicking; their rows are rebuilt for every epoch.
+func (s *scratch) selectedRows(d *graph.Dual, sel graph.EdgeSelector) *graph.SparseNeighborMasks {
+	set, _ := sel.(*graph.SelectSet)
+	if set == nil || set != s.selSet || d != s.selNet {
+		s.selRows.BuildSelected(d, sel)
+		s.selNet, s.selSet = d, set
+	}
+	return &s.selRows
 }
 
 // arenaMatch returns the pooled process slab if it was built by the same
