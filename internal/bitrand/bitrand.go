@@ -15,7 +15,10 @@
 // round. Source tracks consumed bits so tests can verify those budgets.
 package bitrand
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // splitmix64 advances a SplitMix64 state and returns the next output.
 // SplitMix64 is the standard seeding generator recommended for xoshiro.
@@ -145,7 +148,9 @@ func (s *Source) Float64() float64 {
 	return float64(s.Bits(53)) / (1 << 53)
 }
 
-// Coin returns true with probability p. Out-of-range p is clamped.
+// Coin returns true with probability p. Out-of-range p is clamped: p ≤ 0
+// and p ≥ 1 draw nothing. Otherwise it draws 53 bits and reports
+// Float64() < p, through CoinBelow.
 func (s *Source) Coin(p float64) bool {
 	if p <= 0 {
 		return false
@@ -153,7 +158,58 @@ func (s *Source) Coin(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return s.Float64() < p
+	return s.CoinBelow(CoinThreshold(p))
+}
+
+// CoinThreshold returns ⌈p·2⁵³⌉, the threshold t with Float64() < p ⇔
+// Bits(53) < t for 0 < p < 1: a 53-bit draw x gives Float64() = x·2⁻⁵³,
+// and both x·2⁻⁵³ and p·2⁵³ are exact, so x·2⁻⁵³ < p ⇔ x < p·2⁵³ ⇔
+// x < ⌈p·2⁵³⌉. A caller flipping many coins at one probability computes it
+// once. Outside (0, 1) it keeps the comparison's answer: 0 (never below)
+// for p ≤ 0 and for NaN, and 2⁵³ (always below) for p ≥ 1.
+func CoinThreshold(p float64) uint64 {
+	t := math.Ceil(p * (1 << 53))
+	switch {
+	case !(t > 0):
+		return 0
+	case t >= 1<<53:
+		return 1 << 53
+	}
+	return uint64(t)
+}
+
+// CoinBelow draws 53 bits, exactly as Bits(53) does — the same value, the
+// same consumed count, the same buffer left behind — and reports whether
+// they are below t. With t = CoinThreshold(p) it is the 53-bit draw of
+// Coin(p) for 0 < p < 1. The xoshiro256** step is written out here, so a
+// coin is one call.
+//
+//dglint:noalloc gate=TestCoinBelowAllocs
+func (s *Source) CoinBelow(t uint64) bool {
+	const k = 53
+	s.consumed += k
+	if s.nbuf >= k {
+		x := s.buf & (1<<k - 1)
+		s.buf >>= k
+		s.nbuf -= k
+		return x < t
+	}
+	// As in Bits: every buffered bit goes out first, and the fresh word
+	// supplies the other need bits; its unused high bits are the new buffer.
+	st := &s.s
+	w := bits.RotateLeft64(st[1]*5, 7) * 9
+	u := st[1] << 17
+	st[2] ^= st[0]
+	st[3] ^= st[1]
+	st[1] ^= st[2]
+	st[0] ^= st[3]
+	st[2] ^= u
+	st[3] = bits.RotateLeft64(st[3], 45)
+	have, need := s.nbuf, k-s.nbuf
+	x := s.buf | (w&(1<<need-1))<<have
+	s.buf = w >> need
+	s.nbuf = 64 - need
+	return x < t
 }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0, mirroring

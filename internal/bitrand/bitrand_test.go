@@ -170,6 +170,72 @@ func TestCoinEdges(t *testing.T) {
 			t.Fatal("Coin(1.5) returned false")
 		}
 	}
+	if s.Consumed() != 0 {
+		t.Fatalf("coins at p ≤ 0 and p ≥ 1 drew %d bits", s.Consumed())
+	}
+
+	// Probabilities at the edges of the 53-bit grid: every power of two the
+	// draw resolves, the smallest subnormal, the largest p below 1, and grid
+	// points k·2⁻⁵³ with their neighbours one ulp either side.
+	var edges []float64
+	for i := 1; i <= 53; i++ {
+		edges = append(edges, math.Ldexp(1, -i))
+	}
+	edges = append(edges, math.SmallestNonzeroFloat64, math.Nextafter(1, 0))
+	for _, k := range []float64{1, 2, 3, 12345, 1 << 52, 1<<52 + 1, 1<<53 - 2, 1<<53 - 1} {
+		p := k / (1 << 53)
+		edges = append(edges, p, math.Nextafter(p, 0), math.Nextafter(p, 1))
+	}
+	for _, p := range edges {
+		if p <= 0 || p >= 1 {
+			continue
+		}
+		// The threshold is exact: draw t-1 is heads and draw t is tails
+		// under the Float64 comparison.
+		th := CoinThreshold(p)
+		if th < 1 || th > 1<<53 || !(float64(th-1)/(1<<53) < p) || float64(th)/(1<<53) < p {
+			t.Fatalf("CoinThreshold(%v) = %d: not the first 53-bit draw at or above p·2⁵³", p, th)
+		}
+		got, below, ref := New(0xc014), New(0xc014), New(0xc014)
+		for i := 0; i < 200; i++ {
+			want := float64(refBits(ref, 53))/(1<<53) < p
+			if a, b := got.Coin(p), below.CoinBelow(th); a != want || b != want {
+				t.Fatalf("p = %v, draw %d: Coin %v, CoinBelow %v, reference %v", p, i, a, b, want)
+			}
+			if got.Consumed() != ref.Consumed() || below.Consumed() != ref.Consumed() {
+				t.Fatalf("p = %v, draw %d: consumed %d and %d, reference %d", p, i, got.Consumed(), below.Consumed(), ref.Consumed())
+			}
+		}
+	}
+	for _, k := range []uint64{1, 3, 12345, 1<<53 - 1} {
+		if th := CoinThreshold(float64(k) / (1 << 53)); th != k {
+			t.Fatalf("CoinThreshold(%d·2⁻⁵³) = %d, want %d", k, th, k)
+		}
+	}
+	if th := CoinThreshold(math.SmallestNonzeroFloat64); th != 1 {
+		t.Fatalf("CoinThreshold(smallest subnormal) = %d, want 1", th)
+	}
+	for _, p := range []float64{0, math.Copysign(0, -1), -1, math.NaN()} {
+		if th := CoinThreshold(p); th != 0 {
+			t.Fatalf("CoinThreshold(%v) = %d, want 0", p, th)
+		}
+	}
+	for _, p := range []float64{1, 2, math.Inf(1)} {
+		if th := CoinThreshold(p); th != 1<<53 {
+			t.Fatalf("CoinThreshold(%v) = %d, want 2⁵³", p, th)
+		}
+	}
+}
+
+// TestCoinBelowAllocs is the //dglint:noalloc gate for CoinBelow, the
+// engine's per-node coin: a draw allocates nothing, on the buffered path
+// and on the refill path alike.
+func TestCoinBelowAllocs(t *testing.T) {
+	s := New(9)
+	th := CoinThreshold(0.3)
+	if got := testing.AllocsPerRun(1000, func() { s.CoinBelow(th) }); got != 0 {
+		t.Fatalf("CoinBelow allocs/op = %v, want 0", got)
+	}
 }
 
 func TestCoinProbability(t *testing.T) {
@@ -265,13 +331,32 @@ func refBits(s *Source, k uint) uint64 {
 	return out
 }
 
+// coinRef is the 53-bit coin drawn through refBits: the draw as a
+// Float64, compared with p.
+func coinRef(ref *Source, p float64) bool {
+	return float64(refBits(ref, 53))/(1<<53) < p
+}
+
 // drawBoth applies one draw, decoded from op and arg, to got through the
 // Source API and to ref through refBits, and reports the first difference in
-// the value drawn or in Consumed.
-func drawBoth(got, ref *Source, op, arg byte) (string, bool) {
+// the value drawn or in Consumed. The coin ops flip at p, or at p one ulp
+// down or up, as arg selects.
+func drawBoth(got, ref *Source, op, arg byte, p float64) (string, bool) {
 	var a, b uint64
 	var name string
-	switch op % 4 {
+	switch arg % 3 {
+	case 1:
+		p = math.Nextafter(p, math.Inf(-1))
+	case 2:
+		p = math.Nextafter(p, math.Inf(1))
+	}
+	bit := func(v bool) uint64 {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	switch op % 6 {
 	case 0:
 		k := uint(arg) % 66 // 65 exercises the clamp
 		name = "Bits"
@@ -287,6 +372,20 @@ func drawBoth(got, ref *Source, op, arg byte) (string, bool) {
 		n := int(arg) + 1
 		name = "Intn"
 		a, b = uint64(got.Intn(n)), uint64(ref.Intn(n))
+	case 4:
+		// Coin draws nothing outside (0, 1), and 53 bits inside it.
+		name = fmt.Sprintf("Coin[p=%v]", p)
+		a = bit(got.Coin(p))
+		switch {
+		case p <= 0:
+		case p >= 1:
+			b = 1
+		default:
+			b = bit(coinRef(ref, p))
+		}
+	case 5:
+		name = fmt.Sprintf("CoinBelow[p=%v]", p)
+		a, b = bit(got.CoinBelow(CoinThreshold(p))), bit(coinRef(ref, p))
 	}
 	if a != b || got.Consumed() != ref.Consumed() {
 		return fmt.Sprintf("%s(%d): value %#x vs reference %#x, consumed %d vs %d",
@@ -296,10 +395,11 @@ func drawBoth(got, ref *Source, op, arg byte) (string, bool) {
 }
 
 // TestBitsMatchesReference drives Bits(k) for every k in 0–64, at every
-// buffer fill the walk reaches, interleaved with Uint64, Float64 and Intn
-// draws, through both Bits and its reference loop.
+// buffer fill the walk reaches, interleaved with Uint64, Float64, Intn and
+// coin draws, through both the Source API and its reference loop.
 func TestBitsMatchesReference(t *testing.T) {
 	got, ref := New(0xb175), New(0xb175)
+	probs := []float64{0.5, 0.3, 1.0 / 3, math.Ldexp(1, -20), 0.999, 0, 1}
 	for i := 0; i < 20000; i++ {
 		op, arg := byte(0), byte(i%65)
 		switch i % 7 {
@@ -307,25 +407,30 @@ func TestBitsMatchesReference(t *testing.T) {
 			op = 2
 		case 5:
 			op, arg = 3, byte(i)
+		case 6:
+			op, arg = byte(4+i/7%2), byte(i/14)
 		}
 		if i%997 == 0 {
 			op = 1
 		}
-		if msg, ok := drawBoth(got, ref, op, arg); !ok {
+		if msg, ok := drawBoth(got, ref, op, arg, probs[i/7%len(probs)]); !ok {
 			t.Fatalf("draw %d: %s", i, msg)
 		}
 	}
 }
 
 // FuzzBits drives an arbitrary draw sequence, two bytes per draw, through
-// Bits and its reference loop.
+// the Source API and its reference loop, with the coin draws at the fuzzed
+// probability p.
 func FuzzBits(f *testing.F) {
-	f.Add(uint64(1), []byte{0, 5, 0, 64, 0, 0, 1, 0, 0, 63, 2, 0, 3, 9, 0, 1})
-	f.Add(uint64(7), []byte{0, 65, 0, 1, 0, 64, 0, 32, 0, 33, 2, 0, 2, 0})
-	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
+	f.Add(uint64(1), 0.25, []byte{0, 5, 0, 64, 0, 0, 1, 0, 0, 63, 2, 0, 3, 9, 0, 1, 4, 0, 5, 1})
+	f.Add(uint64(7), 0.7, []byte{0, 65, 0, 1, 0, 64, 0, 32, 0, 33, 2, 0, 2, 0, 5, 2, 4, 1})
+	f.Add(uint64(3), math.Ldexp(1, -53), []byte{4, 0, 4, 1, 4, 2, 5, 0, 5, 1, 5, 2, 0, 11, 5, 0})
+	f.Add(uint64(5), math.Nextafter(1, 0), []byte{5, 0, 5, 2, 4, 2, 0, 3, 4, 0})
+	f.Fuzz(func(t *testing.T, seed uint64, p float64, ops []byte) {
 		got, ref := New(seed), New(seed)
 		for i := 0; i+1 < len(ops); i += 2 {
-			if msg, ok := drawBoth(got, ref, ops[i], ops[i+1]); !ok {
+			if msg, ok := drawBoth(got, ref, ops[i], ops[i+1], p); !ok {
 				t.Fatalf("draw %d: %s", i/2, msg)
 			}
 		}

@@ -145,13 +145,17 @@ func (a Aloha) prob() float64 {
 // ResetProcesses implements radio.ProcessFactory. Membership is encoded in
 // the process types and each broadcaster's frame is immutable, so only the
 // transmit probability (an Aloha parameter, re-derived from the receiver) is
-// refreshed.
+// refreshed, in the slab's one shared cohort.
 func (a Aloha) ResetProcesses(procs []radio.Process, net *graph.Dual, spec radio.Spec, rng *bitrand.Source) bool {
-	prob := a.prob()
+	var c *alohaCohort
 	for u := range procs {
 		switch p := procs[u].(type) {
 		case *alohaProc:
-			p.p = prob
+			if c == nil {
+				c = p.cohort
+				c.p = a.prob()
+			}
+			p.cohort = c
 		case silentProc:
 		default:
 			return false
@@ -162,7 +166,7 @@ func (a Aloha) ResetProcesses(procs []radio.Process, net *graph.Dual, spec radio
 
 // NewProcesses implements radio.Algorithm.
 func (a Aloha) NewProcesses(net *graph.Dual, spec radio.Spec, rng *bitrand.Source) []radio.Process {
-	p := a.prob()
+	c := &alohaCohort{p: a.prob()}
 	n := net.N()
 	inB := make([]bool, n)
 	for _, u := range spec.Broadcasters {
@@ -171,7 +175,7 @@ func (a Aloha) NewProcesses(net *graph.Dual, spec radio.Spec, rng *bitrand.Sourc
 	procs := make([]radio.Process, n)
 	for u := 0; u < n; u++ {
 		if inB[u] {
-			procs[u] = &alohaProc{p: p, msg: &radio.Message{Origin: u}}
+			procs[u] = &alohaProc{cohort: c, msg: &radio.Message{Origin: u}}
 		} else {
 			procs[u] = silentProc{}
 		}
@@ -179,18 +183,26 @@ func (a Aloha) NewProcesses(net *graph.Dual, spec radio.Spec, rng *bitrand.Sourc
 	return procs
 }
 
+// alohaCohort is the transmit probability a slab's broadcasters share. A
+// pointer boxes into a radio.Cohort without allocating, where a float64
+// would not.
+type alohaCohort struct{ p float64 }
+
+// RoundProb implements radio.Cohort.
+func (c *alohaCohort) RoundProb(int) float64 { return c.p }
+
 //dglint:pooled reset=Aloha.ResetProcesses
 type alohaProc struct {
-	p   float64
-	msg *radio.Message //dglint:allow scratchreset: broadcaster frame (Origin = itself) is immutable, reused across trials
+	cohort *alohaCohort
+	msg    *radio.Message //dglint:allow scratchreset: broadcaster frame (Origin = itself) is immutable, reused across trials
 }
 
 // TransmitProb implements radio.TransmitProber.
-func (p *alohaProc) TransmitProb(int) float64 { return p.p }
+func (p *alohaProc) TransmitProb(int) float64 { return p.cohort.p }
 
 // Step implements radio.Process.
 func (p *alohaProc) Step(r int, rng *bitrand.Source) radio.Action {
-	if rng.Coin(p.p) {
+	if rng.Coin(p.cohort.p) {
 		return radio.Transmit(p.msg)
 	}
 	return radio.Listen()
@@ -203,4 +215,8 @@ func (p *alohaProc) Deliver(int, *radio.Message) {}
 // coin transmitting the broadcaster's own frame.
 func (p *alohaProc) Frame(int) *radio.Message { return p.msg }
 
-var _ radio.BulkStepper = (*alohaProc)(nil)
+// Cohort implements radio.CohortMember: every broadcaster transmits at the
+// slab's probability from round 0.
+func (p *alohaProc) Cohort() (radio.Cohort, int) { return p.cohort, 0 }
+
+var _ radio.CohortMember = (*alohaProc)(nil)

@@ -85,13 +85,19 @@ func TestAlohaReset(t *testing.T) {
 		if !tc.alg.ResetProcesses(procs, net, spec, rng) {
 			t.Fatalf("Aloha{P:%v}: reset refused", tc.alg.P)
 		}
+		var shared *alohaCohort
 		for u, p := range procs {
 			ap, ok := p.(*alohaProc)
 			if !ok {
 				continue // silent listener
 			}
-			if ap.p != tc.want {
-				t.Fatalf("Aloha{P:%v}: node %d prob %v, want %v", tc.alg.P, u, ap.p, tc.want)
+			if ap.cohort.p != tc.want {
+				t.Fatalf("Aloha{P:%v}: node %d prob %v, want %v", tc.alg.P, u, ap.cohort.p, tc.want)
+			}
+			if shared == nil {
+				shared = ap.cohort
+			} else if ap.cohort != shared {
+				t.Fatalf("Aloha{P:%v}: node %d holds a cohort of its own, not the slab's", tc.alg.P, u)
 			}
 			if ap.TransmitProb(0) != tc.want {
 				t.Fatalf("Aloha{P:%v}: node %d TransmitProb disagrees with state", tc.alg.P, u)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/bitrand"
 	"repro/internal/graph"
 	"repro/internal/radio"
 )
@@ -88,5 +89,92 @@ func TestTransmitProberContract(t *testing.T) {
 					probe.expected, probe.actual, diff, tol)
 			}
 		})
+	}
+}
+
+// TestCohortContract drives every radio.CohortMember awake — the decay
+// global source, decay global nodes informed at several rounds, and decay
+// local and ALOHA broadcasters — and checks the contract the engine's
+// cohort loop relies on: over five phases after waking, TransmitProb(r) is
+// the cohort's RoundProb(r) from the node's first round on and 0 before it,
+// one slab's members name == cohorts, and Cohort allocates nothing. A
+// decay global node other than the source starts after round 0, since its
+// cohort's round-0 probability is the source's.
+func TestCohortContract(t *testing.T) {
+	net, _ := graph.DualClique(32, 2)
+	global := radio.Spec{Problem: radio.GlobalBroadcast, Source: 0}
+	local := radio.Spec{Problem: radio.LocalBroadcast, Broadcasters: []graph.NodeID{0, 7, 12}}
+	levels := bitrand.LogN(net.N())
+	// A member is woken by the source's message at round at, or is awake
+	// from the start when at is negative.
+	type member struct {
+		u  graph.NodeID
+		at int
+	}
+	informed := []member{{0, -1}}
+	for i, at := range []int{0, 1, levels - 1, levels, 3*levels + 2} {
+		informed = append(informed, member{7 + i, at})
+	}
+	cases := []struct {
+		name    string
+		alg     radio.Algorithm
+		spec    radio.Spec
+		members []member
+	}{
+		{"decay-global", DecayGlobal{}, global, informed},
+		{"decay-local", DecayLocal{}, local, []member{{0, -1}, {7, -1}, {12, -1}}},
+		{"aloha", Aloha{P: 0.3}, local, []member{{0, -1}, {7, -1}, {12, -1}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			procs := tc.alg.NewProcesses(net, tc.spec, bitrand.New(1))
+			msg := sourceMessage(t, tc.alg.NewProcesses(net, tc.spec, bitrand.New(1))[0])
+			var slab radio.Cohort
+			for _, mb := range tc.members {
+				m, ok := procs[mb.u].(radio.CohortMember)
+				if !ok {
+					t.Fatalf("node %d (%T) is not a radio.CohortMember", mb.u, procs[mb.u])
+				}
+				if mb.at >= 0 {
+					m.Deliver(mb.at, msg)
+				}
+				if d, ok := m.(radio.Dormant); ok && d.Dormant() {
+					t.Fatalf("node %d is still dormant after the source's message", mb.u)
+				}
+				c, from := m.Cohort()
+				if allocs := testing.AllocsPerRun(100, func() { c, from = m.Cohort() }); allocs != 0 {
+					t.Fatalf("node %d: Cohort allocates %v times", mb.u, allocs)
+				}
+				if slab == nil {
+					slab = c
+				} else if c != slab {
+					t.Fatalf("node %d names cohort %v, the slab's first member %v", mb.u, c, slab)
+				}
+				if mb.u != tc.spec.Source && tc.spec.Problem == radio.GlobalBroadcast && from <= 0 {
+					t.Fatalf("node %d starts at round %d, not after the source's round 0", mb.u, from)
+				}
+				for r := mb.at + 1; r <= mb.at+1+5*levels; r++ {
+					want := 0.0
+					if r >= from {
+						want = c.RoundProb(r)
+					}
+					if got := m.TransmitProb(r); got != want {
+						t.Fatalf("node %d, round %d (first round %d): TransmitProb %v, cohort says %v", mb.u, r, from, got, want)
+					}
+				}
+			}
+		})
+	}
+	// Schedules of different algorithms, or of other level counts, are
+	// different cohorts.
+	dl := DecayLocal{}.NewProcesses(net, local, bitrand.New(1))[0].(radio.CohortMember)
+	dg := DecayGlobal{}.NewProcesses(net, global, bitrand.New(1))[0].(radio.CohortMember)
+	big, _ := graph.DualClique(300, 2)
+	dgBig := DecayGlobal{}.NewProcesses(big, global, bitrand.New(1))[0].(radio.CohortMember)
+	cl, _ := dl.Cohort()
+	cg, _ := dg.Cohort()
+	cb, _ := dgBig.Cohort()
+	if cl == cg || cg == cb {
+		t.Fatalf("distinct schedules compare equal: local %v, global %v, global at n = 300 %v", cl, cg, cb)
 	}
 }

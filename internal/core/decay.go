@@ -151,9 +151,30 @@ func (p *decayGlobalProc) Frame(int) *radio.Message { return p.msg }
 // Dormant implements radio.Dormant: an uninformed node waits for the message.
 func (p *decayGlobalProc) Dormant() bool { return p.msg == nil }
 
+// Cohort implements radio.CohortMember: an informed node follows the public
+// schedule of its level count from activeFrom on.
+func (p *decayGlobalProc) Cohort() (radio.Cohort, int) {
+	return decayGlobalCohort(p.levels), p.activeFrom
+}
+
+// decayGlobalCohort is decay global's shared schedule, keyed by its level
+// count: 1 in round 0, when only the source can take part (every other
+// node's activeFrom is a positive multiple of the level count), and
+// 2^{-(1 + r mod levels)} after. A level count below 256 boxes into a
+// radio.Cohort without allocating.
+type decayGlobalCohort int
+
+// RoundProb implements radio.Cohort.
+func (c decayGlobalCohort) RoundProb(r int) float64 {
+	if r == 0 {
+		return 1
+	}
+	return pow2Neg(r%int(c) + 1)
+}
+
 var (
-	_ radio.BulkStepper = (*decayGlobalProc)(nil)
-	_ radio.Dormant     = (*decayGlobalProc)(nil)
+	_ radio.CohortMember = (*decayGlobalProc)(nil)
+	_ radio.Dormant      = (*decayGlobalProc)(nil)
 )
 
 // DecayLocal is the decay-based local broadcast of [8] for the protocol
@@ -243,7 +264,18 @@ func (p *decayLocalProc) Deliver(int, *radio.Message) {}
 // transmitting the broadcaster's own frame.
 func (p *decayLocalProc) Frame(int) *radio.Message { return p.msg }
 
-var _ radio.BulkStepper = (*decayLocalProc)(nil)
+// Cohort implements radio.CohortMember: every broadcaster follows the
+// schedule of its level count from round 0.
+func (p *decayLocalProc) Cohort() (radio.Cohort, int) { return decayLocalCohort(p.levels), 0 }
+
+// decayLocalCohort is decay local's shared schedule, 2^{-(1 + r mod
+// levels)}, keyed by its level count like decayGlobalCohort.
+type decayLocalCohort int
+
+// RoundProb implements radio.Cohort.
+func (c decayLocalCohort) RoundProb(r int) float64 { return pow2Neg(r%int(c) + 1) }
+
+var _ radio.CohortMember = (*decayLocalProc)(nil)
 
 // silentProc is a node with no role: it listens forever.
 type silentProc struct{}

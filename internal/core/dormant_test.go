@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/bitrand"
@@ -120,6 +121,9 @@ func TestBulkStepperSilenceContract(t *testing.T) {
 		{"aloha/awake", Aloha{P: 0.3}, local, 7, false, false},
 		{"derand/awake", DerandBroadcast{}, global, 7, true, false},
 		{"derand/dormant", DerandBroadcast{}, global, 7, false, false},
+		{"permuted-global/source", PermutedGlobal{}, global, 0, false, false},
+		{"permuted-global/awake", PermutedGlobal{}, global, 7, true, false},
+		{"permuted-global/dormant", PermutedGlobal{}, global, 7, false, false},
 		{"decay-global/source/message", DecayGlobal{}, global, 0, false, true},
 		{"decay-global/awake/message", DecayGlobal{}, global, 7, true, true},
 		{"decay-local/awake/message", DecayLocal{}, local, 7, false, true},
@@ -127,6 +131,8 @@ func TestBulkStepperSilenceContract(t *testing.T) {
 		{"round-robin/awake/message", RoundRobin{}, global, 7, true, true},
 		{"aloha/awake/message", Aloha{P: 0.3}, local, 7, false, true},
 		{"derand/awake/message", DerandBroadcast{}, global, 7, true, true},
+		{"permuted-global/source/message", PermutedGlobal{}, global, 0, false, true},
+		{"permuted-global/awake/message", PermutedGlobal{}, global, 7, true, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -156,7 +162,9 @@ func TestBulkStepperSilenceContract(t *testing.T) {
 				if a, b := p.TransmitProb(r), twin.TransmitProb(r); a != b {
 					t.Fatalf("round %d: TransmitProb %v after hearing %v, %v without", r, a, heard, b)
 				}
-				if a, b := p.Frame(r), twin.Frame(r); (a == nil) != (b == nil) || a != nil && *a != *b {
+				// Frames compare by content: permuted decay's carries a
+				// pointer to its own slab's bit string.
+				if a, b := p.Frame(r), twin.Frame(r); (a == nil) != (b == nil) || a != nil && !reflect.DeepEqual(*a, *b) {
 					t.Fatalf("round %d: Frame %+v after hearing %v, %+v without", r, a, heard, b)
 				}
 				if d, ok := p.(radio.Dormant); ok && d.Dormant() != twin.(radio.Dormant).Dormant() {

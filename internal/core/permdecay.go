@@ -264,10 +264,20 @@ func (p *permGlobalProc) Deliver(r int, msg *radio.Message) {
 	p.msg = msg
 }
 
+// Frame implements radio.BulkStepper: Step is exactly one TransmitProb(r)
+// coin (the source's round-0 transmission is probability 1, which draws no
+// bits) transmitting the held message, and Deliver ignores silence and,
+// once the node is informed, every message. It is no radio.CohortMember:
+// the source stops after round 0, which a first round cannot express.
+func (p *permGlobalProc) Frame(int) *radio.Message { return p.msg }
+
 // Dormant implements radio.Dormant: only the source's bits wake a node.
 func (p *permGlobalProc) Dormant() bool { return p.informedAt < 0 }
 
-var _ radio.Dormant = (*permGlobalProc)(nil)
+var (
+	_ radio.BulkStepper = (*permGlobalProc)(nil)
+	_ radio.Dormant     = (*permGlobalProc)(nil)
+)
 
 // PermutedLocalUncoordinated is the natural-but-insufficient adaptation of
 // permuted decay to local broadcast: every broadcaster draws its own private

@@ -11,24 +11,37 @@ import (
 // The recorder-free production path must be bit-for-bit identical to Step
 // dispatch. With every process a BulkStepper, under every plan, the engine
 // draws the round's coins itself in one ascending pass over the per-node
-// streams and hands out messages only; hiding BulkStepper (hideBulk) puts
-// the execution back on per-node Step calls with silence handed out. These
-// tests run identical configurations under PlanScalar, PlanAuto and
-// PlanBitmap with no recorder attached — a recorder pins PlanAuto to the
-// scalar walk, so the differential harness in bitmap_equiv_test.go never
-// reaches PlanAuto's bitmap epochs — each as is, with dormancy hidden
-// (hideDormancy, which hides BulkStepper too) and with BulkStepper hidden,
-// and require identical Results.
+// streams and hands out messages only; with every awake node a member of
+// one cohort it also reads the round's probability once. Hiding
+// CohortMember (hideCohort) puts the execution on the per-node bulk loop,
+// and hiding BulkStepper (hideBulk) on per-node Step calls with silence
+// handed out. These tests run identical configurations under PlanScalar,
+// PlanAuto and PlanBitmap with no recorder attached — a recorder pins
+// PlanAuto to the scalar walk, so the differential harness in
+// bitmap_equiv_test.go never reaches PlanAuto's bitmap epochs — each as
+// is, with dormancy hidden (hideDormancy, which hides BulkStepper too),
+// with the cohort hidden and with BulkStepper hidden, and require identical
+// Results.
 //
 // The probe algorithm is defined here rather than borrowed from
 // internal/core (which imports this package): informed nodes flood with a
 // fixed probability, the exact BulkStepper shape — Step is one Bernoulli
-// trial, Frame the held rumor — and uninformed nodes are Dormant.
+// trial, Frame the held rumor — and uninformed nodes are Dormant. The
+// probability is the slab's cohort, so every informed node is a member.
 
 type batchProc struct {
 	p   float64
 	msg *Message
+	// cohort is the slab's shared schedule, the constant p.
+	cohort *batchCohort
 }
+
+// batchCohort is a batchAlg slab's constant probability.
+type batchCohort struct{ p float64 }
+
+func (c *batchCohort) RoundProb(int) float64 { return c.p }
+
+func (pr *batchProc) Cohort() (Cohort, int) { return pr.cohort, 0 }
 
 func (pr *batchProc) TransmitProb(int) float64 {
 	if pr.msg == nil {
@@ -60,8 +73,9 @@ func (batchAlg) Name() string { return "batch-flood" }
 
 func (a batchAlg) NewProcesses(net *graph.Dual, spec Spec, _ *bitrand.Source) []Process {
 	procs := make([]Process, net.N())
+	c := &batchCohort{p: a.p}
 	for u := range procs {
-		procs[u] = &batchProc{p: a.p}
+		procs[u] = &batchProc{p: a.p, cohort: c}
 	}
 	informed := spec.Broadcasters
 	if spec.Problem == GlobalBroadcast {
@@ -90,6 +104,43 @@ func (staticPartialLink) CommitSchedule(*Env) Schedule {
 	return StaticSchedule{Selector: graph.SelectCrossCut{
 		InA: func(u graph.NodeID) bool { return u%2 == 0 },
 	}}
+}
+
+// splitCohortAlg is a batchAlg whose node at is dormant at the start and no
+// member of the slab's cohort: with other set it names a cohort of its own
+// at the same probability, otherwise it is no member at all. Either way the
+// cohort is off from the round after it wakes.
+type splitCohortAlg struct {
+	batchAlg
+	at    graph.NodeID
+	other bool
+}
+
+func (a splitCohortAlg) NewProcesses(net *graph.Dual, spec Spec, rng *bitrand.Source) []Process {
+	procs := a.batchAlg.NewProcesses(net, spec, rng)
+	if a.other {
+		procs[a.at].(*batchProc).cohort = &batchCohort{p: a.p}
+	} else {
+		procs[a.at] = noCohort{procs[a.at].(*batchProc)}
+	}
+	return procs
+}
+
+// cohortOff runs cfg to its end and reports whether the cohort was off when
+// it ended, and whether it was ever on.
+func cohortOff(t *testing.T, cfg Config) (off, wasOn bool) {
+	t.Helper()
+	e, err := newEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.release()
+	var res Result
+	for r := 0; r < cfg.MaxRounds && !e.mon.done(); r++ {
+		wasOn = wasOn || e.cohort != nil
+		e.step(r, &res)
+	}
+	return e.cohortOff, wasOn
 }
 
 func TestBatchCoinEquivalence(t *testing.T) {
@@ -139,6 +190,20 @@ func TestBatchCoinEquivalence(t *testing.T) {
 			Link: staticPartialLink{},
 			Seed: 45, MaxRounds: 40, IgnoreCompletion: true,
 		}},
+		// The cohort switches off mid-run: a node that is not a member, and
+		// in the second case a member of another cohort at the same
+		// probability, wakes some rounds in, and every later round runs the
+		// per-node loop.
+		{"dense-nonmember-wakes", Config{
+			Net: denseNet, Algorithm: splitCohortAlg{batchAlg{p: 0.02}, 1800, false},
+			Spec: Spec{Problem: GlobalBroadcast, Source: 7},
+			Seed: 46, MaxRounds: 256,
+		}},
+		{"sparse-other-cohort-wakes", Config{
+			Net: sparseLinked, Algorithm: splitCohortAlg{batchAlg{p: 0.5}, 30, true},
+			Spec: Spec{Problem: GlobalBroadcast, Source: 11},
+			Seed: 47, MaxRounds: 40,
+		}},
 	}
 	wrappers := []struct {
 		name string
@@ -146,10 +211,16 @@ func TestBatchCoinEquivalence(t *testing.T) {
 	}{
 		{"as is", func(a Algorithm) Algorithm { return a }},
 		{"dormancy hidden", func(a Algorithm) Algorithm { return hideDormancy{a} }},
+		{"cohort hidden", func(a Algorithm) Algorithm { return hideCohort{a} }},
 		{"bulk hidden", func(a Algorithm) Algorithm { return hideBulk{a} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			off, wasOn := cohortOff(t, tc.cfg)
+			_, split := tc.cfg.Algorithm.(splitCohortAlg)
+			if !wasOn || off != split {
+				t.Fatalf("cohort on at some round %v, off at the end %v; want on, and off only when a non-member wakes", wasOn, off)
+			}
 			var want Result
 			for i, plan := range []DeliveryPlan{PlanScalar, PlanAuto, PlanBitmap} {
 				for j, w := range wrappers {

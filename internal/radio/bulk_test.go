@@ -47,6 +47,42 @@ func (s stepProc) OnEpoch(epoch int, net *graph.Dual) {
 	}
 }
 
+// hideCohort wraps an algorithm so the engine sees no CohortMember: every
+// member is replaced by a noCohort that forwards BulkStepper, Dormant and
+// EpochAware, but not Cohort. The engine then asks every awake node for its
+// probability, as it does whenever the cohort is off, so a run of the
+// wrapper is the per-node witness for the cohort loop and the cohort's view
+// fill. Like hideBulk, it has a Name of its own and is no ProcessFactory.
+type hideCohort struct{ Algorithm }
+
+func (h hideCohort) Name() string { return h.Algorithm.Name() + "+nocohort" }
+
+func (h hideCohort) NewProcesses(net *graph.Dual, spec Spec, rng *bitrand.Source) []Process {
+	procs := h.Algorithm.NewProcesses(net, spec, rng)
+	for u, p := range procs {
+		if m, ok := p.(CohortMember); ok {
+			procs[u] = noCohort{m}
+		}
+	}
+	return procs
+}
+
+// noCohort is a cohort member seen as a plain BulkStepper.
+type noCohort struct{ BulkStepper }
+
+// Dormant reports false for a process without the extension, as stepProc's
+// does.
+func (c noCohort) Dormant() bool {
+	d, ok := c.BulkStepper.(Dormant)
+	return ok && d.Dormant()
+}
+
+func (c noCohort) OnEpoch(epoch int, net *graph.Dual) {
+	if ea, ok := c.BulkStepper.(EpochAware); ok {
+		ea.OnEpoch(epoch, net)
+	}
+}
+
 // deliveryCase is one delivery mechanism of the engine, reached by a
 // recorder-free global broadcast of a batchAlg-shaped algorithm.
 type deliveryCase struct {

@@ -189,6 +189,15 @@ type engine struct {
 	heardTwice []uint64
 	bulkSteps  []BulkStepper
 	allBulk    bool
+	// cohort is the schedule the awake nodes share while the cohort path is
+	// on (see CohortMember): the first member's to wake, nil before one
+	// wakes, and nil for good once cohortOff is set, which happens when a
+	// node that is not a member wakes, a member names another cohort, or not
+	// every process is a BulkStepper. cohortFrom[u] is awake member u's
+	// first round, a view of the scratch's slice.
+	cohort     Cohort
+	cohortOff  bool
+	cohortFrom []int
 
 	// Mask state, set when plan is PlanBitmap: the epoch's block-sparse rows
 	// in node order, for G, for G' (nil without a link), and for G plus the
@@ -312,6 +321,7 @@ func newEngine(cfg Config) (*engine, error) {
 	e.bulkSteps = e.sc.bulkSteps
 	e.awake, e.awakeWords = e.sc.awake, e.sc.awakeWords
 	e.rngs = e.sc.rngBlock
+	e.cohortFrom = e.sc.cohortFrom
 	e.allBulk = true
 	for u, p := range e.procs {
 		if tp, ok := p.(TransmitProber); ok {
@@ -325,6 +335,9 @@ func newEngine(cfg Config) (*engine, error) {
 		if d, ok := p.(Dormant); !ok || !d.Dormant() {
 			e.wake(u)
 		}
+	}
+	if !e.allBulk {
+		e.cohort, e.cohortOff = nil, true
 	}
 
 	var err error
@@ -515,14 +528,25 @@ func (e *engine) fill(res *Result) {
 //
 //dglint:noalloc gate=TestHotPathAllocs
 func (e *engine) step(r int, res *Result) {
+	// The cohort's probability for the round, read once for the view and
+	// the coins (see CohortMember).
+	var p float64
+	if e.cohort != nil {
+		p = e.cohort.RoundProb(r)
+	}
+
 	// 1. Adaptive adversaries observe state-determined probabilities first.
 	var view *View
 	if e.online != nil || e.offline != nil {
-		for u, tp := range e.probers {
-			if tp != nil {
-				e.probs[u] = tp.TransmitProb(r)
-			} else {
-				e.probs[u] = -1
+		if e.cohort != nil {
+			e.cohortProbs(r, p)
+		} else {
+			for u, tp := range e.probers {
+				if tp != nil {
+					e.probs[u] = tp.TransmitProb(r)
+				} else {
+					e.probs[u] = -1
+				}
 			}
 		}
 		e.view = View{
@@ -549,27 +573,22 @@ func (e *engine) step(r int, res *Result) {
 	// process is a BulkStepper, the engine runs the round's Bernoulli trials
 	// itself — same per-node streams, same ascending order, so the draws are
 	// bit-for-bit identical to the Step dispatch — and fills the transmit set
-	// without constructing Actions.
+	// without constructing Actions; with the cohort on it also skips the
+	// per-node probability call.
 	e.tx = e.tx[:0]
 	rngs := e.rngs
 	switch {
+	case e.cohort != nil:
+		e.cohortCoins(r, p)
 	case e.allBulk:
 		bulk := e.bulkSteps
 		for lo, hi := e.awakeRun(0); lo < e.n; lo, hi = e.awakeRun(hi) {
 			for u := lo; u < hi; u++ {
-				bs := bulk[u]
-				if rngs[u].Coin(bs.TransmitProb(r)) {
-					msg := bs.Frame(r)
-					if msg == nil {
-						msg = &e.noise[u]
-					}
-					e.tx = append(e.tx, u)
-					e.msgOf[u] = msg
-					e.txByNode[u]++
+				if rngs[u].Coin(bulk[u].TransmitProb(r)) {
+					e.transmitFrame(r, u)
 				}
 			}
 		}
-		res.Transmissions += int64(len(e.tx))
 	default:
 		procs := e.procs
 		for lo, hi := e.awakeRun(0); lo < e.n; lo, hi = e.awakeRun(hi) {
@@ -589,8 +608,8 @@ func (e *engine) step(r int, res *Result) {
 				}
 			}
 		}
-		res.Transmissions += int64(len(e.tx))
 	}
+	res.Transmissions += int64(len(e.tx))
 
 	// 3. The offline adaptive adversary sees the realized transmitters.
 	if e.offline != nil {
@@ -621,6 +640,55 @@ func (e *engine) step(r int, res *Result) {
 	if e.online != nil || e.offline != nil {
 		e.lastTx = append(e.lastTx[:0], e.tx...)
 	}
+}
+
+// cohortProbs fills the view's TransmitProbs from the cohort's round-r
+// probability p: p for every awake node with from ≤ r, and 0 for every
+// other node. These are the values the per-node TransmitProb calls return —
+// a member reports 0 before from, and a dormant bulk stepper 0 by the
+// Dormant contract — in the same order, so any sum over them is unchanged.
+func (e *engine) cohortProbs(r int, p float64) {
+	probs, from := e.probs, e.cohortFrom
+	clear(probs)
+	for lo, hi := e.awakeRun(0); lo < e.n; lo, hi = e.awakeRun(hi) {
+		for u := lo; u < hi; u++ {
+			if from[u] <= r {
+				probs[u] = p
+			}
+		}
+	}
+}
+
+// cohortCoins runs the round's coins with the cohort on: every awake node
+// with from ≤ r flips one coin at the round's probability p, from its own
+// stream in ascending order, and transmits its Frame on heads. As in
+// bitrand's Coin, p ≤ 0 draws nothing and p ≥ 1 transmits without a draw;
+// otherwise each coin is one 53-bit draw against the round's threshold.
+func (e *engine) cohortCoins(r int, p float64) {
+	if p <= 0 {
+		return
+	}
+	sure, t := p >= 1, bitrand.CoinThreshold(p)
+	rngs, from := e.rngs, e.cohortFrom
+	for lo, hi := e.awakeRun(0); lo < e.n; lo, hi = e.awakeRun(hi) {
+		for u := lo; u < hi; u++ {
+			if from[u] <= r && (sure || rngs[u].CoinBelow(t)) {
+				e.transmitFrame(r, u)
+			}
+		}
+	}
+}
+
+// transmitFrame adds bulk stepper u to the round's transmitters with its
+// round-r Frame, or its noise frame when Frame is nil.
+func (e *engine) transmitFrame(r int, u graph.NodeID) {
+	msg := e.bulkSteps[u].Frame(r)
+	if msg == nil {
+		msg = &e.noise[u]
+	}
+	e.tx = append(e.tx, u)
+	e.msgOf[u] = msg
+	e.txByNode[u]++
 }
 
 // The CSR walk's tally holds one word per node for the round: 0 means the
@@ -827,15 +895,39 @@ func (e *engine) receive(r int, u graph.NodeID, msg *Message, res *Result) {
 	res.Deliveries++
 }
 
-// wake adds u to the awake set and seeds its coin stream. Seeding at wake
-// rather than at set-up is exact: a dormant node draws nothing from its
-// stream, and the master is never advanced after set-up (SplitSeed leaves it
-// where it is), so the seed u gets here is the one set-up would have given
-// it and the stream is untouched until now.
+// wake adds u to the awake set, seeds its coin stream and, while the
+// cohort is not off, asks it for its cohort. Seeding at wake rather than at
+// set-up is exact: a dormant node draws nothing from its stream, and the
+// master is never advanced after set-up (SplitSeed leaves it where it is),
+// so the seed u gets here is the one set-up would have given it and the
+// stream is untouched until now.
 func (e *engine) wake(u graph.NodeID) {
 	e.awake[u>>6] |= 1 << (uint(u) & 63)
 	e.awakeWords[u>>12] |= 1 << (uint(u>>6) & 63)
 	e.rngs[u].Reseed(e.master.SplitSeed(0x20de, uint64(u)))
+	if !e.cohortOff {
+		e.joinCohort(u)
+	}
+}
+
+// joinCohort keeps woken node u's first cohort round, or switches the
+// cohort off for the rest of the execution when u is not a member or names
+// a cohort other than the execution's (see CohortMember).
+func (e *engine) joinCohort(u graph.NodeID) {
+	m, ok := e.procs[u].(CohortMember)
+	if !ok {
+		e.cohort, e.cohortOff = nil, true
+		return
+	}
+	c, from := m.Cohort()
+	if e.cohort == nil {
+		e.cohort = c
+	}
+	if c == nil || c != e.cohort {
+		e.cohort, e.cohortOff = nil, true
+		return
+	}
+	e.cohortFrom[u] = from
 }
 
 // silence hands nil to every awake node except those the CSR walk's

@@ -185,6 +185,67 @@ func BenchmarkSparseDelivery(b *testing.B) {
 	b.Run("n=1000000/bitmap", func(b *testing.B) { run(b, 1000000, 8, radio.PlanBitmap) })
 }
 
+// BenchmarkBulkCoins prices the coin layer on whole decay global trials run
+// to completion, on the SCALE-n substrates the engine benchmark runs: the
+// n = 10⁴ circulant of degree 512 and the 10⁵ ring+chords. The cohort rows
+// draw each round's coins through the cohort loop, one 53-bit draw against
+// one threshold per awake node; the hidden rows wrap the algorithm in
+// radio.HideCohort, so the engine asks every awake node for its
+// probability and draws through Coin, the per-node bulk loop. Both run the
+// same executions at the same seeds, so the rows differ only in the coin
+// loop, except that a hidden row also pays the wrapper's forwarding calls
+// and builds its process slab every trial (the wrapper has no arena). The
+// metric is ns per node-round: wall time over n times the rounds run.
+func BenchmarkBulkCoins(b *testing.B) {
+	nets := map[string]*graph.Dual{}
+	mk := func(name string) *graph.Dual {
+		if d := nets[name]; d != nil {
+			return d
+		}
+		var d *graph.Dual
+		switch name {
+		case "circ1e4":
+			d = graph.AugmentDual(bitrand.New(0x5ca1e04), graph.Circulant(10000, 512), 20000)
+		case "rc1e5":
+			src := bitrand.New(0x5ca1e05)
+			d = graph.AugmentDual(src, graph.RingChords(src, 100000, 200000), 100000)
+		}
+		nets[name] = d
+		return d
+	}
+	run := func(b *testing.B, name string, alg radio.Algorithm) {
+		b.Helper()
+		net := mk(name)
+		cfg := radio.Config{
+			Net:       net,
+			Algorithm: alg,
+			Spec:      radio.Spec{Problem: radio.GlobalBroadcast, Source: 0},
+			MaxRounds: 1,
+		}
+		// One untimed round builds the memoized mask rows.
+		if _, err := radio.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+		cfg.MaxRounds = 500 * bitrand.LogN(net.N())
+		b.ReportAllocs()
+		b.ResetTimer()
+		var nodeRounds float64
+		for i := 0; i < b.N; i++ {
+			cfg.Seed = uint64(i)
+			res, err := radio.Run(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			nodeRounds += float64(net.N()) * float64(res.Rounds)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/nodeRounds, "ns/node-round")
+	}
+	for _, name := range []string{"circ1e4", "rc1e5"} {
+		b.Run(name+"/cohort", func(b *testing.B) { run(b, name, core.DecayGlobal{}) })
+		b.Run(name+"/hidden", func(b *testing.B) { run(b, name, radio.HideCohort(core.DecayGlobal{})) })
+	}
+}
+
 // BenchmarkEpochSwap measures full trials under a topology schedule against
 // the identical static trial. The revisions are precompiled once (as the
 // scenario layer does), so the only per-trial epoch cost is swapping hoisted

@@ -8,3 +8,9 @@ const RaceEnabled = raceEnabled
 // HideDormancy wraps alg so the engine sees every node as awake (see
 // hideDormancy).
 func HideDormancy(alg Algorithm) Algorithm { return hideDormancy{alg} }
+
+// HideBulk wraps alg so the engine sees no BulkStepper (see hideBulk).
+func HideBulk(alg Algorithm) Algorithm { return hideBulk{alg} }
+
+// HideCohort wraps alg so the engine sees no CohortMember (see hideCohort).
+func HideCohort(alg Algorithm) Algorithm { return hideCohort{alg} }

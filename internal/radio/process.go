@@ -144,10 +144,10 @@ type TransmitProber interface {
 // were. Once the process is awake — it does not implement Dormant, or
 // Dormant has reported false — Deliver(r, msg) changes nothing either, for
 // every message: a node that waits for a message to act on must implement
-// Dormant and wake on it. Decay-family, fixed-probability (ALOHA),
-// round-robin and derandomized processes are of this shape; processes with
-// Step-side state, extra draws, a reaction to silence or a reaction to a
-// message after waking must not implement it.
+// Dormant and wake on it. Decay-family (permuted decay too),
+// fixed-probability (ALOHA), round-robin and derandomized processes are of
+// this shape; processes with Step-side state, extra draws, a reaction to
+// silence or a reaction to a message after waking must not implement it.
 //
 // When every process of an execution is a BulkStepper, under every delivery
 // plan, the engine runs the round's coins itself instead of dispatching Step
@@ -160,13 +160,47 @@ type TransmitProber interface {
 // The problem monitor still sees every reception. A single process that is
 // not a BulkStepper puts the whole execution back on Step dispatch with
 // silence and every message handed to every awake node. Dormant nodes (see
-// Dormant) are never stepped on either path.
+// Dormant) are never stepped on either path. When the awake bulk steppers
+// also share one probability schedule (see CohortMember), the engine reads
+// the round's probability once instead of asking each node for it.
 type BulkStepper interface {
 	Process
 	TransmitProber
 	// Frame returns the message the process would transmit on a heads coin
 	// in round r; nil means a noise transmission, as in Action.Msg.
 	Frame(r int) *Message
+}
+
+// Cohort is a probability schedule that a set of processes shares: in
+// round r every member taking part transmits with probability RoundProb(r).
+type Cohort interface {
+	RoundProb(r int) float64
+}
+
+// CohortMember is an optional BulkStepper extension for processes that,
+// once awake, follow a schedule shared by their slab, as decay's public
+// geometric schedule and ALOHA's fixed probability are. Cohort reports the
+// schedule c and the first round from in which the node takes part; once
+// the node is awake, TransmitProb(r) must be c.RoundProb(r) for r ≥ from
+// and 0 for r < from, for the rest of the execution and across epoch swaps.
+// RoundProb must depend on r alone, c must be a comparable value (the
+// engine compares cohorts with ==), and Cohort must not allocate.
+//
+// The engine asks each node once, when it wakes, and keeps from. The
+// execution's cohort is the first member's; it stays on while every node
+// that wakes is a member naming a cohort == to it, and is off for the rest
+// of the execution once a node that is not a member wakes, or a member
+// names another one. While it is on, and every process is a BulkStepper,
+// the round's coin loop evaluates RoundProb(r) once and draws one 53-bit
+// coin per awake node with from ≤ r against one threshold
+// (bitrand.CoinThreshold), with no call per node; the adaptive view's
+// TransmitProbs come from the same value. Both loops draw the same coins
+// from the same streams in the same ascending order, so the execution is
+// the one the per-node loop runs, and switching at a round boundary is
+// exact.
+type CohortMember interface {
+	BulkStepper
+	Cohort() (c Cohort, from int)
 }
 
 // Dormant is an optional Process extension for nodes that cannot act until

@@ -80,12 +80,15 @@ type scratch struct {
 	// BulkStepper views; awake is the engine's awake-node bitmap
 	// (WordsFor(n) words) and awakeWords its second level, one bit per
 	// nonzero awake word, both cleared by grow and filled by wake.
+	// cohortFrom[u] is the first round an awake cohort member takes part in
+	// (see CohortMember), written by wake and read only for awake nodes.
 	rngBlock   []bitrand.Source
 	algRng     bitrand.Source //dglint:allow scratchreset: newEngine reseeds it before any draw, every execution
 	probers    []TransmitProber
 	bulkSteps  []BulkStepper
 	awake      []uint64
 	awakeWords []uint64
+	cohortFrom []int
 
 	// Process arena: the slab of the last execution that used this scratch,
 	// plus the identity it was built for. When the next execution matches
@@ -192,6 +195,7 @@ func (s *scratch) grow(n int) {
 		s.rngBlock = make([]bitrand.Source, n)
 		s.probers = make([]TransmitProber, n)
 		s.bulkSteps = make([]BulkStepper, n)
+		s.cohortFrom = make([]int, n)
 		s.awake = make([]uint64, bitrand.WordsFor(n))
 		s.awakeWords = make([]uint64, bitrand.WordsFor(bitrand.WordsFor(n)))
 		for u := range s.noise {
@@ -222,8 +226,10 @@ func (s *scratch) grow(n int) {
 	clear(s.monR)
 	s.rngBlock = s.rngBlock[:n]
 	// probers and bulkSteps need no clear: the engine writes every entry.
+	// Nor does cohortFrom: wake writes a node's entry before any read.
 	s.probers = s.probers[:n]
 	s.bulkSteps = s.bulkSteps[:n]
+	s.cohortFrom = s.cohortFrom[:n]
 	s.awake = s.awake[:bitrand.WordsFor(n)]
 	clear(s.awake)
 	s.awakeWords = s.awakeWords[:bitrand.WordsFor(bitrand.WordsFor(n))]
