@@ -17,6 +17,7 @@
 //	dgbench -csv               # tables as CSV
 //	dgbench -markdown          # reference-table markdown output
 //	dgbench -cpuprofile FILE   # CPU profile of the whole invocation (any mode)
+//	dgbench -memprofile FILE   # heap profile after the invocation (any mode)
 //
 // Execution goes through the same run-service core as dgserved
 // (internal/runsvc): the run is planned, partitioned against the result
@@ -47,6 +48,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
@@ -105,6 +107,7 @@ func run(w io.Writer, args []string) (err error) {
 		out       = fs.String("out", "", "artifact path for -shard")
 		merge     = fs.String("merge", "", "merge shard artifacts matching this glob and replay the aggregation")
 		cpuprof   = fs.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
+		memprof   = fs.String("memprofile", "", "write a heap profile, taken after the invocation and a collection, to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -117,6 +120,17 @@ func run(w io.Writer, args []string) (err error) {
 		defer func() {
 			if serr := stop(); err == nil {
 				err = serr
+			}
+		}()
+	}
+	if *memprof != "" {
+		write, perr := createMemProfile(*memprof)
+		if perr != nil {
+			return perr
+		}
+		defer func() {
+			if werr := write(); err == nil {
+				err = werr
 			}
 		}()
 	}
@@ -133,7 +147,7 @@ func run(w io.Writer, args []string) (err error) {
 		// combining it with an execution mode is a contradiction. The -run
 		// filter composes with it; -json additionally admits the
 		// configuration flags, because task counts depend on them.
-		allowed := map[string]bool{"list": true, "run": true, "json": true, "cpuprofile": true}
+		allowed := map[string]bool{"list": true, "run": true, "json": true, "cpuprofile": true, "memprofile": true}
 		if *jsonOut {
 			for _, name := range []string{"full", "quick", "trials", "seed"} {
 				allowed[name] = true
@@ -176,7 +190,7 @@ func run(w io.Writer, args []string) (err error) {
 		var conflict []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "merge", "csv", "markdown", "plot", "cpuprofile":
+			case "merge", "csv", "markdown", "plot", "cpuprofile", "memprofile":
 			default:
 				conflict = append(conflict, "-"+f.Name)
 			}
@@ -298,6 +312,26 @@ func startCPUProfile(path string) (stop func() error, err error) {
 		pprof.StopCPUProfile()
 		if err := f.Close(); err != nil {
 			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		return nil
+	}, nil
+}
+
+// createMemProfile creates path up front, so a bad path fails before the
+// run; write collects garbage, writes the heap profile and closes the file.
+func createMemProfile(path string) (write func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("-memprofile: %w", err)
+	}
+	return func() error {
+		runtime.GC()
+		err := pprof.Lookup("heap").WriteTo(f, 0)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("-memprofile: %w", err)
 		}
 		return nil
 	}, nil

@@ -283,9 +283,10 @@ func TestMergeRejectsMixedRuns(t *testing.T) {
 	}
 }
 
-// TestCPUProfile pins -cpuprofile: the profile covers the whole invocation
-// and is written in every mode, stdout is byte-identical with and without
-// it, and a profile path that cannot be created is an error.
+// TestCPUProfile pins -cpuprofile and -memprofile: each profile is written
+// in every mode (the CPU profile covers the whole invocation, the heap
+// profile is taken after it), stdout is byte-identical with and without
+// them, and a profile path that cannot be created is an error.
 func TestCPUProfile(t *testing.T) {
 	dir := t.TempDir()
 	for i, args := range [][]string{
@@ -293,23 +294,28 @@ func TestCPUProfile(t *testing.T) {
 		{"-all", "-run", "2", "-trials", "2", "-markdown"},
 		{"-list", "-run", "L3.2"},
 	} {
-		var plain, profiled bytes.Buffer
+		var plain bytes.Buffer
 		if err := run(&plain, args); err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(dir, fmt.Sprintf("cpu%d.pprof", i))
-		if err := run(&profiled, append([]string{"-cpuprofile", path}, args...)); err != nil {
-			t.Fatalf("args %v: %v", args, err)
-		}
-		if !bytes.Equal(plain.Bytes(), profiled.Bytes()) {
-			t.Errorf("args %v: stdout differs with -cpuprofile:\n%s\nwant:\n%s", args, profiled.String(), plain.String())
-		}
-		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
-			t.Errorf("args %v: profile %s missing or empty (%v)", args, path, err)
+		for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+			var profiled bytes.Buffer
+			path := filepath.Join(dir, fmt.Sprintf("%s%d.pprof", flag[1:], i))
+			if err := run(&profiled, append([]string{flag, path}, args...)); err != nil {
+				t.Fatalf("%s, args %v: %v", flag, args, err)
+			}
+			if !bytes.Equal(plain.Bytes(), profiled.Bytes()) {
+				t.Errorf("args %v: stdout differs with %s:\n%s\nwant:\n%s", args, flag, profiled.String(), plain.String())
+			}
+			if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+				t.Errorf("%s, args %v: profile %s missing or empty (%v)", flag, args, path, err)
+			}
 		}
 	}
-	bad := filepath.Join(dir, "no-such-dir", "cpu.pprof")
-	if err := run(io.Discard, []string{"-cpuprofile", bad, "-list"}); err == nil {
-		t.Fatal("uncreatable -cpuprofile path accepted")
+	bad := filepath.Join(dir, "no-such-dir", "prof.pprof")
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		if err := run(io.Discard, []string{flag, bad, "-list"}); err == nil {
+			t.Fatalf("uncreatable %s path accepted", flag)
+		}
 	}
 }

@@ -5,43 +5,51 @@ import (
 	"math"
 )
 
-// BitString is an immutable sequence of random bits with a read cursor. The
-// paper's algorithms pass explicit bit strings between nodes: the oblivious
-// global broadcast source of Section 4.1 appends 32*log^2(n)*loglog(n) bits
-// to its message, and the geo local broadcast leaders of Section 4.3 commit
-// to seeds of O(log^3 n (loglog n)^2) bits. BitString models those payloads:
-// once generated, the bits are fixed; readers consume prefixes.
+// BitString is an immutable sequence of random bits, read at fixed
+// positions. The paper's algorithms pass explicit bit strings between nodes:
+// the oblivious global broadcast source of Section 4.1 appends
+// 32*log^2(n)*loglog(n) bits to its message, and the geo local broadcast
+// leaders of Section 4.3 commit to seeds of O(log^3 n (loglog n)^2) bits.
+// BitString models those payloads: once generated, the bits are fixed, and
+// every holder reads the same bits at the same positions (At, Word), so
+// holders agree without any cursor state.
+//
+// Holders that derive the same value from the string in the same round —
+// permuted decay's probability index — share it through the string's
+// one-entry Memo, so the first holder in a round computes it and the rest
+// read it back.
 type BitString struct {
 	bits []uint64 // packed, LSB-first within each word
 	n    int      // total number of bits
-	pos  int      // read cursor
+	memo Memo
+}
+
+// Memo is a one-entry memo of a value that the holders of one BitString
+// derive alike: Key names the round and the deriving reader's parameters,
+// so readers that derive different values never see each other's, and Val
+// is the value derived. It lives in its string, so it never outlives the
+// string's execution, and Refill clears it, since the value depends on the
+// bits.
+type Memo struct {
+	Key   [4]int
+	Val   int
+	Valid bool
 }
 
 // NewBitString draws n fresh uniform bits from src.
 func NewBitString(src *Source, n int) *BitString {
-	if n < 0 {
-		n = 0
-	}
-	words := (n + 63) / 64
-	b := &BitString{bits: make([]uint64, words), n: n}
-	for i := 0; i < words; i++ {
-		rem := n - 64*i
-		if rem >= 64 {
-			b.bits[i] = src.Bits(64)
-		} else {
-			b.bits[i] = src.Bits(uint(rem))
-		}
-	}
+	b := new(BitString)
+	b.Refill(src, n)
 	return b
 }
 
 // Refill redraws the string in place: afterwards b is indistinguishable from
 // NewBitString(src, n), drawing exactly the same bits from src, but reuses
-// the word storage when it is large enough. It exists for the process arena:
-// a reset slab redraws its runtime-generated bit strings without
-// reallocating them. Callers must ensure no other live reader still depends
-// on the old contents (within one engine slab, every reader is reset
-// together).
+// the word storage when it is large enough, and its Memo is cleared. It
+// exists for the process arena: a reset slab redraws its runtime-generated
+// bit strings without reallocating them. Callers must ensure no other live
+// reader still depends on the old contents (within one engine slab, every
+// reader is reset together).
 func (b *BitString) Refill(src *Source, n int) {
 	if n < 0 {
 		n = 0
@@ -52,7 +60,7 @@ func (b *BitString) Refill(src *Source, n int) {
 	}
 	b.bits = b.bits[:words]
 	b.n = n
-	b.pos = 0
+	b.memo = Memo{}
 	for i := 0; i < words; i++ {
 		rem := n - 64*i
 		if rem >= 64 {
@@ -63,19 +71,8 @@ func (b *BitString) Refill(src *Source, n int) {
 	}
 }
 
-// BitStringFromWords constructs a BitString over pre-drawn words. It copies
-// the slice so callers cannot mutate the string afterwards.
-func BitStringFromWords(words []uint64, n int) *BitString {
-	cp := make([]uint64, len(words))
-	copy(cp, words)
-	return &BitString{bits: cp, n: n}
-}
-
 // Len reports the total number of bits.
 func (b *BitString) Len() int { return b.n }
-
-// Remaining reports the number of unread bits.
-func (b *BitString) Remaining() int { return b.n - b.pos }
 
 // At returns bit i (0 or 1). It panics on out-of-range access, which is a
 // programming error in the simulator.
@@ -86,76 +83,55 @@ func (b *BitString) At(i int) uint64 {
 	return (b.bits[i/64] >> (uint(i) % 64)) & 1
 }
 
-// Take consumes the next k bits and returns them in the low bits of the
-// result, LSB = first bit. If fewer than k bits remain it wraps around to the
-// start of the string; the paper's protocols are sized so this never happens
-// in a correct configuration, but wrapping keeps long adversarial runs well
-// defined. Use Remaining to detect exhaustion.
-func (b *BitString) Take(k int) uint64 {
-	if k <= 0 {
+// Word returns the k bits at positions off, off+1, …, off+k−1, each taken
+// mod Len, in the low bits of the result, lowest first: Σ_j At((off+j) mod
+// Len) << j. k is clamped to [0, 64], and an empty string reads 0. The
+// paper's protocols size their strings so that reads never wrap; then, with
+// 0 ≤ off, Word reads one or two words, and only an undersized string that
+// wraps takes the bit loop.
+func (b *BitString) Word(off, k int) uint64 {
+	if k <= 0 || b.n == 0 {
 		return 0
 	}
 	if k > 64 {
 		k = 64
 	}
-	var out uint64
-	for i := 0; i < k; i++ {
-		if b.n == 0 {
-			return 0
-		}
-		if b.pos >= b.n {
-			b.pos = 0
-		}
-		out |= b.At(b.pos) << uint(i)
-		b.pos++
+	if off < 0 || off+k > b.n {
+		return b.wrapWord(off, k)
 	}
-	return out
+	w, s := off/64, uint(off)%64
+	v := b.bits[w] >> s
+	if s+uint(k) > 64 {
+		v |= b.bits[w+1] << (64 - s)
+	}
+	return v & (1<<uint(k) - 1)
 }
 
-// TakeIndex consumes ceil(log2(m)) bits and maps them to a value in [0, m)
-// by modular reduction. This matches the paper's "select a value i in
-// [log n] using log log n new bits" step: with m a power of two the mapping
-// is exactly uniform.
-func (b *BitString) TakeIndex(m int) int {
-	if m <= 1 {
-		return 0
+// wrapWord is Word's bit loop for reads that wrap past the end of the
+// string (or start before it).
+func (b *BitString) wrapWord(off, k int) uint64 {
+	i := off % b.n
+	if i < 0 {
+		i += b.n
 	}
-	k := BitsFor(m)
-	v := b.Take(k)
-	return int(v % uint64(m))
+	var v uint64
+	for j := 0; j < k; j++ {
+		v |= (b.bits[i/64] >> (uint(i) % 64) & 1) << uint(j)
+		if i++; i == b.n {
+			i = 0
+		}
+	}
+	return v
 }
 
-// Rewind resets the read cursor to the beginning.
-func (b *BitString) Rewind() { b.pos = 0 }
+// Memo returns the string's one-entry memo (see Memo).
+func (b *BitString) Memo() *Memo { return &b.memo }
 
-// Clone returns an independent copy with its own cursor, positioned at the
-// start. Nodes that receive the same payload each read it independently.
+// Clone returns an independent copy of the bits, with an empty Memo.
 func (b *BitString) Clone() *BitString {
 	cp := make([]uint64, len(b.bits))
 	copy(cp, b.bits)
 	return &BitString{bits: cp, n: b.n}
-}
-
-// Slice returns a fresh BitString over bits [from, from+n), with wrapping
-// semantics handled by clamping to the available range.
-func (b *BitString) Slice(from, n int) *BitString {
-	if from < 0 {
-		from = 0
-	}
-	if from > b.n {
-		from = b.n
-	}
-	if n < 0 || from+n > b.n {
-		n = b.n - from
-	}
-	words := (n + 63) / 64
-	out := &BitString{bits: make([]uint64, words), n: n}
-	for i := 0; i < n; i++ {
-		if b.At(from+i) == 1 {
-			out.bits[i/64] |= 1 << (uint(i) % 64)
-		}
-	}
-	return out
 }
 
 // BitsFor returns ceil(log2(m)) for m >= 2, and 1 for m < 2: the number of

@@ -29,111 +29,118 @@ func TestBitStringAtPanics(t *testing.T) {
 	b.At(8)
 }
 
-func TestBitStringTakeMatchesAt(t *testing.T) {
-	src := New(2)
-	b := NewBitString(src, 200)
-	c := b.Clone()
-	for read := 0; read+7 <= 200; read += 7 {
-		v := b.Take(7)
-		var want uint64
-		for i := 0; i < 7; i++ {
-			want |= c.At(read+i) << uint(i)
+// refWord is the bit loop Word replaces: Σ_j At((off+j) mod Len) << j, with
+// k clamped to [0, 64] and an empty string reading 0.
+func refWord(b *BitString, off, k int) uint64 {
+	n := b.Len()
+	if n == 0 || k <= 0 {
+		return 0
+	}
+	if k > 64 {
+		k = 64
+	}
+	var v uint64
+	for j := 0; j < k; j++ {
+		i := (off + j) % n
+		if i < 0 {
+			i += n
 		}
-		if v != want {
-			t.Fatalf("Take at offset %d = %b, want %b", read, v, want)
-		}
+		v |= b.At(i) << uint(j)
 	}
+	return v
 }
 
-func TestBitStringTakeWraps(t *testing.T) {
-	b := NewBitString(New(3), 10)
-	b.Take(10)
-	// Next take wraps to the start; must equal the first bits again.
-	c := b.Clone()
-	if got, want := b.Take(4), c.Take(4); got != want {
-		t.Fatalf("wrapped Take = %b, want %b", got, want)
-	}
-}
-
-func TestBitStringTakeEmpty(t *testing.T) {
-	b := NewBitString(New(4), 0)
-	if got := b.Take(8); got != 0 {
-		t.Fatalf("Take on empty string = %d, want 0", got)
-	}
-}
-
-func TestBitStringTakeIndexRange(t *testing.T) {
-	src := New(5)
-	b := NewBitString(src, 4096)
-	for _, m := range []int{1, 2, 3, 5, 8, 16, 31} {
-		for i := 0; i < 20; i++ {
-			v := b.TakeIndex(m)
-			if v < 0 || v >= m {
-				t.Fatalf("TakeIndex(%d) = %d out of range", m, v)
+// TestBitStringWordMatchesAt checks Word against the bit loop at offsets on,
+// beside and across word boundaries, for every k from 0 to 64 and past it.
+func TestBitStringWordMatchesAt(t *testing.T) {
+	b := NewBitString(New(2), 200)
+	for _, off := range []int{0, 1, 31, 62, 63, 64, 65, 100, 127, 128, 129, 135, 136, 137, 150, 199} {
+		for k := 0; k <= 65; k++ {
+			if got, want := b.Word(off, k), refWord(b, off, k); got != want {
+				t.Fatalf("Word(%d, %d) = %#x, want %#x", off, k, got, want)
 			}
 		}
 	}
 }
 
-func TestBitStringTakeIndexUniformPowerOfTwo(t *testing.T) {
-	b := NewBitString(New(6), 1<<18)
-	counts := make([]int, 8)
-	const trials = 8000
-	for i := 0; i < trials; i++ {
-		counts[b.TakeIndex(8)]++
+// TestBitStringWordWraps checks the reads that leave the string: off+k past
+// Len, off past Len, off below 0, and strings shorter than k.
+func TestBitStringWordWraps(t *testing.T) {
+	for _, n := range []int{1, 3, 10, 63, 64, 65, 130} {
+		b := NewBitString(New(uint64(n)), n)
+		for _, off := range []int{-2 * n, -n - 1, -1, 0, n / 2, n - 1, n, n + 5, 3*n + 1} {
+			for _, k := range []int{0, 1, 2, 7, 63, 64} {
+				if got, want := b.Word(off, k), refWord(b, off, k); got != want {
+					t.Fatalf("n=%d: Word(%d, %d) = %#x, want %#x", n, off, k, got, want)
+				}
+			}
+		}
 	}
-	for i, c := range counts {
-		if c < trials/8-300 || c > trials/8+300 {
-			t.Fatalf("TakeIndex(8) bucket %d = %d, want ~%d", i, c, trials/8)
+	// A 3-bit string read for 6 bits repeats its pattern.
+	b := NewBitString(New(9), 3)
+	if v := b.Word(0, 6); v&7 != v>>3 {
+		t.Fatalf("wrapped read %b does not repeat the string", v)
+	}
+}
+
+func TestBitStringWordEmpty(t *testing.T) {
+	for _, b := range []*BitString{NewBitString(New(4), 0), {}} {
+		for _, k := range []int{0, 1, 8, 64} {
+			if got := b.Word(5, k); got != 0 {
+				t.Fatalf("Word(5, %d) on an empty string = %d, want 0", k, got)
+			}
 		}
 	}
 }
 
-func TestBitStringCloneIndependentCursor(t *testing.T) {
+// TestBitStringRefillClearsMemo: a value memoized from the old bits must not
+// survive a Refill, and a Clone starts with no memo.
+func TestBitStringRefillClearsMemo(t *testing.T) {
+	b := NewBitString(New(5), 64)
+	*b.Memo() = Memo{Key: [4]int{1, 2, 3, 4}, Val: 7, Valid: true}
+	if c := b.Clone(); c.Memo().Valid {
+		t.Fatal("Clone copied the memo")
+	}
+	b.Refill(New(6), 64)
+	if b.Memo().Valid {
+		t.Fatal("Refill kept the memo of the old bits")
+	}
+}
+
+func TestBitStringCloneCopies(t *testing.T) {
 	b := NewBitString(New(7), 64)
 	c := b.Clone()
-	b.Take(32)
-	if c.Remaining() != 64 {
-		t.Fatalf("clone cursor moved: remaining %d", c.Remaining())
-	}
-	// Contents must match bit for bit.
-	b.Rewind()
 	for i := 0; i < 64; i++ {
 		if b.At(i) != c.At(i) {
 			t.Fatalf("clone differs at bit %d", i)
 		}
 	}
-}
-
-func TestBitStringSlice(t *testing.T) {
-	b := NewBitString(New(8), 100)
-	s := b.Slice(10, 20)
-	if s.Len() != 20 {
-		t.Fatalf("Slice len = %d, want 20", s.Len())
-	}
-	for i := 0; i < 20; i++ {
-		if s.At(i) != b.At(10+i) {
-			t.Fatalf("slice bit %d mismatch", i)
-		}
-	}
-	// Out-of-range slices clamp.
-	if got := b.Slice(90, 50).Len(); got != 10 {
-		t.Fatalf("clamped slice len = %d, want 10", got)
-	}
-	if got := b.Slice(-5, 5).Len(); got != 5 {
-		t.Fatalf("negative-from slice len = %d, want 5", got)
+	// The clone owns its words: refilling the original leaves it alone.
+	want := c.Word(0, 64)
+	b.Refill(New(8), 64)
+	if c.Word(0, 64) != want {
+		t.Fatal("clone shares storage with the original")
 	}
 }
 
-func TestBitStringFromWordsCopies(t *testing.T) {
-	words := []uint64{0xff}
-	b := BitStringFromWords(words, 8)
-	words[0] = 0
-	for i := 0; i < 8; i++ {
-		if b.At(i) != 1 {
-			t.Fatal("BitStringFromWords did not copy input")
+// FuzzWord reads a fuzzed string at fuzzed offsets and widths, against the
+// bit loop Word replaces.
+func FuzzWord(f *testing.F) {
+	f.Add(uint64(1), uint16(200), []byte{0, 64, 63, 2, 127, 64, 199, 1, 0, 0})
+	f.Add(uint64(2), uint16(3), []byte{0, 6, 2, 64, 255, 63})
+	f.Add(uint64(3), uint16(0), []byte{0, 1, 5, 64})
+	f.Add(uint64(4), uint16(64), []byte{1, 64, 63, 64, 64, 1})
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, ops []byte) {
+		b := NewBitString(New(seed), int(n%1024))
+		for i := 0; i+1 < len(ops); i += 2 {
+			// Offsets reach a little before 0 and past the end.
+			off := int(ops[i])*int(n%1024+2)/128 - 4
+			k := int(ops[i+1]) % 70
+			if got, want := b.Word(off, k), refWord(b, off, k); got != want {
+				t.Fatalf("Len %d: Word(%d, %d) = %#x, want %#x", b.Len(), off, k, got, want)
+			}
 		}
-	}
+	})
 }
 
 func TestBitsFor(t *testing.T) {

@@ -108,20 +108,48 @@ func (p geoParams) electionProb(phase int) float64 {
 	if exp < 1 {
 		exp = 1
 	}
-	return ldexp1(-exp)
+	return pow2Neg(exp)
 }
 
-func ldexp1(exp int) float64 {
-	v := 1.0
-	for ; exp < 0; exp++ {
-		v /= 2
+// geoClock is the stage clock one slab's processes share: the parameters,
+// and the stage position of the last round asked about. Every process asks
+// for the same round in turn, so the divisions that place a round run once
+// per round, not once per node.
+//
+//dglint:pooled reset=GeoLocal.ResetProcesses
+type geoClock struct {
+	par   geoParams
+	round int // the round sp places; -1 before the first
+	sp    stagePos
+}
+
+// stagePos decomposes round r.
+type stagePos struct {
+	init     bool
+	phase    int // init: phase index
+	within   int // init: 0 = election round, >0 = flood round
+	iter     int // broadcast: iteration index
+	iterOffs int // broadcast: round within the iteration
+}
+
+// pos returns round r's stage position, placing r only when it differs from
+// the last round asked about.
+func (c *geoClock) pos(r int) *stagePos {
+	if r != c.round {
+		c.round = r
+		if r < c.par.initRounds {
+			c.sp = stagePos{init: true, phase: r / c.par.phaseLen, within: r % c.par.phaseLen}
+		} else {
+			t := r - c.par.initRounds
+			c.sp = stagePos{iter: t / c.par.blockLen, iterOffs: t % c.par.blockLen}
+		}
 	}
-	return v
+	return &c.sp
 }
 
 // NewProcesses implements radio.Algorithm.
 func (a GeoLocal) NewProcesses(net *graph.Dual, spec radio.Spec, rng *bitrand.Source) []radio.Process {
-	p := a.params(net)
+	clk := &geoClock{par: a.params(net), round: -1}
 	n := net.N()
 	inB := make([]bool, n)
 	for _, u := range spec.Broadcasters {
@@ -131,7 +159,7 @@ func (a GeoLocal) NewProcesses(net *graph.Dual, spec radio.Spec, rng *bitrand.So
 	for u := 0; u < n; u++ {
 		procs[u] = &geoLocalProc{
 			id:          u,
-			par:         p,
+			clk:         clk,
 			inB:         inB[u],
 			leaderPhase: -1,
 			noShare:     a.DisableSeedSharing,
@@ -146,13 +174,18 @@ func (a GeoLocal) NewProcesses(net *graph.Dual, spec radio.Spec, rng *bitrand.So
 // re-derives the parameters from the receiver. Each node retains the seed
 // storage it drew itself last trial so the next trial's seeds refill in
 // place; shared (received) seeds are merely dropped, never retained, since
-// their storage belongs to the node that drew them.
+// their storage belongs to the node that drew them. The slab's stage clock
+// is reset in place and shared again by every process.
 func (a GeoLocal) ResetProcesses(procs []radio.Process, net *graph.Dual, spec radio.Spec, rng *bitrand.Source) bool {
-	par := a.params(net)
+	var clk *geoClock
 	for u := range procs {
 		p, ok := procs[u].(*geoLocalProc)
 		if !ok {
 			return false
+		}
+		if clk == nil {
+			clk = p.clk
+			*clk = geoClock{par: a.params(net), round: -1}
 		}
 		spare := p.ownSeed
 		if spare == nil {
@@ -160,7 +193,7 @@ func (a GeoLocal) ResetProcesses(procs []radio.Process, net *graph.Dual, spec ra
 		}
 		*p = geoLocalProc{
 			id:          u,
-			par:         par,
+			clk:         clk,
 			inB:         p.inB,
 			leaderPhase: -1,
 			noShare:     a.DisableSeedSharing,
@@ -173,7 +206,7 @@ func (a GeoLocal) ResetProcesses(procs []radio.Process, net *graph.Dual, spec ra
 //dglint:pooled reset=GeoLocal.ResetProcesses
 type geoLocalProc struct {
 	id  graph.NodeID
-	par geoParams
+	clk *geoClock // shared by the slab
 	inB bool
 	// noShare implements the seed ablation: commit only to private seeds.
 	noShare bool
@@ -197,51 +230,20 @@ func (p *geoLocalProc) freshSeed(src *bitrand.Source) *bitrand.BitString {
 	s := p.spareSeed
 	p.spareSeed = nil
 	if s != nil {
-		s.Refill(src, p.par.seedBits)
+		s.Refill(src, p.clk.par.seedBits)
 	} else {
-		s = bitrand.NewBitString(src, p.par.seedBits)
+		s = bitrand.NewBitString(src, p.clk.par.seedBits)
 	}
 	p.ownSeed = s
 	return s
-}
-
-// stagePos decomposes round r.
-type stagePos struct {
-	init     bool
-	phase    int // init: phase index
-	within   int // init: 0 = election round, >0 = flood round
-	iter     int // broadcast: iteration index
-	iterOffs int // broadcast: round within the iteration
-}
-
-func (p *geoLocalProc) pos(r int) stagePos {
-	if r < p.par.initRounds {
-		return stagePos{init: true, phase: r / p.par.phaseLen, within: r % p.par.phaseLen}
-	}
-	t := r - p.par.initRounds
-	return stagePos{iter: t / p.par.blockLen, iterOffs: t % p.par.blockLen}
-}
-
-// seedBitsAt reads k bits of the committed seed at the given offset,
-// wrapping if the seed is undersized.
-func (p *geoLocalProc) seedBitsAt(off, k int) uint64 {
-	n := p.seed.Len()
-	if n == 0 {
-		return 0
-	}
-	var v uint64
-	for b := 0; b < k; b++ {
-		v |= p.seed.At((off+b)%n) << uint(b)
-	}
-	return v
 }
 
 // participates reports whether this node's seed group participates in the
 // given broadcast iteration (probability ≈ 1/logn, identical across the
 // seed group).
 func (p *geoLocalProc) participates(iter int) bool {
-	off := (iter % p.par.iterations) * p.par.bitsPerIter
-	v := p.seedBitsAt(off, p.par.partBits)
+	par := &p.clk.par
+	v := p.seed.Word(iter%par.iterations*par.bitsPerIter, par.partBits)
 	// v is uniform over [0, 2^partBits); participate on 0, probability
 	// 2^{-ceil(log2 logn)} ≈ 1/logn.
 	return v == 0
@@ -250,17 +252,17 @@ func (p *geoLocalProc) participates(iter int) bool {
 // probIndex returns the shared permuted decay index i ∈ [1, logΔ] for round
 // j of the given iteration.
 func (p *geoLocalProc) probIndex(iter, j int) int {
-	off := (iter%p.par.iterations)*p.par.bitsPerIter + p.par.partBits + j*p.par.bitsPerIndex
-	v := p.seedBitsAt(off, p.par.bitsPerIndex)
-	return int(v%uint64(p.par.lDelta)) + 1
+	par := &p.clk.par
+	v := p.seed.Word(iter%par.iterations*par.bitsPerIter+par.partBits+j*par.bitsPerIndex, par.bitsPerIndex)
+	return int(v%uint64(par.lDelta)) + 1
 }
 
 // TransmitProb implements radio.TransmitProber.
 func (p *geoLocalProc) TransmitProb(r int) float64 {
-	sp := p.pos(r)
+	sp := p.clk.pos(r)
 	if sp.init {
 		if sp.within > 0 && p.leaderPhase == sp.phase {
-			return 1 / float64(p.par.logN)
+			return 1 / float64(p.clk.par.logN)
 		}
 		return 0
 	}
@@ -270,22 +272,23 @@ func (p *geoLocalProc) TransmitProb(r int) float64 {
 	if !p.participates(sp.iter) {
 		return 0
 	}
-	return ldexp1(-p.probIndex(sp.iter, sp.iterOffs))
+	return pow2Neg(p.probIndex(sp.iter, sp.iterOffs))
 }
 
 // Step implements radio.Process.
 func (p *geoLocalProc) Step(r int, rng *bitrand.Source) radio.Action {
-	sp := p.pos(r)
+	par := &p.clk.par
+	sp := p.clk.pos(r)
 	if sp.init {
 		switch {
 		case sp.within == 0 && p.seed == nil:
 			// Election round: still-active nodes self-elect.
-			if rng.Coin(p.par.electionProb(sp.phase)) {
+			if rng.Coin(par.electionProb(sp.phase)) {
 				p.becomeLeader(sp.phase, rng)
 			}
 		case sp.within > 0 && p.leaderPhase == sp.phase:
 			// Flood round for this phase's leaders.
-			if rng.Coin(1 / float64(p.par.logN)) {
+			if rng.Coin(1 / float64(par.logN)) {
 				return radio.Transmit(p.seedMsg)
 			}
 		}
@@ -293,7 +296,7 @@ func (p *geoLocalProc) Step(r int, rng *bitrand.Source) radio.Action {
 		// broadcast stage starts with every node seeded (paper: "if a node
 		// ends the initialization stage still active, it generates its own
 		// seed and commits to it").
-		if r == p.par.initRounds-1 && p.seed == nil {
+		if r == par.initRounds-1 && p.seed == nil {
 			p.seed = p.freshSeed(rng)
 		}
 		return radio.Listen()
@@ -302,7 +305,7 @@ func (p *geoLocalProc) Step(r int, rng *bitrand.Source) radio.Action {
 	if !p.inB || p.seed == nil || !p.participates(sp.iter) {
 		return radio.Listen()
 	}
-	if rng.Coin(ldexp1(-p.probIndex(sp.iter, sp.iterOffs))) {
+	if rng.Coin(pow2Neg(p.probIndex(sp.iter, sp.iterOffs))) {
 		if p.bcastMsg == nil {
 			p.bcastMsg = &radio.Message{Origin: p.id}
 		}
@@ -322,8 +325,7 @@ func (p *geoLocalProc) Deliver(r int, msg *radio.Message) {
 	if msg == nil || p.seed != nil {
 		return
 	}
-	sp := p.pos(r)
-	if !sp.init {
+	if !p.clk.pos(r).init {
 		return
 	}
 	seed, ok := msg.Payload.(*bitrand.BitString)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/bitrand"
@@ -203,9 +204,24 @@ func TestGeoLocalTransmitProbZeroMeansSilent(t *testing.T) {
 	}
 }
 
-func TestLdexp1(t *testing.T) {
-	if ldexp1(0) != 1 || ldexp1(-1) != 0.5 || ldexp1(-3) != 0.125 {
-		t.Fatal("ldexp1 wrong")
+// TestPow2Neg pins pow2Neg, which the permuted decay and geographic
+// schedules use for 2^-i, against math.Ldexp over the indices where it is
+// exact, and Prob's fallback past them.
+func TestPow2Neg(t *testing.T) {
+	for i := 0; i <= 1022; i++ {
+		if got, want := pow2Neg(i), math.Ldexp(1, -i); got != want {
+			t.Fatalf("pow2Neg(%d) = %v, want %v", i, got, want)
+		}
+	}
+	// A schedule with more levels than normal exponents still returns
+	// 2^-Index: an all-ones string reads the largest index.
+	levels := 1100
+	bits := bitrand.NewBitString(bitrand.New(1), 4096)
+	sched := NewPermScheduleLevels(bits, levels, 1, 1)
+	for r := 0; r < 200; r++ {
+		if got, want := sched.Prob(r), math.Ldexp(1, -sched.Index(r)); got != want {
+			t.Fatalf("round %d: Prob = %v, want 2^-%d = %v", r, got, sched.Index(r), want)
+		}
 	}
 }
 
@@ -228,28 +244,102 @@ func TestGeoLocalElectionProbClamp(t *testing.T) {
 	}
 }
 
-// TestGeoLocalSeedBitsWrap pins seedBitsAt's two boundary cases: an
-// undersized seed wraps (reads past Len fold back to the start), and a
-// zero-length seed reads as all-zero instead of dividing by zero.
+// refSeedBits is the bit loop the seed reads replaced: k bits of the seed
+// from off, wrapping if the seed is undersized, and 0 for an empty seed.
+func refSeedBits(seed *bitrand.BitString, off, k int) uint64 {
+	n := seed.Len()
+	if n == 0 {
+		return 0
+	}
+	var v uint64
+	for b := 0; b < k; b++ {
+		v |= seed.At((off+b)%n) << uint(b)
+	}
+	return v
+}
+
+// TestGeoLocalSeedBitsWrap pins participates and probIndex against the bit
+// loop, for a full seed, undersized seeds whose reads wrap, and an empty
+// seed, which reads as all-zero instead of dividing by zero.
 func TestGeoLocalSeedBitsWrap(t *testing.T) {
-	p := &geoLocalProc{seed: bitrand.NewBitString(bitrand.New(9), 3)}
-	n := p.seed.Len()
-	if n != 3 {
-		t.Fatalf("seed length %d, want 3", n)
+	for _, net := range []*graph.Dual{geoNet(t, 6, 6), geoNet(t, 3, 9)} {
+		par := GeoLocal{Gamma: 3}.params(net)
+		clk := &geoClock{par: par, round: -1}
+		for _, n := range []int{par.seedBits, par.bitsPerIter + 1, 5, 3, 1, 0} {
+			p := &geoLocalProc{clk: clk, seed: bitrand.NewBitString(bitrand.New(uint64(n)), n)}
+			for iter := 0; iter < 2*par.iterations+3; iter++ {
+				off := iter % par.iterations * par.bitsPerIter
+				if got, want := p.participates(iter), refSeedBits(p.seed, off, par.partBits) == 0; got != want {
+					t.Fatalf("seed %d bits: participates(%d) = %v, want %v", n, iter, got, want)
+				}
+				for j := 0; j < par.blockLen; j++ {
+					v := refSeedBits(p.seed, off+par.partBits+j*par.bitsPerIndex, par.bitsPerIndex)
+					if got, want := p.probIndex(iter, j), int(v%uint64(par.lDelta))+1; got != want {
+						t.Fatalf("seed %d bits: probIndex(%d, %d) = %d, want %d", n, iter, j, got, want)
+					}
+				}
+			}
+		}
 	}
-	// Reading 6 bits from offset 0 must repeat the 3-bit pattern.
-	v := p.seedBitsAt(0, 6)
-	lo, hi := v&0x7, (v>>3)&0x7
-	if lo != hi {
-		t.Fatalf("wrapped read %b does not repeat the seed", v)
+}
+
+// TestGeoLocalStageClock pins the shared stage clock against the division
+// formula for rounds asked in order, repeated and out of order, by several
+// processes of one slab, and across ResetProcesses, which must keep one
+// clock per slab and reset it without allocating.
+func TestGeoLocalStageClock(t *testing.T) {
+	net := geoNet(t, 6, 6)
+	alg := GeoLocal{}
+	spec := radio.Spec{Problem: radio.LocalBroadcast, Broadcasters: everyThird(net.N())}
+	procs := alg.NewProcesses(net, spec, bitrand.New(1))
+	par := alg.params(net)
+	want := func(r int) stagePos {
+		if r < par.initRounds {
+			return stagePos{init: true, phase: r / par.phaseLen, within: r % par.phaseLen}
+		}
+		t := r - par.initRounds
+		return stagePos{iter: t / par.blockLen, iterOffs: t % par.blockLen}
 	}
-	if w := p.seedBitsAt(2, 1); w != p.seed.At(2) {
-		t.Fatalf("offset read %d, want bit %d", w, p.seed.At(2))
+	last := par.initRounds + 3*par.blockLen
+	var rounds []int
+	for r := 0; r <= last; r++ {
+		rounds = append(rounds, r, r) // in order, each asked twice
 	}
-	empty := &geoLocalProc{seed: &bitrand.BitString{}}
-	if got := empty.seedBitsAt(0, 8); got != 0 {
-		t.Fatalf("zero-length seed read %d, want 0", got)
+	rounds = append(rounds, last, 0, par.initRounds, par.initRounds-1, 7, last-1, par.phaseLen, par.phaseLen-1)
+	check := func(stage string) {
+		t.Helper()
+		clk := procs[0].(*geoLocalProc).clk
+		for i, r := range rounds {
+			gp := procs[i%len(procs)].(*geoLocalProc)
+			if gp.clk != clk {
+				t.Fatalf("%s: node %d has its own clock", stage, i%len(procs))
+			}
+			if got := *gp.clk.pos(r); got != want(r) {
+				t.Fatalf("%s: pos(%d) = %+v, want %+v", stage, r, got, want(r))
+			}
+		}
 	}
+	check("fresh")
+	if !alg.ResetProcesses(procs, net, spec, bitrand.New(2)) {
+		t.Fatal("reset refused its own slab")
+	}
+	if clk := procs[0].(*geoLocalProc).clk; clk.round != -1 || clk.par != par {
+		t.Fatalf("reset clock holds round %d, params %+v", clk.round, clk.par)
+	}
+	check("reset")
+	// A reset under other parameters re-derives them into the same clock,
+	// without allocating.
+	clk := procs[0].(*geoLocalProc).clk
+	clk.pos(50)
+	short, rng := GeoLocal{Gamma: 3}, bitrand.New(4)
+	if allocs := testing.AllocsPerRun(10, func() { short.ResetProcesses(procs, net, spec, rng) }); allocs != 0 {
+		t.Errorf("ResetProcesses allocates %v times", allocs)
+	}
+	if procs[0].(*geoLocalProc).clk != clk || clk.par != short.params(net) || clk.round != -1 {
+		t.Fatal("reset did not keep the slab's clock and re-derive its parameters")
+	}
+	par = short.params(net)
+	check("reset under other parameters")
 }
 
 // TestGeoLocalFinalInitSelfCommit covers the last-round fallback directly: a
@@ -261,11 +351,11 @@ func TestGeoLocalFinalInitSelfCommit(t *testing.T) {
 	p := procs[0].(*geoLocalProc)
 	p.leaderPhase = -2 // never this phase's leader; elections can't fire either
 	rng := bitrand.New(0)
-	p.Step(p.par.initRounds-2, rng)
+	p.Step(p.clk.par.initRounds-2, rng)
 	if p.seed != nil {
 		t.Fatal("committed before the final init round without electing")
 	}
-	p.Step(p.par.initRounds-1, rng)
+	p.Step(p.clk.par.initRounds-1, rng)
 	if p.seed == nil {
 		t.Fatal("final init round did not self-commit")
 	}
@@ -281,11 +371,11 @@ func TestGeoLocalDeliverBoundaries(t *testing.T) {
 	net := geoNet(t, 5, 5)
 	procs := GeoLocal{}.NewProcesses(net, radio.Spec{Problem: radio.LocalBroadcast}, bitrand.New(2))
 	p := procs[1].(*geoLocalProc)
-	seed := bitrand.NewBitString(bitrand.New(3), p.par.seedBits)
+	seed := bitrand.NewBitString(bitrand.New(3), p.clk.par.seedBits)
 
 	p.Deliver(1, nil)
-	p.Deliver(1, &radio.Message{Origin: 0})                               // no payload
-	p.Deliver(p.par.initRounds, &radio.Message{Origin: 0, Payload: seed}) // too late
+	p.Deliver(1, &radio.Message{Origin: 0})                                   // no payload
+	p.Deliver(p.clk.par.initRounds, &radio.Message{Origin: 0, Payload: seed}) // too late
 	if p.seed != nil {
 		t.Fatal("a guarded delivery committed a seed")
 	}
@@ -293,7 +383,7 @@ func TestGeoLocalDeliverBoundaries(t *testing.T) {
 	if p.seed != seed {
 		t.Fatal("an in-stage seed frame did not commit")
 	}
-	other := bitrand.NewBitString(bitrand.New(4), p.par.seedBits)
+	other := bitrand.NewBitString(bitrand.New(4), p.clk.par.seedBits)
 	p.Deliver(2, &radio.Message{Origin: 2, Payload: other})
 	if p.seed != seed {
 		t.Fatal("a second delivery overwrote the committed seed")

@@ -20,6 +20,15 @@ const PermutedDecayGamma = 16
 // bit string, so two nodes reading the same string at the same round agree
 // without any cursor state.
 //
+// Round r's index is the bitsPer bits at position (r mod blockLen·numBlocks)
+// · bitsPer, read as one word (BitString.Word). Every holder of the string
+// asks for the same round's index, so Index keeps the last one in the
+// string's one-entry Memo, keyed by the round and the schedule's
+// parameters: the first holder in a round reads the bits, the others compare
+// a key. The memo holds one entry, not a table of every round's index, so a
+// private string that is read once a round (PermutedLocalUncoordinated)
+// costs no table it never reads.
+//
 //dglint:pooled reset=Reset
 type PermSchedule struct {
 	bits    *bitrand.BitString
@@ -31,6 +40,8 @@ type PermSchedule struct {
 	// numBlocks is the number of distinct calls the string supports before
 	// indices wrap (the paper's 2·log n calls for global broadcast).
 	numBlocks int
+	// period is blockLen·numBlocks, the rounds before indices wrap.
+	period int
 }
 
 // NewPermSchedule builds the Section 4.1 schedule over the given bits for
@@ -79,6 +90,7 @@ func (s *PermSchedule) ResetLevels(bits *bitrand.BitString, levels, numBlocks, g
 		gamma:     gamma,
 		blockLen:  gamma * levels,
 		numBlocks: numBlocks,
+		period:    gamma * levels * numBlocks,
 	}
 }
 
@@ -101,31 +113,39 @@ func GlobalBitsLen(n, numBlocks int) int {
 }
 
 // Index returns the shared probability index i ∈ [1, levels] for global
-// round r. All nodes holding the same bit string compute the same value.
+// round r (rounds before 0 read as round 0). All nodes holding the same bit
+// string compute the same value; all but the first in a round read it from
+// the string's memo.
 func (s *PermSchedule) Index(r int) int {
 	if r < 0 {
 		r = 0
 	}
-	block := (r / s.blockLen) % s.numBlocks
-	j := r % s.blockLen
-	off := (block*s.blockLen + j) * s.bitsPer
-	// Assemble the index bits read at fixed positions (wrapping within the
-	// string if undersized).
-	n := s.bits.Len()
-	if n == 0 {
-		return 1
+	m := s.bits.Memo()
+	key := [4]int{r, s.levels, s.blockLen, s.numBlocks}
+	if m.Valid && m.Key == key {
+		return m.Val
 	}
-	var v uint64
-	for b := 0; b < s.bitsPer; b++ {
-		v |= s.bits.At((off+b)%n) << uint(b)
+	i := 1
+	if s.bits.Len() > 0 {
+		// Block r/blockLen mod numBlocks, round r mod blockLen within it:
+		// together, round r mod period of the string's schedule. An
+		// undersized string wraps (see Word).
+		v := s.bits.Word(r%s.period*s.bitsPer, s.bitsPer)
+		// Map to [1, levels]. With levels a power of two the map is uniform.
+		i = int(v%uint64(s.levels)) + 1
 	}
-	// Map to [1, levels]. With levels a power of two the map is uniform.
-	return int(v%uint64(s.levels)) + 1
+	*m = bitrand.Memo{Key: key, Val: i, Valid: true}
+	return i
 }
 
 // Prob returns the shared transmit probability 2^{-Index(r)} for round r.
 func (s *PermSchedule) Prob(r int) float64 {
-	return math.Ldexp(1, -s.Index(r))
+	i := s.Index(r)
+	if i > 1022 {
+		// Past the normal exponents, where pow2Neg stops being exact.
+		return math.Ldexp(1, -i)
+	}
+	return pow2Neg(i)
 }
 
 // PermutedGlobal is the oblivious-model global broadcast of Section 4.1. The
@@ -203,19 +223,12 @@ type permGlobalProc struct {
 	n          int
 	numBlocks  int
 	isSource   bool
-	informedAt int // -1 until informed; sched/msg are valid iff ≥ 0
-	sched      PermSchedule
-	msg        *radio.Message
-}
-
-// startRound returns the first block boundary at or after the node learned
-// the message.
-func (p *permGlobalProc) startRound() int {
-	if p.informedAt <= 0 {
-		return 0
-	}
-	bl := p.sched.BlockLen()
-	return ((p.informedAt + bl - 1) / bl) * bl
+	informedAt int // -1 until informed; start/sched/msg are valid iff ≥ 0
+	// start is the first block boundary at or after informedAt, the round
+	// the node joins permuted decay.
+	start int
+	sched PermSchedule
+	msg   *radio.Message
 }
 
 func (p *permGlobalProc) activeProb(r int) float64 {
@@ -229,7 +242,7 @@ func (p *permGlobalProc) activeProb(r int) float64 {
 		}
 		return 0
 	}
-	if r < p.startRound() {
+	if r < p.start {
 		return 0
 	}
 	return p.sched.Prob(r)
@@ -261,6 +274,8 @@ func (p *permGlobalProc) Deliver(r int, msg *radio.Message) {
 	}
 	p.informedAt = r + 1
 	p.sched.Reset(bits, p.n, p.numBlocks)
+	bl := p.sched.BlockLen()
+	p.start = (p.informedAt + bl - 1) / bl * bl
 	p.msg = msg
 }
 

@@ -83,6 +83,106 @@ func TestPermScheduleLevels(t *testing.T) {
 	}
 }
 
+// refPermIndex is the bit-by-bit formula PermSchedule.Index replaced: block
+// r/blockLen mod numBlocks, round r mod blockLen within it, bitsPer bits from
+// there, each read with a modulo so undersized strings wrap.
+func refPermIndex(bits *bitrand.BitString, levels, blockLen, numBlocks, r int) int {
+	if r < 0 {
+		r = 0
+	}
+	bitsPer := bitrand.BitsFor(levels)
+	block := (r / blockLen) % numBlocks
+	j := r % blockLen
+	off := (block*blockLen + j) * bitsPer
+	n := bits.Len()
+	if n == 0 {
+		return 1
+	}
+	var v uint64
+	for b := 0; b < bitsPer; b++ {
+		v |= bits.At((off+b)%n) << uint(b)
+	}
+	return int(v%uint64(levels)) + 1
+}
+
+// TestPermScheduleMatchesBitLoop checks Index and Prob against the bit loop
+// for full, undersized and empty strings, level counts that are not powers
+// of two, rounds before 0, and rounds read in order, repeated and out of
+// order, with two schedules of different parameters reading one string in
+// turn, so each read may meet the other's memo entry.
+func TestPermScheduleMatchesBitLoop(t *testing.T) {
+	type params struct{ levels, numBlocks, gamma int }
+	src := bitrand.New(11)
+	for _, ps := range [][2]params{
+		{{10, 20, 16}, {10, 20, 8}},
+		{{8, 16, 16}, {8, 15, 16}},
+		{{3, 2, 5}, {5, 2, 3}},
+		{{1, 1, 1}, {7, 3, 2}},
+		{{20, 4, 16}, {64, 1, 1}},
+	} {
+		a, b := ps[0], ps[1]
+		full := NewPermScheduleLevels(bitrand.NewBitString(src, 1), a.levels, a.numBlocks, a.gamma).BitsLen()
+		for _, n := range []int{full, full / 3, 17, 5, 1, 0} {
+			bits := bitrand.NewBitString(src, n)
+			sa := NewPermScheduleLevels(bits, a.levels, a.numBlocks, a.gamma)
+			sb := NewPermScheduleLevels(bits, b.levels, b.numBlocks, b.gamma)
+			span := 2*sa.BlockLen()*a.numBlocks + 3
+			var rounds []int
+			for r := -3; r < span; r++ {
+				rounds = append(rounds, r, r)
+			}
+			for i := 0; i < 200; i++ {
+				rounds = append(rounds, src.Intn(4*span)-span/2)
+			}
+			for i, r := range rounds {
+				for _, c := range []struct {
+					s *PermSchedule
+					p params
+				}{{sa, a}, {sb, b}} {
+					if i%3 == 2 && c.s == sa {
+						continue // let sb's entry stand between two sa reads
+					}
+					want := refPermIndex(bits, c.p.levels, c.p.gamma*c.p.levels, c.p.numBlocks, r)
+					if got := c.s.Index(r); got != want {
+						t.Fatalf("params %+v, %d bits: Index(%d) = %d, want %d", c.p, n, r, got, want)
+					}
+					if got := c.s.Prob(r); got != math.Ldexp(1, -want) {
+						t.Fatalf("params %+v, %d bits: Prob(%d) = %v, want 2^-%d", c.p, n, r, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPermScheduleRefillClearsMemo: the same round read before and after a
+// Refill with new bits must follow the bits, not a memo of the old ones.
+func TestPermScheduleRefillClearsMemo(t *testing.T) {
+	const n = 1 << 10
+	src := bitrand.New(12)
+	bits := bitrand.NewBitString(src, GlobalBitsLen(n, 4))
+	s := NewPermSchedule(bits, n, 4)
+	changed := 0
+	for trial := 0; trial < 50; trial++ {
+		r := trial * 7
+		before := s.Index(r)
+		if want := refPermIndex(bits, s.Levels(), s.BlockLen(), 4, r); before != want {
+			t.Fatalf("trial %d: Index(%d) = %d, want %d", trial, r, before, want)
+		}
+		bits.Refill(src, GlobalBitsLen(n, 4))
+		after := s.Index(r)
+		if want := refPermIndex(bits, s.Levels(), s.BlockLen(), 4, r); after != want {
+			t.Fatalf("trial %d: Index(%d) after Refill = %d, want %d (before: %d)", trial, r, after, want, before)
+		}
+		if after != before {
+			changed++
+		}
+	}
+	if changed == 0 {
+		t.Fatal("no Refill changed the index: the check proves nothing")
+	}
+}
+
 func TestGlobalBitsLenMatchesPaper(t *testing.T) {
 	// For n a power of two, numBlocks = 2·log n gives the paper's
 	// 32·log²n·loglogn bits.

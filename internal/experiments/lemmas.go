@@ -182,26 +182,7 @@ func runLemma42(cfg Config) (*Result, error) {
 			src := root.Split(uint64(si), uint64(trial))
 			bits := bitrand.NewBitString(src, core.GlobalBitsLen(n, 1))
 			sched := core.NewPermSchedule(bits, n, 1)
-			got := false
-			for r := 0; r < sched.BlockLen() && !got; r++ {
-				p := sched.Prob(r)
-				tx := 0
-				for s := 0; s < shape.ig; s++ {
-					if src.Coin(p) {
-						tx++
-					}
-				}
-				pre := bitrand.HashPrefix(uint64(trial), uint64(r))
-				for s := 0; s < shape.igp; s++ {
-					present := bitrand.UnitFloat(bitrand.HashFrom(pre, uint64(s))) < shape.presence
-					if present && src.Coin(p) {
-						tx++
-					}
-				}
-				if tx == 1 {
-					got = true
-				}
-			}
+			got := lemma42Call(src, sched, trial, shape.ig, shape.igp, shape.presence)
 			return []float64{boolBit(got)}, nil
 		}, func(recs []taskRecord) error {
 			success := 0
@@ -223,4 +204,40 @@ func runLemma42(cfg Config) (*Result, error) {
 		res.Notes = append(res.Notes, verdict(res.Pass))
 		return res
 	})
+}
+
+// lemma42Call runs one permuted decay call of Lemma 4.2's setting and
+// reports whether the receiver heard exactly one transmitter in some round.
+// Each round, the ig reliable senders flip a coin at the schedule's
+// probability p, and so does each of the igp unreliable slots the oblivious
+// adversary connects: slot s is present when the top 53 bits of its hash
+// fall below presence. All coins come from src in order and share p, so
+// only the number of present slots matters, not which ones: the round
+// counts them without a branch, then draws ig plus that many coins against
+// one threshold. This draws exactly the coins of the slot-by-slot loop: a
+// slot's UnitFloat(h) < presence is h>>11 < CoinThreshold(presence), for
+// every presence (0 and 1 included), by CoinThreshold's argument, and p =
+// 2^-i lies in (0, 1/2], where Coin(p) is CoinBelow(CoinThreshold(p)).
+func lemma42Call(src *bitrand.Source, sched *core.PermSchedule, trial, ig, igp int, presence float64) bool {
+	present := bitrand.CoinThreshold(presence)
+	for r := 0; r < sched.BlockLen(); r++ {
+		pre := bitrand.HashPrefix(uint64(trial), uint64(r))
+		coins := ig
+		for s := 0; s < igp; s++ {
+			// Both sides are below 2^54, so the difference's sign bit is
+			// the comparison.
+			coins += int((bitrand.HashFrom(pre, uint64(s))>>11 - present) >> 63)
+		}
+		t := bitrand.CoinThreshold(sched.Prob(r))
+		tx := 0
+		for c := 0; c < coins; c++ {
+			if src.CoinBelow(t) {
+				tx++
+			}
+		}
+		if tx == 1 {
+			return true
+		}
+	}
+	return false
 }

@@ -79,8 +79,7 @@ func (TDM) NewProcesses(net *graph.Dual, spec radio.Spec, rng *bitrand.Source) [
 		if i, ok := srcIndex[u]; ok {
 			bits := bitrand.NewBitString(rng, core.GlobalBitsLen(n, numBlocks))
 			st := &p.states[i]
-			st.informedAt = rumorStart(spec, i)
-			st.sched.Reset(bits, n, numBlocks)
+			st.inform(rumorStart(spec, i), bits, n, numBlocks, k)
 			st.msg = &radio.Message{Origin: u, Payload: rumor{bits: bits}}
 			st.isOrigin = true
 		}
@@ -147,8 +146,7 @@ func (TDM) ResetProcesses(procs []radio.Process, net *graph.Dual, spec radio.Spe
 				oldMsg = nil
 			}
 			st := &p.states[si]
-			st.informedAt = rumorStart(spec, si)
-			st.sched.Reset(bits, n, numBlocks)
+			st.inform(rumorStart(spec, si), bits, n, numBlocks, k)
 			if oldMsg != nil && oldMsg.Origin == u {
 				st.msg = oldMsg
 			} else {
@@ -162,11 +160,28 @@ func (TDM) ResetProcesses(procs []radio.Process, net *graph.Dual, spec radio.Spe
 
 //dglint:pooled reset=TDM.ResetProcesses
 type rumorState struct {
-	informedAt int // -1 until informed; sched/msg valid iff ≥ 0
+	informedAt int // -1 until informed; startSub/sched/msg valid iff ≥ 0
+	// startSub is the first aligned subsequence round: the subsequence
+	// round at which the rumor was learned, rounded up to the next permuted
+	// decay block boundary.
+	startSub   int
 	sched      core.PermSchedule
 	msg        *radio.Message
 	isOrigin   bool
 	originSent bool
+}
+
+// inform records that the rumor with the given shared bits was learned (for
+// an origin: activated) in round at, in a slab of n nodes running k rumors.
+func (st *rumorState) inform(at int, bits *bitrand.BitString, n, numBlocks, k int) {
+	st.informedAt = at
+	st.sched.Reset(bits, n, numBlocks)
+	st.startSub = 0
+	if at > 0 {
+		sub := (at + k - 1) / k
+		bl := st.sched.BlockLen()
+		st.startSub = (sub + bl - 1) / bl * bl
+	}
 }
 
 //dglint:pooled reset=TDM.ResetProcesses
@@ -179,18 +194,6 @@ type tdmProc struct {
 // slot returns the rumor index served in global round r and the rumor-local
 // round index.
 func (p *tdmProc) slot(r int) (idx, sub int) { return r % p.k, r / p.k }
-
-// startSub returns the first aligned subsequence round for a rumor state.
-func (p *tdmProc) startSub(st *rumorState) int {
-	if st.informedAt <= 0 {
-		return 0
-	}
-	// Subsequence round at which the rumor was learned, rounded up to the
-	// next permuted-decay block boundary.
-	sub := (st.informedAt + p.k - 1) / p.k
-	bl := st.sched.BlockLen()
-	return ((sub + bl - 1) / bl) * bl
-}
 
 func (p *tdmProc) prob(r int) (float64, *rumorState) {
 	idx, sub := p.slot(r)
@@ -210,7 +213,7 @@ func (p *tdmProc) prob(r int) (float64, *rumorState) {
 			return 1, st
 		}
 	}
-	if sub < p.startSub(st) {
+	if sub < st.startSub {
 		return 0, st
 	}
 	return st.sched.Prob(sub), st
@@ -252,7 +255,6 @@ func (p *tdmProc) Deliver(r int, msg *radio.Message) {
 	if !ok {
 		return
 	}
-	st.informedAt = r + 1
-	st.sched.Reset(pay.bits, p.n, p.numBlocks)
+	st.inform(r+1, pay.bits, p.n, p.numBlocks, p.k)
 	st.msg = msg
 }

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -240,5 +241,94 @@ func TestBatchCoinEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// mixedProbs are the probabilities mixedProc nodes report: runs of equal
+// values, which the per-node bulk loop serves with one threshold, values one
+// ulp apart, and the values Coin handles without a threshold (0, 1, NaN and
+// out-of-range ones), between equal values.
+var mixedProbs = []float64{0.4, 0.4, 0.4, 0.1, 1, 0.1, 0, 0.1, math.NaN(), 0.1,
+	0.7, math.Nextafter(0.7, 1), 0.7, 2, -1, 0.25, 0.25, 1e-300}
+
+// mixedProc is a BulkStepper outside any cohort whose informed nodes report
+// mixedProbs by node and round, so consecutive awake nodes report runs of
+// one p and the runs change within a round.
+type mixedProc struct {
+	id  int
+	msg *Message
+}
+
+func (pr *mixedProc) TransmitProb(r int) float64 {
+	if pr.msg == nil {
+		return 0
+	}
+	return mixedProbs[(pr.id/3+r)%len(mixedProbs)]
+}
+
+func (pr *mixedProc) Frame(int) *Message { return pr.msg }
+
+func (pr *mixedProc) Step(r int, rng *bitrand.Source) Action {
+	if rng.Coin(pr.TransmitProb(r)) {
+		return Transmit(pr.Frame(r))
+	}
+	return Listen()
+}
+
+func (pr *mixedProc) Deliver(_ int, msg *Message) {
+	if msg != nil && pr.msg == nil {
+		pr.msg = msg
+	}
+}
+
+func (pr *mixedProc) Dormant() bool { return pr.msg == nil }
+
+type mixedAlg struct{}
+
+func (mixedAlg) Name() string { return "mixed-flood" }
+
+func (mixedAlg) NewProcesses(net *graph.Dual, spec Spec, _ *bitrand.Source) []Process {
+	procs := make([]Process, net.N())
+	for u := range procs {
+		procs[u] = &mixedProc{id: u}
+	}
+	procs[spec.Source].(*mixedProc).msg = &Message{Origin: spec.Source}
+	return procs
+}
+
+// TestBulkThresholdReuse runs the per-node bulk loop, which reuses one coin
+// threshold while consecutive nodes report the same p, against Step
+// dispatch (hideBulk) on nodes whose probabilities change within and across
+// rounds, and requires identical Results.
+func TestBulkThresholdReuse(t *testing.T) {
+	var src bitrand.Source
+	src.Reseed(0x7e5)
+	for _, net := range []*graph.Dual{
+		graph.UniformDual(graph.Circulant(600, 40)),
+		graph.AugmentDual(&src, graph.RingChords(&src, 3000, 3000), 3000),
+	} {
+		cfg := Config{Net: net, Algorithm: mixedAlg{}, Spec: Spec{Problem: GlobalBroadcast, Source: 5},
+			Seed: 48, MaxRounds: 120, IgnoreCompletion: true}
+		e, err := newEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !e.allBulk || e.cohort != nil {
+			t.Fatalf("allBulk %v, cohort %v: the execution must take the per-node bulk loop", e.allBulk, e.cohort)
+		}
+		e.release()
+		want, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Algorithm = hideBulk{cfg.Algorithm}
+		got, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Transmissions == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("n=%d: bulk loop (transmissions %d, deliveries %d) differs from Step dispatch (%d, %d)",
+				net.N(), want.Transmissions, want.Deliveries, got.Transmissions, got.Deliveries)
+		}
 	}
 }

@@ -581,14 +581,7 @@ func (e *engine) step(r int, res *Result) {
 	case e.cohort != nil:
 		e.cohortCoins(r, p)
 	case e.allBulk:
-		bulk := e.bulkSteps
-		for lo, hi := e.awakeRun(0); lo < e.n; lo, hi = e.awakeRun(hi) {
-			for u := lo; u < hi; u++ {
-				if rngs[u].Coin(bulk[u].TransmitProb(r)) {
-					e.transmitFrame(r, u)
-				}
-			}
-		}
+		e.bulkCoins(r)
 	default:
 		procs := e.procs
 		for lo, hi := e.awakeRun(0); lo < e.n; lo, hi = e.awakeRun(hi) {
@@ -639,6 +632,35 @@ func (e *engine) step(r int, res *Result) {
 	// adaptive adversaries read LastTransmitters.
 	if e.online != nil || e.offline != nil {
 		e.lastTx = append(e.lastTx[:0], e.tx...)
+	}
+}
+
+// bulkCoins runs the round's coins when every process is a BulkStepper but
+// the cohort is off: each awake node flips Coin(TransmitProb(r)) from its own
+// stream in ascending order, and transmits its Frame on heads. Nodes that
+// share a schedule report the same p in a row, so the coin threshold is
+// recomputed only when p changes: for 0 < p < 1, CoinBelow(CoinThreshold(p))
+// is Coin(p), and every other p (≤ 0, ≥ 1, NaN) goes through Coin itself.
+func (e *engine) bulkCoins(r int) {
+	bulk, rngs := e.bulkSteps, e.rngs
+	var last float64 // the p that t belongs to; 0 until a p in (0, 1) is seen
+	var t uint64
+	for lo, hi := e.awakeRun(0); lo < e.n; lo, hi = e.awakeRun(hi) {
+		for u := lo; u < hi; u++ {
+			p := bulk[u].TransmitProb(r)
+			var heads bool
+			if p > 0 && p < 1 {
+				if p != last {
+					last, t = p, bitrand.CoinThreshold(p)
+				}
+				heads = rngs[u].CoinBelow(t)
+			} else {
+				heads = rngs[u].Coin(p)
+			}
+			if heads {
+				e.transmitFrame(r, u)
+			}
+		}
 	}
 }
 
