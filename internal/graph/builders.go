@@ -395,19 +395,20 @@ func RingChords(src *bitrand.Source, n, chords int) *Graph {
 // the given number of uniformly sampled non-G pairs. The direct sampling
 // costs O(|E| + extra), unlike RandomDual's O(n²) pair scan; pairs that land
 // on an existing edge (or a repeat draw) are dropped, so the realized E'\E
-// may fall slightly short of the request on dense graphs.
+// may fall slightly short of the request on dense graphs. Only the sampled
+// pairs go through a Builder: its graph is the dual's E'\E, and each G' row
+// is the merge of the G row and the E'\E row (see unionDual).
 func AugmentDual(src *bitrand.Source, g *Graph, extra int) *Dual {
 	n := g.N()
 	b := NewBuilder(n)
-	b.Grow(g.NumEdges() + extra)
-	g.ForEachEdge(b.AddEdge)
+	b.Grow(extra)
 	for i := 0; i < extra; i++ {
 		u, v := src.Intn(n), src.Intn(n)
 		if u != v && !g.HasEdge(u, v) {
 			b.AddEdge(u, v)
 		}
 	}
-	return MustDual(g, b.Build())
+	return unionDual(g, b.Build())
 }
 
 // RandomDual builds a dual graph whose reliable part is the given connected

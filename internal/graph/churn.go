@@ -182,11 +182,11 @@ func (rv *Revision) Apply(ops []ChurnOp) (*Revision, error) {
 	gb.Grow(len(gSet))
 	gpb.Grow(len(gpSet))
 	for key := range gSet {
-		//dglint:allow detrand: Builder.Build sorts and dedups, erasing insertion order
+		//dglint:allow detrand: Builder.Build sorts each row and drops its repeats, erasing insertion order
 		gb.AddEdge(NodeID(key>>32), NodeID(uint32(key)))
 	}
 	for key := range gpSet {
-		//dglint:allow detrand: Builder.Build sorts and dedups, erasing insertion order
+		//dglint:allow detrand: Builder.Build sorts each row and drops its repeats, erasing insertion order
 		gpb.AddEdge(NodeID(key>>32), NodeID(uint32(key)))
 	}
 	d, err := NewDual(gb.Build(), gpb.Build())

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 
@@ -93,6 +94,13 @@ func DecompositionOf(g *Graph) *Decomposition {
 // BuildDecomposition carves the deterministic decomposition of g. The
 // construction reads only the graph structure — no randomness — so repeated
 // builds are identical; DecompositionOf is the memoized entry point.
+//
+// Availability is one int32 stamp per node. Balls are numbered in carving
+// order, and a ball stamps every node its BFS visits with its number; the
+// members it keeps are stamped math.MaxInt32 instead. So within a color, a
+// node is available exactly while its stamp is below the color's first ball
+// number: a higher stamp means clustered, deferred by an earlier ball of
+// this color, or already visited by the current ball.
 func BuildDecomposition(g *Graph) *Decomposition {
 	n := g.N()
 	d := &Decomposition{
@@ -102,32 +110,25 @@ func BuildDecomposition(g *Graph) *Decomposition {
 		memberOffs: make([]int32, 1, n/2+2),
 		members:    make([]NodeID, 0, n),
 	}
-	for u := 0; u < n; u++ {
-		d.Of[u] = -1
-		d.Parent[u] = -1
-	}
-	// deferredAt[u] is the color iteration that pushed u out of a stalling
-	// shell; u is available in iteration c iff it is unclustered and
-	// deferredAt[u] != c. seen stamps BFS visits per ball.
-	deferredAt := make([]int, n)
-	seen := make([]int, n)
-	for u := 0; u < n; u++ {
-		deferredAt[u] = -1
-		seen[u] = -1
+	stamp := make([]int32, n)
+	for u := range stamp {
+		stamp[u] = -1
 	}
 	queue := make([]NodeID, 0, n)
 	remaining := n
-	ballID := 0
 	for color := 0; remaining > 0; color++ {
+		// Ball k is numbered k; stamps below first are available this color.
+		first := int32(d.Count)
 		for seed := 0; seed < n; seed++ {
-			if d.Of[seed] >= 0 || deferredAt[seed] == color {
+			if stamp[seed] >= first {
 				continue
 			}
+			id := int32(d.Count)
 			// Grow a ball around seed through this iteration's available
 			// nodes. queue[lo:hi] is the outermost accepted BFS layer;
 			// expanding it discovers the candidate shell queue[hi:].
 			queue = append(queue[:0], seed)
-			seen[seed] = ballID
+			stamp[seed] = id
 			d.Parent[seed] = -1
 			lo, hi := 0, 1
 			radius := 0
@@ -136,10 +137,10 @@ func BuildDecomposition(g *Graph) *Decomposition {
 				for i := lo; i < hi; i++ {
 					u := queue[i]
 					for _, v := range g.Neighbors(u) {
-						if d.Of[v] >= 0 || deferredAt[v] == color || seen[v] == ballID {
+						if stamp[v] >= first {
 							continue
 						}
-						seen[v] = ballID
+						stamp[v] = id
 						d.Parent[v] = u
 						queue = append(queue, v)
 					}
@@ -151,7 +152,8 @@ func BuildDecomposition(g *Graph) *Decomposition {
 					break
 				}
 				if shell < hi {
-					// Growth stalled: keep the ball, defer the shell.
+					// Growth stalled: keep the ball, defer the shell (its
+					// stamps stay at id until the next color).
 					ballEnd = hi
 					break
 				}
@@ -162,11 +164,9 @@ func BuildDecomposition(g *Graph) *Decomposition {
 			}
 			k := d.Count
 			for pos, u := range queue[:ballEnd] {
+				stamp[u] = math.MaxInt32
 				d.Of[u] = k
 				d.Pos[u] = pos
-			}
-			for _, u := range queue[ballEnd:] {
-				deferredAt[u] = color
 			}
 			d.members = append(d.members, queue[:ballEnd]...)
 			d.memberOffs = append(d.memberOffs, int32(len(d.members)))
@@ -175,20 +175,24 @@ func BuildDecomposition(g *Graph) *Decomposition {
 			d.Radius = append(d.Radius, radius)
 			d.Count++
 			remaining -= ballEnd
-			ballID++
 		}
 		d.Colors = color + 1
 	}
-	// Schedule geometry: each color's phase is as long as its largest
-	// cluster, so every member of every cluster owns at least one slot per
-	// sweep — but never shorter than the ⌊log₂ n⌋+1 spreading floor. The
-	// floor matters when a color class is dominated by small clusters: with
-	// a phase of length 1 every cluster of the color would transmit in the
-	// same slot every sweep, permanently colliding at any listener with two
-	// informed neighbors of that color (a 6×8 grid already exhibits this).
-	// With a longer phase, the per-sweep hashed rotation in Owns scatters
-	// small clusters across distinct slots, so some informed neighbor is
-	// eventually the unique transmitter.
+	d.planSweeps(n)
+	return d
+}
+
+// planSweeps derives the schedule geometry from the carved clusters. Each
+// color's phase is as long as its largest cluster, so every member of every
+// cluster owns at least one slot per sweep — but never shorter than the
+// ⌊log₂ n⌋+1 spreading floor. The floor matters when a color class is
+// dominated by small clusters: with a phase of length 1 every cluster of the
+// color would transmit in the same slot every sweep, permanently colliding
+// at any listener with two informed neighbors of that color (a 6×8 grid
+// already exhibits this). With a longer phase, the per-sweep hashed rotation
+// in Owns scatters small clusters across distinct slots, so some informed
+// neighbor is eventually the unique transmitter.
+func (d *Decomposition) planSweeps(n int) {
 	d.phaseLen = make([]int, d.Colors)
 	spread := bits.Len(uint(n))
 	for c := range d.phaseLen {
@@ -206,7 +210,6 @@ func BuildDecomposition(g *Graph) *Decomposition {
 	if d.Colors > 0 {
 		d.sweepLen = d.phaseOff[d.Colors-1] + d.phaseLen[d.Colors-1]
 	}
-	return d
 }
 
 // Members returns cluster k's nodes in BFS order as a zero-copy read-only

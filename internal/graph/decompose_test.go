@@ -144,7 +144,8 @@ func TestDecompositionSchedule(t *testing.T) {
 }
 
 // FuzzDecomposition builds an arbitrary Builder graph from the fuzzed seed
-// and checks the full invariant set. Styles mix the random-edge soup with
+// and checks the full invariant set, build-twice determinism and equality
+// with the reference carving. Styles mix the random-edge soup with
 // structured substrates so the corpus covers both.
 func FuzzDecomposition(f *testing.F) {
 	f.Add(uint64(1), uint16(16), uint16(32), uint8(0))
@@ -175,6 +176,9 @@ func FuzzDecomposition(f *testing.F) {
 		}
 		if !reflect.DeepEqual(d, BuildDecomposition(g)) {
 			t.Fatal("decomposition is not deterministic")
+		}
+		if !reflect.DeepEqual(d, buildDecompositionRef(g)) {
+			t.Fatal("decomposition differs from the reference carving")
 		}
 	})
 }

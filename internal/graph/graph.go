@@ -46,20 +46,20 @@ type Graph struct {
 }
 
 // Builder accumulates edges for a Graph as a flat list of packed (u, v) keys;
-// Build sorts and deduplicates the list, so adding duplicate edges is cheap
-// and allocation only grows the one backing slice. Self-loops and
-// out-of-range endpoints are ignored. The zero Builder is unusable; construct
-// with NewBuilder.
+// Build places them into CSR rows by counting and drops duplicates row by
+// row, so adding duplicate edges is cheap and allocation only grows the one
+// backing slice. Self-loops and out-of-range endpoints are ignored. The zero
+// Builder is unusable; construct with NewBuilder.
 type Builder struct {
 	n     int
 	edges []uint64 // packed u<<32|v with u < v; may contain duplicates
 }
 
 // maxBuilderNodes bounds n so edge keys pack into uint64; maxBuilderEdges
-// bounds the undirected edge count so the 2·edges directed CSR entries (and
-// every offset) fit in int32. Build enforces the edge bound explicitly —
-// the node bound alone does not imply it. Both are far above any simulated
-// network size.
+// bounds the edges added to one builder, duplicates included, so the
+// 2·edges directed CSR entries Build places (and every offset) fit in int32.
+// Build enforces the edge bound explicitly — the node bound alone does not
+// imply it. Both are far above any simulated network size.
 const (
 	maxBuilderNodes = 1 << 31
 	maxBuilderEdges = (1 << 30) - 1
@@ -104,37 +104,65 @@ func (b *Builder) HasEdge(u, v NodeID) bool {
 	return slices.Contains(b.edges, uint64(u)<<32|uint64(v))
 }
 
-// Build finalizes the graph: sort + dedup the edge list, then one counting
-// pass and one placement pass into the CSR arrays. A single walk over the
-// (u, v)-sorted edge list fills every neighbor list in ascending order: for
-// any node w, the edges contributing w's smaller neighbors (u, w) all sort
-// before the edges (w, v) contributing its larger ones.
+// Build finalizes the graph by counting: a degree pass over the added edges,
+// a prefix sum into the row offsets, and a scatter of both directions of
+// every edge into its rows, in the order the edges were added. A row the
+// scatter left out of order is sorted (constructions that add edges in
+// ascending order leave most rows sorted already), and each row drops its
+// repeats; adj is copied to its exact size only when a repeat was dropped.
+// It panics, before allocating anything, if more than maxBuilderEdges edges
+// were added, duplicates included. The builder's edge list is not changed.
 func (b *Builder) Build() *Graph {
-	slices.Sort(b.edges)
-	b.edges = slices.Compact(b.edges)
 	if len(b.edges) > maxBuilderEdges {
-		panic(fmt.Sprintf("graph: %d edges overflow the int32 CSR offsets (max %d)", len(b.edges), maxBuilderEdges))
+		panic(fmt.Sprintf("graph: %d edges added overflow the int32 CSR offsets (max %d)", len(b.edges), maxBuilderEdges))
 	}
-	g := &Graph{n: b.n, edges: len(b.edges)}
-	g.offs = make([]int32, b.n+1)
+	n := b.n
+	// offs[u] counts u's degree, then holds the start of u's row, then, as
+	// the scatter's cursor, its end; shifting by one leaves each offs[u] at
+	// the start of row u again.
+	offs := make([]int32, n+1)
 	for _, e := range b.edges {
-		g.offs[e>>32+1]++
-		g.offs[uint32(e)+1]++
+		offs[e>>32]++
+		offs[uint32(e)]++
 	}
-	for u := 0; u < b.n; u++ {
-		g.offs[u+1] += g.offs[u]
+	var sum int32
+	for u, d := range offs[:n] {
+		offs[u] = sum
+		sum += d
 	}
-	g.adj = make([]NodeID, 2*len(b.edges))
-	cur := make([]int32, b.n)
-	copy(cur, g.offs[:b.n])
+	adj := make([]NodeID, sum)
 	for _, e := range b.edges {
-		u, v := NodeID(e>>32), NodeID(uint32(e))
-		g.adj[cur[u]] = v
-		cur[u]++
-		g.adj[cur[v]] = u
-		cur[v]++
+		u, v := e>>32, uint32(e)
+		adj[offs[u]] = NodeID(v)
+		offs[u]++
+		adj[offs[v]] = NodeID(u)
+		offs[v]++
 	}
-	return g
+	copy(offs[1:], offs[:n])
+	offs[0] = 0
+	// Sort and deduplicate row by row, sliding each row left past the
+	// repeats dropped before it: w is the write position, lo the row's
+	// first entry as placed.
+	var w, lo int32
+	for u := 0; u < n; u++ {
+		hi := offs[u+1]
+		row := adj[lo:hi]
+		if !slices.IsSorted(row) {
+			slices.Sort(row)
+		}
+		row = slices.Compact(row)
+		if w != lo {
+			copy(adj[w:], row)
+		}
+		offs[u] = w
+		w += int32(len(row))
+		lo = hi
+	}
+	offs[n] = w
+	if int(w) < len(adj) {
+		adj = append(make([]NodeID, 0, w), adj[:w]...)
+	}
+	return &Graph{n: n, edges: int(w) / 2, offs: offs, adj: adj}
 }
 
 // N returns the number of nodes.
@@ -252,6 +280,40 @@ func NewDual(g, gp *Graph) (*Dual, error) {
 	}
 	d.unionComplete = gp.NumEdges() == n*(n-1)/2
 	return d, nil
+}
+
+// unionDual builds the dual (g, g ∪ x) for an x edge-disjoint from g: x's
+// CSR arrays become the dual's E' \ E rows, and each G' row is the merge of
+// two sorted rows that share no entry, so no difference walk is needed.
+// Sampled fringes are sparse beside G, so the merge copies the G row in runs
+// between the E' \ E entries rather than comparing entry by entry.
+func unionDual(g, x *Graph) *Dual {
+	n := g.N()
+	if g.edges+x.edges > maxBuilderEdges {
+		panic(fmt.Sprintf("graph: %d edges overflow the int32 CSR offsets (max %d)", g.edges+x.edges, maxBuilderEdges))
+	}
+	gp := &Graph{n: n, edges: g.edges + x.edges, offs: make([]int32, n+1)}
+	gp.adj = make([]NodeID, len(g.adj)+len(x.adj))
+	w := 0
+	for u := 0; u < n; u++ {
+		// Copy the G row in runs, cut where each E' \ E entry falls.
+		row := g.Neighbors(u)
+		for _, v := range x.Neighbors(u) {
+			k, _ := slices.BinarySearch(row, v)
+			w += copy(gp.adj[w:], row[:k])
+			gp.adj[w] = v
+			w++
+			row = row[k:]
+		}
+		w += copy(gp.adj[w:], row)
+		gp.offs[u+1] = int32(w)
+	}
+	return &Dual{
+		g: g, gp: gp,
+		extraOffs:     x.offs,
+		extraAdj:      x.adj,
+		unionComplete: gp.edges == n*(n-1)/2,
+	}
 }
 
 // MustDual is NewDual that panics on error, for use with constructions that
