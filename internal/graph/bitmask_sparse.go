@@ -46,7 +46,7 @@ func BuildSparseNeighborMasks(g *Graph) *SparseNeighborMasks {
 	// magnitude above the packed count).
 	total := 0
 	for u := 0; u < n; u++ {
-		prev := -1
+		prev := int32(-1)
 		for _, v := range gadj[goffs[u]:goffs[u+1]] {
 			if v>>6 != prev {
 				prev = v >> 6
@@ -61,12 +61,12 @@ func BuildSparseNeighborMasks(g *Graph) *SparseNeighborMasks {
 	m.words = make([]uint64, total)
 	for u := 0; u < n; u++ {
 		k := int(m.offs[u]) - 1
-		prev := -1
+		prev := int32(-1)
 		for _, v := range gadj[goffs[u]:goffs[u+1]] {
 			if wi := v >> 6; wi != prev {
 				prev = wi
 				k++
-				m.idx[k] = int32(wi)
+				m.idx[k] = wi
 			}
 			m.words[k] |= 1 << (uint(v) & 63)
 		}
@@ -97,10 +97,10 @@ func (m *SparseNeighborMasks) BuildSelected(d *Dual, sel EdgeSelector) {
 		gi, ge := g.offs[u], g.offs[u+1]
 		start := len(idx)
 		for _, v := range exAdj[exOffs[u]:exOffs[u+1]] {
-			if !sel.Includes(u, v) {
+			if !sel.Includes(u, int(v)) {
 				continue
 			}
-			b, bit := int32(v>>6), uint64(1)<<(uint(v)&63)
+			b, bit := v>>6, uint64(1)<<(uint(v)&63)
 			for ; gi < ge && g.idx[gi] < b; gi++ {
 				idx, words = append(idx, g.idx[gi]), append(words, g.words[gi])
 			}

@@ -46,11 +46,12 @@ func FuzzBuilder(f *testing.F) {
 }
 
 // FuzzAugmentDual checks AugmentDual, which builds only the sampled pairs
-// and merges them into G's rows, against the construction it replaced: one
-// Builder over G's edges plus the same draws, then NewDual's difference
-// walk. G is built from fuzzed edge bytes as in FuzzBuilder. The G′ and
-// E′∖E CSR arrays, NumExtraEdges and UnionComplete must match, and both
-// sources must be left at the same next draw.
+// and merges them into G's rows, dropping the draws G already holds in the
+// merge, against the construction it replaced: one Builder over G's edges
+// plus the draws that miss G, then NewDual's difference walk. G is built
+// from fuzzed edge bytes as in FuzzBuilder. The G′ and E′∖E CSR arrays,
+// NumExtraEdges and UnionComplete must match, and both sources must be left
+// at the same next draw.
 func FuzzAugmentDual(f *testing.F) {
 	var complete []byte // every pair of 5 nodes, so every draw is dropped
 	for u := 0; u < 5; u++ {
@@ -58,7 +59,16 @@ func FuzzAugmentDual(f *testing.F) {
 			complete = append(complete, byte(u+4), byte(v+4))
 		}
 	}
+	var dense []byte // two thirds of the pairs of 12 nodes: most draws hit G
+	for u := 0; u < 12; u++ {
+		for v := u + 1; v < 12; v++ {
+			if (u+v)%3 != 0 {
+				dense = append(dense, byte(u+4), byte(v+4))
+			}
+		}
+	}
 	f.Add(uint8(8), []byte{4, 5, 5, 6, 6, 7}, uint16(10), uint64(1))
+	f.Add(uint8(12), dense, uint16(60), uint64(7))
 	f.Add(uint8(1), []byte{}, uint16(5), uint64(2)) // single node: every draw is a self-loop
 	f.Add(uint8(5), complete, uint16(40), uint64(3))
 	f.Add(uint8(6), []byte{4, 5, 5, 4}, uint16(400), uint64(4)) // enough draws to complete G′

@@ -393,20 +393,18 @@ func RingChords(src *bitrand.Source, n, chords int) *Graph {
 
 // AugmentDual builds a dual graph whose reliable part is g and whose G' adds
 // the given number of uniformly sampled non-G pairs. The direct sampling
-// costs O(|E| + extra), unlike RandomDual's O(n²) pair scan; pairs that land
-// on an existing edge (or a repeat draw) are dropped, so the realized E'\E
+// costs O(|E| + extra), unlike RandomDual's O(n²) pair scan; draws that land
+// on an existing edge (or repeat a draw) are dropped, so the realized E'\E
 // may fall slightly short of the request on dense graphs. Only the sampled
-// pairs go through a Builder: its graph is the dual's E'\E, and each G' row
-// is the merge of the G row and the E'\E row (see unionDual).
+// pairs go through a Builder; each G' row is the merge of the G row and the
+// sampled row, which drops the pairs G already holds, and what is left of
+// the sampled rows is the dual's E'\E (see unionDual).
 func AugmentDual(src *bitrand.Source, g *Graph, extra int) *Dual {
 	n := g.N()
 	b := NewBuilder(n)
 	b.Grow(extra)
 	for i := 0; i < extra; i++ {
-		u, v := src.Intn(n), src.Intn(n)
-		if u != v && !g.HasEdge(u, v) {
-			b.AddEdge(u, v)
-		}
+		b.AddEdge(src.Intn(n), src.Intn(n))
 	}
 	return unionDual(g, b.Build())
 }

@@ -102,8 +102,8 @@ func checkRevisionAgainstRef(t *testing.T, rv *Revision, rc *refChurn) {
 				want = append(want, v)
 			}
 		}
-		if got := d.ExtraNeighbors(u); !equalIDs(got, want) {
-			t.Fatalf("ExtraNeighbors(%d) = %v, want %v", u, got, want)
+		if got := d.ExtraRow(u); !equalIDs(got, want) {
+			t.Fatalf("ExtraRow(%d) = %v, want %v", u, got, want)
 		}
 	}
 }

@@ -48,19 +48,19 @@ func (r *refGraph) numEdges() int {
 	return total / 2
 }
 
-func equalIDs(a, b []NodeID) bool {
+func equalIDs(a []int32, b []NodeID) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if NodeID(a[i]) != b[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// checkGraphAgainstRef asserts that a CSR graph answers Neighbors, Degree,
+// checkGraphAgainstRef asserts that a CSR graph answers Row, Degree,
 // HasEdge, NumEdges and CSR consistently with the reference.
 func checkGraphAgainstRef(t *testing.T, g *Graph, ref *refGraph) {
 	t.Helper()
@@ -79,9 +79,9 @@ func checkGraphAgainstRef(t *testing.T, g *Graph, ref *refGraph) {
 	}
 	for u := 0; u < ref.n; u++ {
 		want := ref.neighbors(u)
-		got := g.Neighbors(u)
+		got := g.Row(u)
 		if !equalIDs(got, want) {
-			t.Fatalf("Neighbors(%d) = %v, want %v", u, got, want)
+			t.Fatalf("Row(%d) = %v, want %v", u, got, want)
 		}
 		if g.Degree(u) != len(want) {
 			t.Fatalf("Degree(%d) = %d, want %d", u, g.Degree(u), len(want))
@@ -96,8 +96,8 @@ func checkGraphAgainstRef(t *testing.T, g *Graph, ref *refGraph) {
 }
 
 // TestCSREquivalenceRandomDuals builds random duals — random G, random
-// superset G' — and checks Neighbors, ExtraNeighbors and Degree against the
-// map-of-sets reference.
+// superset G' — and checks Row, ExtraRow and Degree against the map-of-sets
+// reference.
 func TestCSREquivalenceRandomDuals(t *testing.T) {
 	src := bitrand.New(0xc5a)
 	for trial := 0; trial < 40; trial++ {
@@ -140,8 +140,8 @@ func TestCSREquivalenceRandomDuals(t *testing.T) {
 					want = append(want, v)
 				}
 			}
-			if got := d.ExtraNeighbors(u); !equalIDs(got, want) {
-				t.Fatalf("trial %d: ExtraNeighbors(%d) = %v, want %v", trial, u, got, want)
+			if got := d.ExtraRow(u); !equalIDs(got, want) {
+				t.Fatalf("trial %d: ExtraRow(%d) = %v, want %v", trial, u, got, want)
 			}
 		}
 		if want := gpRef.numEdges() - gRef.numEdges(); d.NumExtraEdges() != want {

@@ -33,14 +33,18 @@ import (
 //
 // The output is CSR-style (flat member array plus offsets, BFS order within
 // each cluster) and memoized per immutable graph via DecompositionOf, exactly
-// like CliqueCoverOf and SparseMasksOf. The decomposition also carries the
-// sweep-schedule geometry consumed by the derandomized broadcast algorithm
-// (internal/core/derand.go): per-color phase offsets and lengths, so a round
-// number alone determines the unique transmitting member of every cluster.
+// like CliqueCoverOf and SparseMasksOf. Like the graph's CSR rows, every
+// per-node and per-cluster array stores int32 entries: node ids, cluster
+// indices, BFS positions and radii are all below n < 2³¹. The decomposition
+// also carries the sweep-schedule geometry consumed by the derandomized
+// broadcast algorithm (internal/core/derand.go): per-color phase offsets and
+// lengths, so a round number alone determines the unique transmitting member
+// of every cluster.
 
 // Decomposition is a deterministic network decomposition of a graph: a
 // partition into clusters with colors, BFS trees, and the derived
-// transmission-schedule geometry. All exported slices are read-only.
+// transmission-schedule geometry. All exported slices are read-only, and
+// hold int32 entries (node ids are NodeIDs once read out).
 type Decomposition struct {
 	// Count is the number of clusters; Colors the number of color classes.
 	Count  int
@@ -49,21 +53,21 @@ type Decomposition struct {
 	// Of[u] is the cluster index of node u; Pos[u] is u's BFS visit order
 	// within its cluster (0 for the center); Parent[u] is u's BFS-tree parent
 	// within its cluster, -1 for centers.
-	Of     []int
-	Pos    []int
-	Parent []NodeID
+	Of     []int32
+	Pos    []int32
+	Parent []int32
 
 	// Color, Center and Radius are per-cluster: the color class, the ball
 	// center, and the BFS radius of the ball (every member is within
 	// G-distance Radius of Center).
-	Color  []int
-	Center []NodeID
-	Radius []int
+	Color  []int32
+	Center []int32
+	Radius []int32
 
 	// Flat member storage: members[memberOffs[k]:memberOffs[k+1]] lists
 	// cluster k's nodes in BFS order (index i has Pos == i).
 	memberOffs []int32
-	members    []NodeID
+	members    []int32
 
 	// Sweep-schedule geometry: a sweep of sweepLen rounds runs one phase per
 	// color, phase c occupying slots [phaseOff[c], phaseOff[c]+phaseLen[c]),
@@ -101,20 +105,24 @@ func DecompositionOf(g *Graph) *Decomposition {
 // node is available exactly while its stamp is below the color's first ball
 // number: a higher stamp means clustered, deferred by an earlier ball of
 // this color, or already visited by the current ball.
+//
+// The per-cluster arrays grow as balls are carved; once the count is known,
+// each is trimmed to its size by the same slack rule as a built graph's
+// rows (see fit).
 func BuildDecomposition(g *Graph) *Decomposition {
 	n := g.N()
 	d := &Decomposition{
-		Of:         make([]int, n),
-		Pos:        make([]int, n),
-		Parent:     make([]NodeID, n),
+		Of:         make([]int32, n),
+		Pos:        make([]int32, n),
+		Parent:     make([]int32, n),
 		memberOffs: make([]int32, 1, n/2+2),
-		members:    make([]NodeID, 0, n),
+		members:    make([]int32, 0, n),
 	}
 	stamp := make([]int32, n)
 	for u := range stamp {
 		stamp[u] = -1
 	}
-	queue := make([]NodeID, 0, n)
+	queue := make([]int32, 0, n)
 	remaining := n
 	for color := 0; remaining > 0; color++ {
 		// Ball k is numbered k; stamps below first are available this color.
@@ -127,7 +135,7 @@ func BuildDecomposition(g *Graph) *Decomposition {
 			// Grow a ball around seed through this iteration's available
 			// nodes. queue[lo:hi] is the outermost accepted BFS layer;
 			// expanding it discovers the candidate shell queue[hi:].
-			queue = append(queue[:0], seed)
+			queue = append(queue[:0], int32(seed))
 			stamp[seed] = id
 			d.Parent[seed] = -1
 			lo, hi := 0, 1
@@ -136,7 +144,7 @@ func BuildDecomposition(g *Graph) *Decomposition {
 			for {
 				for i := lo; i < hi; i++ {
 					u := queue[i]
-					for _, v := range g.Neighbors(u) {
+					for _, v := range g.Row(int(u)) {
 						if stamp[v] >= first {
 							continue
 						}
@@ -165,19 +173,23 @@ func BuildDecomposition(g *Graph) *Decomposition {
 			k := d.Count
 			for pos, u := range queue[:ballEnd] {
 				stamp[u] = math.MaxInt32
-				d.Of[u] = k
-				d.Pos[u] = pos
+				d.Of[u] = int32(k)
+				d.Pos[u] = int32(pos)
 			}
 			d.members = append(d.members, queue[:ballEnd]...)
 			d.memberOffs = append(d.memberOffs, int32(len(d.members)))
-			d.Color = append(d.Color, color)
-			d.Center = append(d.Center, seed)
-			d.Radius = append(d.Radius, radius)
+			d.Color = append(d.Color, int32(color))
+			d.Center = append(d.Center, int32(seed))
+			d.Radius = append(d.Radius, int32(radius))
 			d.Count++
 			remaining -= ballEnd
 		}
 		d.Colors = color + 1
 	}
+	d.memberOffs = fit(d.memberOffs, d.Count+1)
+	d.Color = fit(d.Color, d.Count)
+	d.Center = fit(d.Center, d.Count)
+	d.Radius = fit(d.Radius, d.Count)
 	d.planSweeps(n)
 	return d
 }
@@ -199,8 +211,8 @@ func (d *Decomposition) planSweeps(n int) {
 		d.phaseLen[c] = spread
 	}
 	for k := 0; k < d.Count; k++ {
-		if size := d.ClusterSize(k); size > d.phaseLen[d.Color[k]] {
-			d.phaseLen[d.Color[k]] = size
+		if size, c := d.ClusterSize(k), d.Color[k]; size > d.phaseLen[c] {
+			d.phaseLen[c] = size
 		}
 	}
 	d.phaseOff = make([]int, d.Colors)
@@ -213,8 +225,9 @@ func (d *Decomposition) planSweeps(n int) {
 }
 
 // Members returns cluster k's nodes in BFS order as a zero-copy read-only
-// view (member i has Pos == i; member 0 is the center).
-func (d *Decomposition) Members(k int) []NodeID {
+// view of the int32 member array (member i has Pos == i; member 0 is the
+// center).
+func (d *Decomposition) Members(k int) []int32 {
 	return d.members[d.memberOffs[k]:d.memberOffs[k+1]]
 }
 
@@ -263,7 +276,7 @@ func (d *Decomposition) Owns(u NodeID, r int) bool {
 	}
 	m := d.phaseLen[c]
 	rot := int(bitrand.Hash64(uint64(s), uint64(k)) % uint64(m))
-	return (d.Pos[u]+rot)%m == j
+	return (int(d.Pos[u])+rot)%m == j
 }
 
 // Validate checks every structural invariant of the decomposition against
@@ -294,18 +307,18 @@ func (d *Decomposition) Validate(g *Graph) error {
 			d.Colors, n, bits.Len(uint(n)))
 	}
 	for u := 0; u < n; u++ {
-		if d.Of[u] < 0 || d.Of[u] >= d.Count {
+		if d.Of[u] < 0 || int(d.Of[u]) >= d.Count {
 			return fmt.Errorf("decomposition: node %d has cluster %d out of range", u, d.Of[u])
 		}
 	}
 	dist := make([]int, n)
-	var bfs []NodeID
+	var bfs []int32
 	for k := 0; k < d.Count; k++ {
 		mem := d.Members(k)
 		if len(mem) == 0 {
 			return fmt.Errorf("decomposition: cluster %d is empty", k)
 		}
-		if d.Color[k] < 0 || d.Color[k] >= d.Colors {
+		if d.Color[k] < 0 || int(d.Color[k]) >= d.Colors {
 			return fmt.Errorf("decomposition: cluster %d has color %d out of range", k, d.Color[k])
 		}
 		if mem[0] != d.Center[k] {
@@ -315,7 +328,7 @@ func (d *Decomposition) Validate(g *Graph) error {
 			return fmt.Errorf("decomposition: cluster %d has %d members, too few for radius %d", k, len(mem), d.Radius[k])
 		}
 		for i, u := range mem {
-			if d.Of[u] != k || d.Pos[u] != i {
+			if int(d.Of[u]) != k || int(d.Pos[u]) != i {
 				return fmt.Errorf("decomposition: member %d of cluster %d has Of=%d Pos=%d, want %d/%d",
 					u, k, d.Of[u], d.Pos[u], k, i)
 			}
@@ -326,7 +339,7 @@ func (d *Decomposition) Validate(g *Graph) error {
 				continue
 			}
 			p := d.Parent[u]
-			if p < 0 || p >= n || d.Of[p] != k || d.Pos[p] >= i || !g.HasEdge(u, p) {
+			if p < 0 || int(p) >= n || int(d.Of[p]) != k || int(d.Pos[p]) >= i || !g.HasEdge(int(u), int(p)) {
 				return fmt.Errorf("decomposition: member %d of cluster %d has invalid BFS parent %d", u, k, p)
 			}
 		}
@@ -339,10 +352,10 @@ func (d *Decomposition) Validate(g *Graph) error {
 		dist[d.Center[k]] = 0
 		for i := 0; i < len(bfs); i++ {
 			u := bfs[i]
-			if dist[u] >= d.Radius[k] {
+			if dist[u] >= int(d.Radius[k]) {
 				continue
 			}
-			for _, v := range g.Neighbors(u) {
+			for _, v := range g.Row(int(u)) {
 				if dist[v] < 0 {
 					dist[v] = dist[u] + 1
 					bfs = append(bfs, v)
@@ -350,7 +363,7 @@ func (d *Decomposition) Validate(g *Graph) error {
 			}
 		}
 		for _, u := range mem {
-			if dist[u] < 0 || dist[u] > d.Radius[k] {
+			if dist[u] < 0 || dist[u] > int(d.Radius[k]) {
 				return fmt.Errorf("decomposition: member %d of cluster %d is outside G-distance %d of center %d",
 					u, k, d.Radius[k], d.Center[k])
 			}

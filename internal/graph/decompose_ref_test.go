@@ -14,11 +14,11 @@ import (
 func buildDecompositionRef(g *Graph) *Decomposition {
 	n := g.N()
 	d := &Decomposition{
-		Of:         make([]int, n),
-		Pos:        make([]int, n),
-		Parent:     make([]NodeID, n),
+		Of:         make([]int32, n),
+		Pos:        make([]int32, n),
+		Parent:     make([]int32, n),
 		memberOffs: make([]int32, 1, n/2+2),
-		members:    make([]NodeID, 0, n),
+		members:    make([]int32, 0, n),
 	}
 	for u := 0; u < n; u++ {
 		d.Of[u] = -1
@@ -33,7 +33,7 @@ func buildDecompositionRef(g *Graph) *Decomposition {
 		deferredAt[u] = -1
 		seen[u] = -1
 	}
-	queue := make([]NodeID, 0, n)
+	queue := make([]int32, 0, n)
 	remaining := n
 	ballID := 0
 	for color := 0; remaining > 0; color++ {
@@ -44,7 +44,7 @@ func buildDecompositionRef(g *Graph) *Decomposition {
 			// Grow a ball around seed through this iteration's available
 			// nodes. queue[lo:hi] is the outermost accepted BFS layer;
 			// expanding it discovers the candidate shell queue[hi:].
-			queue = append(queue[:0], seed)
+			queue = append(queue[:0], int32(seed))
 			seen[seed] = ballID
 			d.Parent[seed] = -1
 			lo, hi := 0, 1
@@ -53,7 +53,7 @@ func buildDecompositionRef(g *Graph) *Decomposition {
 			for {
 				for i := lo; i < hi; i++ {
 					u := queue[i]
-					for _, v := range g.Neighbors(u) {
+					for _, v := range g.Row(int(u)) {
 						if d.Of[v] >= 0 || deferredAt[v] == color || seen[v] == ballID {
 							continue
 						}
@@ -80,17 +80,17 @@ func buildDecompositionRef(g *Graph) *Decomposition {
 			}
 			k := d.Count
 			for pos, u := range queue[:ballEnd] {
-				d.Of[u] = k
-				d.Pos[u] = pos
+				d.Of[u] = int32(k)
+				d.Pos[u] = int32(pos)
 			}
 			for _, u := range queue[ballEnd:] {
 				deferredAt[u] = color
 			}
 			d.members = append(d.members, queue[:ballEnd]...)
 			d.memberOffs = append(d.memberOffs, int32(len(d.members)))
-			d.Color = append(d.Color, color)
-			d.Center = append(d.Center, seed)
-			d.Radius = append(d.Radius, radius)
+			d.Color = append(d.Color, int32(color))
+			d.Center = append(d.Center, int32(seed))
+			d.Radius = append(d.Radius, int32(radius))
 			d.Count++
 			remaining -= ballEnd
 			ballID++

@@ -117,10 +117,10 @@ func TestDecompositionSchedule(t *testing.T) {
 				for t0 := 0; t0 < d.SweepLen(); t0++ {
 					r := sweep*d.SweepLen() + t0
 					for k := 0; k < d.Count; k++ {
-						c := d.Color[k]
+						c := int(d.Color[k])
 						owners := 0
 						for _, u := range d.Members(k) {
-							if d.Owns(u, r) {
+							if d.Owns(int(u), r) {
 								owners++
 								owned[u]++
 								if t0 < d.PhaseOff(c) || t0 >= d.PhaseOff(c)+d.PhaseLen(c) {

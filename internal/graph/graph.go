@@ -9,19 +9,22 @@
 // decomposition used by the Section 4.3 algorithm, and graph metrics.
 //
 // Graphs are stored in CSR (compressed sparse row) form: one flat backing
-// array of neighbor ids plus per-node offsets. Adjacency queries return
-// zero-copy views into that array, so the simulation engine's inner loops
-// walk contiguous memory with no per-node pointer chasing.
+// array of int32 neighbor ids plus per-node offsets. Row views return
+// zero-copy slices of that array, so the simulation engine's inner loops
+// walk contiguous memory with no per-node pointer chasing; Neighbors ranges
+// over the same row as NodeIDs.
 package graph
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"slices"
-	"sort"
 )
 
-// NodeID identifies a node; nodes are always numbered 0..n-1.
+// NodeID identifies a node; nodes are always numbered 0..n-1. Signatures
+// take and return NodeIDs, while the CSR rows and the decomposition store
+// each id in an int32: NewBuilder bounds n below 2³¹, so every id fits.
 type NodeID = int
 
 // Graph is an immutable simple undirected graph in CSR form: adj holds every
@@ -31,7 +34,7 @@ type Graph struct {
 	n     int
 	edges int
 	offs  []int32 // len n+1; offs[u+1]-offs[u] = deg(u)
-	adj   []NodeID
+	adj   []int32
 
 	// cover memoizes BuildCliqueCover(g) (see CliqueCoverOf); graphs are
 	// immutable, so the cover is computed at most once per graph and shared
@@ -55,15 +58,34 @@ type Builder struct {
 	edges []uint64 // packed u<<32|v with u < v; may contain duplicates
 }
 
-// maxBuilderNodes bounds n so edge keys pack into uint64; maxBuilderEdges
-// bounds the edges added to one builder, duplicates included, so the
-// 2·edges directed CSR entries Build places (and every offset) fit in int32.
-// Build enforces the edge bound explicitly — the node bound alone does not
-// imply it. Both are far above any simulated network size.
+// maxBuilderNodes bounds n so edge keys pack into uint64 and every node id
+// is an exact int32 CSR entry; maxBuilderEdges bounds the edges added to one
+// builder, duplicates included, so the 2·edges directed CSR entries Build
+// places (and every offset) fit in int32. Build enforces the edge bound
+// explicitly — the node bound alone does not imply it. Both are far above
+// any simulated network size.
 const (
 	maxBuilderNodes = 1 << 31
 	maxBuilderEdges = (1 << 30) - 1
 )
+
+// slackShare bounds the unused tail a finished int32 array may keep: fit
+// copies an array to its exact size only when its unused capacity exceeds
+// 1/slackShare of the allocation, and reslices it otherwise.
+const slackShare = 16
+
+// fit returns xs[:w], the kept prefix of a finished array whose allocation
+// is cap(xs) entries: the placed entries of a CSR array less the ones it
+// dropped, or the clusters appended to a decomposition array. The prefix is
+// copied to its exact size only when the unused cap(xs)-w entries exceed
+// 1/slackShare of the allocation: a copy holds both arrays live at once,
+// which at 10⁶ nodes costs tens of megabytes of peak to save a few bytes.
+func fit(xs []int32, w int) []int32 {
+	if cap(xs)-w > cap(xs)/slackShare {
+		return append(make([]int32, 0, w), xs[:w]...)
+	}
+	return xs[:w]
+}
 
 // NewBuilder returns a builder for a graph on n nodes.
 func NewBuilder(n int) *Builder {
@@ -109,9 +131,10 @@ func (b *Builder) HasEdge(u, v NodeID) bool {
 // every edge into its rows, in the order the edges were added. A row the
 // scatter left out of order is sorted (constructions that add edges in
 // ascending order leave most rows sorted already), and each row drops its
-// repeats; adj is copied to its exact size only when a repeat was dropped.
-// It panics, before allocating anything, if more than maxBuilderEdges edges
-// were added, duplicates included. The builder's edge list is not changed.
+// repeats; adj is copied to its exact size only when the repeats exceed
+// 1/slackShare of the placed entries (see fit). It panics, before
+// allocating anything, if more than maxBuilderEdges edges were added,
+// duplicates included. The builder's edge list is not changed.
 func (b *Builder) Build() *Graph {
 	if len(b.edges) > maxBuilderEdges {
 		panic(fmt.Sprintf("graph: %d edges added overflow the int32 CSR offsets (max %d)", len(b.edges), maxBuilderEdges))
@@ -130,12 +153,12 @@ func (b *Builder) Build() *Graph {
 		offs[u] = sum
 		sum += d
 	}
-	adj := make([]NodeID, sum)
+	adj := make([]int32, sum)
 	for _, e := range b.edges {
 		u, v := e>>32, uint32(e)
-		adj[offs[u]] = NodeID(v)
+		adj[offs[u]] = int32(v)
 		offs[u]++
-		adj[offs[v]] = NodeID(u)
+		adj[offs[v]] = int32(u)
 		offs[v]++
 	}
 	copy(offs[1:], offs[:n])
@@ -159,10 +182,7 @@ func (b *Builder) Build() *Graph {
 		lo = hi
 	}
 	offs[n] = w
-	if int(w) < len(adj) {
-		adj = append(make([]NodeID, 0, w), adj[:w]...)
-	}
-	return &Graph{n: n, edges: int(w) / 2, offs: offs, adj: adj}
+	return &Graph{n: n, edges: int(w) / 2, offs: offs, adj: fit(adj, int(w))}
 }
 
 // N returns the number of nodes.
@@ -185,35 +205,50 @@ func (g *Graph) MaxDegree() int {
 	return max
 }
 
-// Neighbors returns the sorted adjacency list of u as a zero-copy view into
-// the graph's CSR backing array. The view stays valid for the lifetime of
-// the (immutable) graph and is shared by every caller; it must not be
-// modified.
-func (g *Graph) Neighbors(u NodeID) []NodeID { return g.adj[g.offs[u]:g.offs[u+1]] }
+// Row returns u's sorted neighbor list as a zero-copy view into the graph's
+// int32 CSR backing array. The view stays valid for the lifetime of the
+// (immutable) graph and is shared by every caller; it must not be modified.
+// Loops that run per round or per edge read rows; Neighbors ranges over the
+// same row as NodeIDs.
+func (g *Graph) Row(u NodeID) []int32 { return g.adj[g.offs[u]:g.offs[u+1]] }
+
+// Neighbors ranges over u's sorted neighbors as (index, NodeID) pairs: the
+// entries of Row(u), widened. Ranging allocates nothing and stops at break;
+// the iterator reads the row view, so it has the view's lifetime.
+func (g *Graph) Neighbors(u NodeID) iter.Seq2[int, NodeID] { return ids(g.Row(u)) }
+
+// ids ranges over a CSR row view as (index, NodeID) pairs.
+func ids(row []int32) iter.Seq2[int, NodeID] {
+	return func(yield func(int, NodeID) bool) {
+		for i, v := range row {
+			if !yield(i, NodeID(v)) {
+				return
+			}
+		}
+	}
+}
 
 // CSR exposes the flat adjacency arrays: offs has length N()+1 and
-// adj[offs[u]:offs[u+1]] is u's sorted neighbor list. Hot loops (the engine's
-// delivery pass) iterate these directly instead of calling Neighbors per
-// node. Both slices are the graph's own storage and must be treated as
-// read-only.
-func (g *Graph) CSR() (offs []int32, adj []NodeID) { return g.offs, g.adj }
+// adj[offs[u]:offs[u+1]] is Row(u). Hot loops (the engine's delivery pass)
+// iterate these directly instead of slicing a row per node. Both slices are
+// the graph's own storage and must be treated as read-only.
+func (g *Graph) CSR() (offs, adj []int32) { return g.offs, g.adj }
 
 // HasEdge reports whether (u, v) is an edge.
 func (g *Graph) HasEdge(u, v NodeID) bool {
 	if u < 0 || v < 0 || u >= g.n || v >= g.n || u == v {
 		return false
 	}
-	a := g.Neighbors(u)
-	i := sort.SearchInts(a, v)
-	return i < len(a) && a[i] == v
+	_, ok := slices.BinarySearch(g.Row(u), int32(v))
+	return ok
 }
 
 // ForEachEdge calls fn once per undirected edge with u < v.
 func (g *Graph) ForEachEdge(fn func(u, v NodeID)) {
 	for u := 0; u < g.n; u++ {
-		for _, v := range g.Neighbors(u) {
-			if u < v {
-				fn(u, v)
+		for _, v := range g.Row(u) {
+			if u < int(v) {
+				fn(u, int(v))
 			}
 		}
 	}
@@ -234,7 +269,7 @@ type Dual struct {
 
 	// CSR adjacency restricted to E' \ E, sorted per node.
 	extraOffs []int32
-	extraAdj  []NodeID
+	extraAdj  []int32
 
 	unionComplete bool
 
@@ -256,9 +291,9 @@ func NewDual(g, gp *Graph) (*Dual, error) {
 	n := g.N()
 	d := &Dual{g: g, gp: gp}
 	d.extraOffs = make([]int32, n+1)
-	d.extraAdj = make([]NodeID, 0, max(0, 2*(gp.NumEdges()-g.NumEdges())))
+	d.extraAdj = make([]int32, 0, max(0, 2*(gp.NumEdges()-g.NumEdges())))
 	for u := 0; u < n; u++ {
-		ga, gpa := g.Neighbors(u), gp.Neighbors(u)
+		ga, gpa := g.Row(u), gp.Row(u)
 		i := 0
 		for _, v := range gpa {
 			if i < len(ga) {
@@ -282,36 +317,49 @@ func NewDual(g, gp *Graph) (*Dual, error) {
 	return d, nil
 }
 
-// unionDual builds the dual (g, g ∪ x) for an x edge-disjoint from g: x's
-// CSR arrays become the dual's E' \ E rows, and each G' row is the merge of
-// two sorted rows that share no entry, so no difference walk is needed.
+// unionDual builds the dual (g, g ∪ x) from g and a graph x of sampled
+// pairs: x's rows, less the pairs g already holds, become the dual's E' \ E
+// rows, and each G' row is the merge of the G row and the E' \ E row.
 // Sampled fringes are sparse beside G, so the merge copies the G row in runs
-// between the E' \ E entries rather than comparing entry by entry.
+// between the sampled entries rather than comparing entry by entry; a
+// sampled entry that equals the G entry at its cut is dropped, and x's rows
+// and offsets are compacted in place past it. A G pair is dropped from both
+// of its rows, so x keeps whole undirected edges.
 func unionDual(g, x *Graph) *Dual {
 	n := g.N()
 	if g.edges+x.edges > maxBuilderEdges {
 		panic(fmt.Sprintf("graph: %d edges overflow the int32 CSR offsets (max %d)", g.edges+x.edges, maxBuilderEdges))
 	}
-	gp := &Graph{n: n, edges: g.edges + x.edges, offs: make([]int32, n+1)}
-	gp.adj = make([]NodeID, len(g.adj)+len(x.adj))
-	w := 0
+	gp := &Graph{n: n, offs: make([]int32, n+1)}
+	adj := make([]int32, len(g.adj)+len(x.adj))
+	w, xw := 0, int32(0)
 	for u := 0; u < n; u++ {
-		// Copy the G row in runs, cut where each E' \ E entry falls.
-		row := g.Neighbors(u)
-		for _, v := range x.Neighbors(u) {
-			k, _ := slices.BinarySearch(row, v)
-			w += copy(gp.adj[w:], row[:k])
-			gp.adj[w] = v
-			w++
+		// Copy the G row in runs, cut where each sampled entry falls.
+		row := g.Row(u)
+		xlo, xhi := x.offs[u], x.offs[u+1]
+		x.offs[u] = xw
+		for _, v := range x.adj[xlo:xhi] {
+			k, found := slices.BinarySearch(row, v)
+			w += copy(adj[w:], row[:k])
 			row = row[k:]
+			if found {
+				continue
+			}
+			adj[w] = v
+			w++
+			x.adj[xw] = v
+			xw++
 		}
-		w += copy(gp.adj[w:], row)
+		w += copy(adj[w:], row)
 		gp.offs[u+1] = int32(w)
 	}
+	x.offs[n] = xw
+	gp.adj = fit(adj, w)
+	gp.edges = w / 2
 	return &Dual{
 		g: g, gp: gp,
 		extraOffs:     x.offs,
-		extraAdj:      x.adj,
+		extraAdj:      fit(x.adj, int(xw)),
 		unionComplete: gp.edges == n*(n-1)/2,
 	}
 }
@@ -345,16 +393,21 @@ func (d *Dual) G() *Graph { return d.g }
 // GPrime returns the unreliable superset graph G'.
 func (d *Dual) GPrime() *Graph { return d.gp }
 
-// ExtraNeighbors returns u's sorted neighbors across E' \ E as a zero-copy
-// view into the dual's CSR backing array. Like Graph.Neighbors, the view is
-// valid for the network's lifetime and must not be modified.
-func (d *Dual) ExtraNeighbors(u NodeID) []NodeID {
+// ExtraRow returns u's sorted neighbors across E' \ E as a zero-copy view
+// into the dual's int32 CSR backing array. Like Graph.Row, the view is valid
+// for the network's lifetime and must not be modified.
+func (d *Dual) ExtraRow(u NodeID) []int32 {
 	return d.extraAdj[d.extraOffs[u]:d.extraOffs[u+1]]
 }
 
+// ExtraNeighbors ranges over u's sorted neighbors across E' \ E as (index,
+// NodeID) pairs: the entries of ExtraRow(u), widened, with
+// Graph.Neighbors' contract.
+func (d *Dual) ExtraNeighbors(u NodeID) iter.Seq2[int, NodeID] { return ids(d.ExtraRow(u)) }
+
 // ExtraCSR exposes the flat E' \ E adjacency arrays, in the same layout as
 // Graph.CSR. Read-only.
-func (d *Dual) ExtraCSR() (offs []int32, adj []NodeID) { return d.extraOffs, d.extraAdj }
+func (d *Dual) ExtraCSR() (offs, adj []int32) { return d.extraOffs, d.extraAdj }
 
 // NumExtraEdges returns |E' \ E|.
 func (d *Dual) NumExtraEdges() int { return d.gp.NumEdges() - d.g.NumEdges() }

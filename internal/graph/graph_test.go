@@ -37,7 +37,7 @@ func TestNeighborsSorted(t *testing.T) {
 	b.AddEdge(3, 4)
 	b.AddEdge(3, 0)
 	g := b.Build()
-	ns := g.Neighbors(3)
+	ns := g.Row(3)
 	for i := 1; i < len(ns); i++ {
 		if ns[i-1] >= ns[i] {
 			t.Fatalf("neighbors not sorted: %v", ns)
@@ -92,11 +92,11 @@ func TestDualExtraNeighbors(t *testing.T) {
 	if got := d.NumExtraEdges(); got != 2 {
 		t.Fatalf("NumExtraEdges = %d, want 2", got)
 	}
-	ex := d.ExtraNeighbors(0)
+	ex := d.ExtraRow(0)
 	if len(ex) != 2 || ex[0] != 2 || ex[1] != 3 {
-		t.Fatalf("ExtraNeighbors(0) = %v", ex)
+		t.Fatalf("ExtraRow(0) = %v", ex)
 	}
-	if len(d.ExtraNeighbors(1)) != 0 {
+	if len(d.ExtraRow(1)) != 0 {
 		t.Fatal("node 1 should have no extra neighbors")
 	}
 }

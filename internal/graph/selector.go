@@ -178,7 +178,7 @@ func BuildCliqueCover(g *Graph) *CliqueCover {
 		order[i] = i
 	}
 	sort.Slice(order, func(i, j int) bool { return g.Degree(order[i]) > g.Degree(order[j]) })
-	var cand, next []NodeID // reused scratch for the running intersection
+	var cand, next []int32 // reused scratch for the running intersection
 	for _, seed := range order {
 		if cover.Of[seed] != -1 {
 			continue
@@ -187,7 +187,7 @@ func BuildCliqueCover(g *Graph) *CliqueCover {
 		cover.Count++
 		cover.Of[seed] = id
 		cand = cand[:0]
-		for _, v := range g.Neighbors(seed) {
+		for _, v := range g.Row(seed) {
 			if cover.Of[v] == -1 {
 				cand = append(cand, v)
 			}
@@ -195,9 +195,9 @@ func BuildCliqueCover(g *Graph) *CliqueCover {
 		for len(cand) > 0 {
 			v := cand[0]
 			cover.Of[v] = id
-			// next = cand[1:] ∩ Neighbors(v); both sorted ascending.
+			// next = cand[1:] ∩ Row(v); both sorted ascending.
 			next = next[:0]
-			rest, nv := cand[1:], g.Neighbors(v)
+			rest, nv := cand[1:], g.Row(int(v))
 			i, j := 0, 0
 			for i < len(rest) && j < len(nv) {
 				switch {

@@ -1,7 +1,9 @@
 // Package graph is a miniature stand-in for repro/internal/graph, just
 // enough surface for the viewescape fixtures: the view-returning accessors
-// with the same names on types with the same names.
+// with the same names and result types on types with the same names.
 package graph
+
+import "iter"
 
 // NodeID mirrors the real package's node identifier.
 type NodeID = int
@@ -9,14 +11,27 @@ type NodeID = int
 // Graph is a CSR graph whose accessors return zero-copy views.
 type Graph struct {
 	offs []int32
-	adj  []NodeID
+	adj  []int32
 }
 
-// Neighbors returns a zero-copy view.
-func (g *Graph) Neighbors(u NodeID) []NodeID { return g.adj }
+// Row returns a zero-copy view of a row.
+func (g *Graph) Row(u NodeID) []int32 { return g.adj }
+
+// Neighbors returns an iterator that closes over a row view.
+func (g *Graph) Neighbors(u NodeID) iter.Seq2[int, NodeID] { return ids(g.adj) }
+
+func ids(row []int32) iter.Seq2[int, NodeID] {
+	return func(yield func(int, NodeID) bool) {
+		for i, v := range row {
+			if !yield(i, NodeID(v)) {
+				return
+			}
+		}
+	}
+}
 
 // CSR returns the backing arrays.
-func (g *Graph) CSR() (offs []int32, adj []NodeID) { return g.offs, g.adj }
+func (g *Graph) CSR() (offs, adj []int32) { return g.offs, g.adj }
 
 // Dual mirrors the dual-graph wrapper.
 type Dual struct {
@@ -26,11 +41,14 @@ type Dual struct {
 // G returns the reliable graph.
 func (d *Dual) G() *Graph { return &d.g }
 
-// ExtraNeighbors returns a zero-copy view of the unreliable fringe.
-func (d *Dual) ExtraNeighbors(u NodeID) []NodeID { return d.g.adj }
+// ExtraRow returns a zero-copy view of an unreliable-fringe row.
+func (d *Dual) ExtraRow(u NodeID) []int32 { return d.g.adj }
+
+// ExtraNeighbors returns an iterator over the unreliable fringe.
+func (d *Dual) ExtraNeighbors(u NodeID) iter.Seq2[int, NodeID] { return ids(d.g.adj) }
 
 // ExtraCSR returns the fringe backing arrays.
-func (d *Dual) ExtraCSR() (offs []int32, adj []NodeID) { return d.g.offs, d.g.adj }
+func (d *Dual) ExtraCSR() (offs, adj []int32) { return d.g.offs, d.g.adj }
 
 // SparseNeighborMasks mirrors the block-sparse mask rows, whose accessors
 // return zero-copy views with the same lifetime contract.

@@ -2,17 +2,25 @@
 // graph views escaping into storage that can outlive an epoch swap.
 package viewescape
 
-import "graph"
+import (
+	"iter"
+
+	"graph"
+)
 
 type holder struct {
-	view  []graph.NodeID
+	view  iter.Seq2[int, graph.NodeID]
+	row   []int32
 	offs  []int32
-	adj   []graph.NodeID
+	adj   []int32
 	idx   []int32
 	words []uint64
 }
 
-var pkgView []graph.NodeID
+var (
+	pkgView iter.Seq2[int, graph.NodeID]
+	pkgRow  []int32
+)
 
 func fieldStore(h *holder, g *graph.Graph) {
 	h.view = g.Neighbors(0) // want `zero-copy graph view stored in h\.view`
@@ -36,7 +44,28 @@ func taintedLocal(h *holder, d *graph.Dual) {
 }
 
 func composite(g *graph.Graph) holder {
-	return holder{adj: g.Neighbors(0)} // want `stored in a composite literal`
+	return holder{view: g.Neighbors(0)} // want `stored in a composite literal`
+}
+
+func rowStore(h *holder, g *graph.Graph) {
+	h.row = g.Row(0) // want `zero-copy graph view stored in h\.row`
+}
+
+func extraRowStore(h *holder, d *graph.Dual) {
+	h.row = d.ExtraRow(2) // want `stored in h\.row`
+}
+
+func rowPkgStore(d *graph.Dual) {
+	pkgRow = d.ExtraRow(0) // want `package variable pkgRow outlives every epoch swap`
+}
+
+func rowTainted(h *holder, g *graph.Graph) {
+	r := g.Row(1)
+	h.row = r // want `stored in h\.row`
+}
+
+func rowComposite(d *graph.Dual) holder {
+	return holder{row: d.ExtraRow(3)} // want `stored in a composite literal`
 }
 
 func sparseBlockStore(h *holder, m *graph.SparseNeighborMasks) {
@@ -64,24 +93,43 @@ func sparseOK(m *graph.SparseNeighborMasks) int {
 
 func closure(g *graph.Graph) func() int {
 	v := g.Neighbors(0)
-	return func() int { return len(v) } // want `view v captured by a closure`
+	return func() int {
+		n := 0
+		for range v { // want `view v captured by a closure`
+			n++
+		}
+		return n
+	}
+}
+
+func rowClosure(d *graph.Dual) func() int {
+	r := d.ExtraRow(0)
+	return func() int { return len(r) } // want `view r captured by a closure`
 }
 
 // okUses exercises the call-scoped idioms the contract blesses: locals that
-// stay in the frame, copying contents, and returning a view to the caller.
-func okUses(g *graph.Graph, d *graph.Dual) []graph.NodeID {
-	v := g.Neighbors(0)
-	dst := append([]graph.NodeID(nil), v...)
+// stay in the frame, ranging and copying contents, and returning a view to
+// the caller.
+func okUses(g *graph.Graph, d *graph.Dual) []int32 {
+	var dst []graph.NodeID
+	for _, v := range g.Neighbors(0) {
+		dst = append(dst, v)
+	}
+	r := d.ExtraRow(0)
+	for _, v := range r {
+		dst = append(dst, graph.NodeID(v))
+	}
+	kept := append([]int32(nil), g.Row(2)...)
 	for range d.ExtraNeighbors(0) {
-		dst = append(dst, 0)
+		dst = append(dst, len(kept))
 	}
 	offs, adj := d.G().CSR()
 	_ = offs
 	_ = adj
-	return g.Neighbors(1)
+	return g.Row(1)
 }
 
 func allowedStore(h *holder, g *graph.Graph) {
 	//dglint:allow viewescape: fixture demonstrates the justified re-hoist
-	h.adj = g.Neighbors(0)
+	h.row = g.Row(0)
 }

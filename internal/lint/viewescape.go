@@ -8,10 +8,11 @@ import (
 
 // ViewEscape flags zero-copy CSR views escaping into long-lived storage.
 //
-// graph.Graph.Neighbors / graph.Dual.ExtraNeighbors (and the hoisted CSR /
-// ExtraCSR array pairs) return views into the graph's backing arrays. The
-// documented contract (internal/graph/graph.go, Neighbors) is that a view is
-// only as alive as the graph it came from — and under an epoch schedule the
+// graph.Graph.Row / graph.Dual.ExtraRow (and the hoisted CSR / ExtraCSR
+// array pairs) return views into the graph's backing arrays, and
+// Neighbors / ExtraNeighbors return iterators over those views. The
+// documented contract (internal/graph/graph.go, Row) is that a view is only
+// as alive as the graph it came from — and under an epoch schedule the
 // live graph changes at every Revision.Apply swap, so a view stashed in a
 // struct field, package variable, composite literal or closure silently goes
 // stale at the next epoch boundary.
@@ -32,10 +33,15 @@ var ViewEscape = &Analyzer{
 }
 
 // viewMethodNames are the view-returning accessors of the graph API.
-// BlockRow and Rows are the SparseNeighborMasks accessors: mask rows are
-// per-network storage with exactly the CSR views' lifetime, so a stashed
-// row goes just as stale at an epoch swap.
+// Row, ExtraRow, CSR and ExtraCSR return int32 row views; Neighbors and
+// ExtraNeighbors return iterators that close over a row view, so a stored
+// iterator goes stale exactly like the row. BlockRow and Rows are the
+// SparseNeighborMasks accessors: mask rows are per-network storage with
+// exactly the CSR views' lifetime, so a stashed row goes just as stale at
+// an epoch swap.
 var viewMethodNames = map[string]bool{
+	"Row":            true,
+	"ExtraRow":       true,
 	"Neighbors":      true,
 	"ExtraNeighbors": true,
 	"CSR":            true,
@@ -94,7 +100,7 @@ func isViewCall(pass *Pass, e ast.Expr) bool {
 // locals directly assigned from view calls, then a pass flagging escapes of
 // view calls or tainted locals.
 func checkViewEscapes(pass *Pass, body *ast.BlockStmt) {
-	// Taint pass: x := net.Neighbors(u), offs, adj := g.CSR().
+	// Taint pass: x := net.Row(u), offs, adj := g.CSR().
 	tainted := make(map[types.Object]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)

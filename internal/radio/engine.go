@@ -176,7 +176,7 @@ type engine struct {
 	// delivery loop walks the backing arrays directly: gAdj[gOffs[v]:
 	// gOffs[v+1]] is v's reliable neighbor row, exOffs/exAdj the E'\E rows.
 	gOffs, exOffs []int32
-	gAdj, exAdj   []graph.NodeID
+	gAdj, exAdj   []int32
 
 	// Word-parallel delivery state, derived per epoch by setupPlan. plan is
 	// the epoch's resolved delivery plan (never PlanAuto); txWords,
@@ -835,7 +835,7 @@ func (e *engine) deliver(selector graph.EdgeSelector, r int, res *Result) []Deli
 	} else {
 		for _, v := range e.tx {
 			for _, u := range e.gAdj[e.gOffs[v]:e.gOffs[v+1]] {
-				hear(u, v)
+				hear(graph.NodeID(u), v)
 			}
 		}
 	}
@@ -845,7 +845,7 @@ func (e *engine) deliver(selector graph.EdgeSelector, r int, res *Result) []Deli
 		if selector.All() {
 			for _, v := range e.tx {
 				for _, u := range e.exAdj[e.exOffs[v]:e.exOffs[v+1]] {
-					hear(u, v)
+					hear(graph.NodeID(u), v)
 				}
 			}
 		} else {
@@ -856,8 +856,8 @@ func (e *engine) deliver(selector graph.EdgeSelector, r int, res *Result) []Deli
 			// changes nothing.
 			for _, v := range e.tx {
 				for _, u := range e.exAdj[e.exOffs[v]:e.exOffs[v+1]] {
-					if tally[u] >= 0 && selector.Includes(v, u) {
-						hear(u, v)
+					if tally[u] >= 0 && selector.Includes(v, graph.NodeID(u)) {
+						hear(graph.NodeID(u), v)
 					}
 				}
 			}

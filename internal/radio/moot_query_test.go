@@ -102,7 +102,7 @@ func TestPartialSelectorSkipsMootQueries(t *testing.T) {
 					txOf[i] = make(map[graph.NodeID]bool, len(round.Transmitters))
 					for _, v := range round.Transmitters {
 						txOf[i][v] = true
-						naive += len(tc.net.ExtraNeighbors(v))
+						naive += len(tc.net.ExtraRow(v))
 					}
 					want := ReferenceDeliveries(tc.net, round.Selector.(countingSelector).EdgeSelector, round.Transmitters)
 					got := append([]Delivery(nil), round.Deliveries...)

@@ -111,7 +111,7 @@ func DegradationBetween(base, cur *graph.Dual) Degradation {
 func degradationBetween(base, cur *graph.Dual) Degradation {
 	var out Degradation
 	departed := func(u graph.NodeID) bool {
-		return len(base.GPrime().Neighbors(u)) > 0 && len(cur.GPrime().Neighbors(u)) == 0
+		return base.GPrime().Degree(u) > 0 && cur.GPrime().Degree(u) == 0
 	}
 	for u := 0; u < base.N(); u++ {
 		if departed(u) {
