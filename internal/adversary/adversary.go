@@ -14,7 +14,8 @@
 //     broadcast function machinery), and commits: dense → all unreliable
 //     edges (collision smothering), sparse → none (isolation). The seeds are
 //     fixed at commit and the labels computed on demand, so the
-//     presimulations reach only as far as the execution consults.
+//     presimulations reach only as far as the execution consults, each
+//     run once and suspended between the rounds it is asked about.
 //
 // Online adaptive:
 //   - DenseSparse: the Theorem 3.1 adversary. Each round it computes

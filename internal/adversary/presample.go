@@ -44,16 +44,19 @@ import (
 // The labels are computed lazily. CommitSchedule fixes everything they
 // depend on — the per-sample seeds, the threshold, the horizon, and the
 // environment's network, epochs, problem and algorithm — and runs no
-// presimulation. SelectorFor labels rounds on demand: when asked about a
-// round past the labelled prefix, it presimulates every sample again at
-// twice the previous budget (at least the asked round + 1, at least 16
-// rounds, at most Horizon), so an execution that stops after R rounds
-// presimulates at most max(4R, 16) rounds per sample, not Horizon. A
-// presimulation runs with IgnoreCompletion, so its count for a round does
-// not depend on its budget, and every label is the one an eager
-// presimulation to the horizon would commit. The adversary stays
-// oblivious: each label is the same function of commit-time information,
-// only evaluated later, and nothing it computes reads the real execution.
+// presimulation. The first SelectorFor call below the horizon starts one
+// radio.Execution per sample; when asked about a round past the labelled
+// prefix, the schedule advances every sample just far enough to label it
+// and keeps the samples suspended until the next such round. So each sample
+// is set up once per host execution and steps no round twice, and an
+// execution that stops after R rounds presimulates min(R, Horizon) rounds
+// per sample. The samples are closed when the labels reach the horizon, or
+// when the host execution ends (the schedule is a radio.ScheduleCloser). A
+// presimulation runs with IgnoreCompletion to a budget that covers the
+// horizon, so every label is the one an eager presimulation to the horizon
+// would commit. The adversary stays oblivious: each label is the same
+// function of commit-time information, only evaluated later, and nothing it
+// computes reads the real execution.
 type Presample struct {
 	// C scales the dense threshold C·ln n (default 2).
 	C float64
@@ -66,8 +69,8 @@ type Presample struct {
 	Floor float64
 	// Horizon is the number of labelled rounds (default min(MaxRounds, 8n));
 	// rounds at or past it are sparse. It bounds what the schedule may
-	// presimulate, not what it does: presimulations reach only as far as
-	// the execution consults.
+	// presimulate, not what it does: the samples advance only as far as the
+	// execution consults.
 	Horizon int
 	// Samples is the number of independent presimulations (default 3). A
 	// round is labeled dense only when every sample exceeds the threshold,
@@ -75,24 +78,29 @@ type Presample struct {
 	Samples int
 }
 
-var _ radio.ObliviousLink = Presample{}
-
-// presampleMinBudget is the shortest presimulation a schedule runs, so the
-// opening rounds of an execution do not each trigger a re-run.
-const presampleMinBudget = 16
+var (
+	_ radio.ObliviousLink  = Presample{}
+	_ radio.ScheduleCloser = (*presampleSchedule)(nil)
+)
 
 // presampleSchedule is the committed schedule. dense labels the prefix of
 // rounds presimulated so far; the rest is fixed at commit and determines
 // every later label.
 type presampleSchedule struct {
 	// sim is the presimulation template: the environment's network (or
-	// epoch schedule), problem and algorithm under sparse dynamics. Each
-	// presimulation sets its own Seed, MaxRounds and Recorder.
+	// epoch schedule), problem and algorithm under sparse dynamics, with a
+	// budget that covers the horizon and every rumor injection, recorded by
+	// the schedule itself. Each sample sets its own Seed.
 	sim       radio.Config
 	seeds     []uint64
 	threshold float64
 	horizon   int
 	dense     []bool
+	// runs are the open sample executions, each advanced to len(dense)
+	// rounds; nil before the first label and after Close. failed is set
+	// when a sample failed to start, which leaves every round sparse.
+	runs   []*radio.Execution
+	failed bool
 }
 
 // SelectorFor implements radio.Schedule.
@@ -101,51 +109,66 @@ func (s *presampleSchedule) SelectorFor(round int) graph.EdgeSelector {
 		return graph.SelectNone{}
 	}
 	if round >= len(s.dense) {
-		s.label(min(s.horizon, max(2*len(s.dense), round+1, presampleMinBudget)))
+		s.label(round + 1)
 	}
-	if s.dense[round] {
+	if !s.failed && s.dense[round] {
 		return graph.SelectAll{}
 	}
 	return graph.SelectNone{}
 }
 
-// label presimulates every sample for budget rounds and relabels them: a
-// round is dense when every sample's transmitter count exceeds the
-// threshold.
-func (s *presampleSchedule) label(budget int) {
-	dense := make([]bool, budget)
-	for r := range dense {
-		dense[r] = true
+// label advances every sample to rounds rounds, starting the samples if none
+// is open, and labels the new rounds: a round is dense when every sample's
+// transmitter count exceeds the threshold (see Record). A sample that fails
+// to start leaves the adversary without information: it degrades to the
+// all-sparse schedule rather than aborting the host execution.
+func (s *presampleSchedule) label(rounds int) {
+	if s.failed {
+		return
 	}
-	for _, seed := range s.seeds {
-		counts := s.presimulate(seed, budget)
-		for r := range dense {
-			dense[r] = dense[r] && r < len(counts) && float64(counts[r]) > s.threshold
+	if s.runs == nil {
+		// A reopened schedule (asked again after Close) re-runs its samples
+		// from round 0; they record the counts they recorded before, so the
+		// labels they AND over do not change.
+		s.runs = make([]*radio.Execution, 0, len(s.seeds))
+		for _, seed := range s.seeds {
+			cfg := s.sim
+			cfg.Seed = seed
+			x, err := radio.Start(cfg)
+			if err != nil {
+				s.failed = true
+				s.Close()
+				return
+			}
+			s.runs = append(s.runs, x)
 		}
 	}
-	s.dense = dense
+	for len(s.dense) < rounds {
+		s.dense = append(s.dense, true)
+	}
+	for _, x := range s.runs {
+		x.Advance(rounds)
+	}
+	if rounds == s.horizon {
+		s.Close()
+	}
 }
 
-// presimulate runs one presimulation for at least budget rounds and returns
-// its per-round transmitter counts.
-func (s *presampleSchedule) presimulate(seed uint64, budget int) []int {
-	// Every scheduled rumor injection must still fall inside the budget (the
-	// engine rejects a spec whose injections can never enter); counts past
-	// the labelled budget are discarded by the caller.
-	for _, inj := range s.sim.Spec.Injections {
-		budget = max(budget, inj.Round+1)
+// Record implements radio.Recorder for the samples: a round stays dense only
+// while every sample's transmitter count exceeds the threshold.
+func (s *presampleSchedule) Record(rec radio.RoundRecord) {
+	if float64(len(rec.Transmitters)) <= s.threshold {
+		s.dense[rec.Round] = false
 	}
-	rec := &radio.TxCountRecorder{Counts: make([]int, 0, budget)}
-	cfg := s.sim
-	cfg.Seed, cfg.MaxRounds, cfg.Recorder = seed, budget, rec
-	if _, err := radio.Run(cfg); err != nil {
-		// A presimulation failure leaves the adversary without information;
-		// it degrades to the all-sparse schedule rather than aborting the
-		// host execution. The failure does not depend on the budget, so
-		// every relabelling agrees.
-		return nil
+}
+
+// Close implements radio.ScheduleCloser: it closes the open samples. The
+// labels computed so far are kept.
+func (s *presampleSchedule) Close() {
+	for _, x := range s.runs {
+		x.Close()
 	}
-	return rec.Counts
+	s.runs = nil
 }
 
 // CommitSchedule implements radio.ObliviousLink.
@@ -174,18 +197,27 @@ func (a Presample) CommitSchedule(env *radio.Env) radio.Schedule {
 		threshold = floor
 	}
 
+	// Every scheduled rumor injection must fall inside the samples' budget
+	// (the engine rejects a spec whose injections can never enter); rounds
+	// past the horizon are never run.
+	budget := horizon
+	for _, inj := range env.Spec.Injections {
+		budget = max(budget, inj.Round+1)
+	}
 	s := &presampleSchedule{
 		sim: radio.Config{
 			Algorithm:        env.Algorithm,
 			Spec:             env.Spec,
-			Link:             nil,  // sparse dynamics: reliable edges only
-			IgnoreCompletion: true, // a count must not depend on the budget
+			Link:             nil, // sparse dynamics: reliable edges only
+			MaxRounds:        budget,
+			IgnoreCompletion: true, // a sample runs on after it solves
 			UseCliqueCover:   true,
 		},
 		seeds:     make([]uint64, samples),
 		threshold: threshold,
 		horizon:   horizon,
 	}
+	s.sim.Recorder = s
 	// Fresh seeds from the adversary's own committed randomness: independent
 	// of the real execution's coins, as obliviousness requires.
 	for i := range s.seeds {

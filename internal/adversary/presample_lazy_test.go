@@ -93,9 +93,9 @@ func lazyCases(t *testing.T) []lazyCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The swap falls past the first presimulation budget, so only a
-	// relabelling under the epoch schedule can see it.
-	epochs := []radio.Epoch{{Start: 0, Net: line}, {Start: 3 * presampleMinBudget / 2, Net: rev.Dual()}}
+	// The swap falls mid-horizon, so only presimulating under the epoch
+	// schedule can see it.
+	epochs := []radio.Epoch{{Start: 0, Net: line}, {Start: 24, Net: rev.Dual()}}
 
 	global := radio.Spec{Problem: radio.GlobalBroadcast, Source: 0}
 	envOf := func(net *graph.Dual, alg radio.Algorithm, spec radio.Spec, maxRounds int) func(uint64) *radio.Env {
@@ -111,17 +111,23 @@ func lazyCases(t *testing.T) []lazyCase {
 		{name: "ext-derand/round-robin", link: Presample{}, env: envOf(dual96, core.RoundRobin{}, global, 400*96)},
 		// F1-oblivious-global's adversary against permuted decay.
 		{name: "permuted/4n", link: Presample{C: 1, Horizon: 4 * 128}, env: envOf(dual128, core.PermutedGlobal{}, global, 64*128*128), mixed: true},
-		{name: "epochs", link: Presample{C: 0.1, Floor: 2.5, Samples: 1, Horizon: 3 * presampleMinBudget}, env: func(seed uint64) *radio.Env {
+		{name: "epochs", link: Presample{C: 0.1, Floor: 2.5, Samples: 1, Horizon: 48}, env: func(seed uint64) *radio.Env {
 			return &radio.Env{Net: line, Epochs: epochs, Spec: global, Algorithm: beaconAlg{}, Rng: bitrand.New(seed), MaxRounds: 1000}
 		}, mixed: true},
-		// A rumor injected past the first budget: every presimulation's
-		// budget stretches to admit it, and its counts past the labelled
-		// prefix are discarded. TDM gossip rarely has two transmitters, so
-		// the threshold labels a round dense when it has any.
-		{name: "gossip/injection", link: Presample{C: 0.01, Floor: 0.5, Samples: 1, Horizon: 6 * presampleMinBudget}, env: envOf(dual32, gossip.TDM{}, radio.Spec{
+		// A rumor injected mid-horizon changes the later counts. TDM gossip
+		// rarely has two transmitters, so the threshold labels a round dense
+		// when it has any.
+		{name: "gossip/injection", link: Presample{C: 0.01, Floor: 0.5, Samples: 1, Horizon: 96}, env: envOf(dual32, gossip.TDM{}, radio.Spec{
 			Problem:    radio.Gossip,
 			Sources:    []graph.NodeID{0},
-			Injections: []radio.Injection{{Source: 20, Round: 5 * presampleMinBudget / 2}},
+			Injections: []radio.Injection{{Source: 20, Round: 40}},
+		}, 1000), mixed: true},
+		// A rumor injected past the horizon: the samples' budget stretches
+		// to admit it, and no round past the horizon is labelled.
+		{name: "gossip/late-injection", link: Presample{C: 0.01, Floor: 0.5, Samples: 2, Horizon: 32}, env: envOf(dual32, gossip.TDM{}, radio.Spec{
+			Problem:    radio.Gossip,
+			Sources:    []graph.NodeID{0},
+			Injections: []radio.Injection{{Source: 20, Round: 40}},
 		}, 1000), mixed: true},
 	}
 	return cases
@@ -182,6 +188,27 @@ func TestPresampleLazyMatchesEager(t *testing.T) {
 	}
 }
 
+// TestPresampleReopensAfterClose pins the close contract's last clause:
+// Close changes no label. A schedule closed partway through its horizon and
+// asked again reopens its samples, and every label, before and past where
+// it was closed, is still the eager one.
+func TestPresampleReopensAfterClose(t *testing.T) {
+	for _, tc := range lazyCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			want := eagerPresampleLabels(t, tc.link, tc.env(3))
+			sched := tc.link.CommitSchedule(tc.env(3)).(*presampleSchedule)
+			for _, upTo := range []int{len(want) / 3, len(want) + 2} {
+				for r := 0; r < upTo; r++ {
+					if dense := r < len(want) && want[r]; sched.SelectorFor(r).All() != dense {
+						t.Fatalf("round %d (asking up to %d) labelled dense=%v, eager %v", r, upTo, !dense, dense)
+					}
+				}
+				sched.Close()
+			}
+		})
+	}
+}
+
 // stepCounted wraps an algorithm so its processes forward only
 // radio.Process: no optional interface reaches the engine, so every node
 // steps in every round, and the source's Step calls count the rounds each
@@ -220,54 +247,175 @@ func (p *countedProc) Step(r int, rng *bitrand.Source) radio.Action {
 	return p.Process.Step(r, rng)
 }
 
-// TestPresampleCostBound pins what lazy labelling saves: an execution that
-// stops after R rounds presimulates at most max(4R, presampleMinBudget)
-// rounds per sample, however long the horizon. The last presimulation is at
-// most max(2R, presampleMinBudget) rounds; the earlier ones at least double
-// each time and the longest is shorter than R, so together they are under
-// 2R. The horizon here is far past every stopping round, so an eager
-// schedule would presimulate samples·horizon.
+// TestPresampleCostBound pins what resuming saves: each sample is set up
+// once per host execution, and an execution that stops after R rounds steps
+// each sample min(R, horizon) rounds, none twice, however long the horizon.
+// The long horizon here is far past every stopping round, so an eager
+// schedule would presimulate samples·horizon rounds; the short one ends the
+// labels before the execution stops.
 func TestPresampleCostBound(t *testing.T) {
 	const n = 64
 	d, _ := graph.DualClique(n, 3)
 	const samples = 3
-	link := Presample{C: 1, Horizon: 64 * n, Samples: samples}
-	for _, alg := range []radio.Algorithm{core.DecayGlobal{}, core.PermutedGlobal{}, core.RoundRobin{}} {
-		for seed := uint64(1); seed <= 4; seed++ {
-			var runs []int
+	for _, horizon := range []int{64 * n, 8} {
+		link := Presample{C: 1, Horizon: horizon, Samples: samples}
+		for _, alg := range []radio.Algorithm{core.DecayGlobal{}, core.PermutedGlobal{}, core.RoundRobin{}} {
+			for seed := uint64(1); seed <= 4; seed++ {
+				var runs []int
+				res, err := radio.Run(radio.Config{
+					Net:            d,
+					Algorithm:      stepCounted{alg: alg, runs: &runs},
+					Spec:           radio.Spec{Problem: radio.GlobalBroadcast, Source: 0},
+					Link:           link,
+					Seed:           seed,
+					MaxRounds:      128 * n,
+					UseCliqueCover: true,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Solved || runs[0] != res.Rounds {
+					t.Fatalf("%s seed %d: solved=%v after %d rounds, the real execution stepped its source %d times",
+						alg.Name(), seed, res.Solved, res.Rounds, runs[0])
+				}
+				R := res.Rounds
+				if len(runs[1:]) != samples {
+					t.Errorf("%s horizon %d seed %d: %d presimulations set up, want one per sample (%d)",
+						alg.Name(), horizon, seed, len(runs)-1, samples)
+				}
+				presim := 0
+				for _, rounds := range runs[1:] {
+					if rounds != min(R, horizon) {
+						t.Errorf("%s horizon %d seed %d: a sample stepped %d rounds for a %d-round execution, want %d",
+							alg.Name(), horizon, seed, rounds, R, min(R, horizon))
+					}
+					presim += rounds
+				}
+				t.Logf("%s horizon %d seed %d: %d rounds, %d presimulated in %d runs (eager: %d)",
+					alg.Name(), horizon, seed, R, presim, len(runs)-1, samples*horizon)
+			}
+		}
+	}
+}
+
+// keptLink commits Presample's schedule and keeps it for inspection.
+type keptLink struct {
+	Presample
+	sched **presampleSchedule
+}
+
+func (k keptLink) CommitSchedule(env *radio.Env) radio.Schedule {
+	s := k.Presample.CommitSchedule(env).(*presampleSchedule)
+	*k.sched = s
+	return s
+}
+
+// failingRestart builds processes for the first execution only: every later
+// process set is one short, so every presimulation fails to start.
+type failingRestart struct {
+	radio.Algorithm
+	built *int
+}
+
+func (f failingRestart) NewProcesses(net *graph.Dual, spec radio.Spec, rng *bitrand.Source) []radio.Process {
+	procs := f.Algorithm.NewProcesses(net, spec, rng)
+	if *f.built++; *f.built > 1 {
+		procs = procs[1:]
+	}
+	return procs
+}
+
+// openWatch is a host recorder that notes the rounds at which the schedule
+// held open samples.
+type openWatch struct {
+	sched **presampleSchedule
+	open  []int
+}
+
+func (w *openWatch) Record(rec radio.RoundRecord) {
+	if len((*w.sched).runs) > 0 {
+		w.open = append(w.open, rec.Round)
+	}
+}
+
+// TestPresampleClosesSamples pins the schedule's side of the close
+// contract: no sample execution is open once the host Run returns — whether
+// the host solves before the horizon, the labels reach the horizon first
+// (the samples close in that round), or a presimulation fails to start (the
+// labels are all sparse) — and the samples are closed, not dropped, so a
+// warmed-up host execution gets its samples' scratch back from the pool.
+func TestPresampleClosesSamples(t *testing.T) {
+	const n = 64
+	d, _ := graph.DualClique(n, 3)
+	spec := radio.Spec{Problem: radio.GlobalBroadcast, Source: 0}
+	var built int
+	for _, tc := range []struct {
+		name    string
+		alg     radio.Algorithm
+		horizon int
+		// wantOpen is the number of rounds the samples stay open in: every
+		// round for a host that solves first (they close when it ends), the
+		// horizon's rounds but the last for a short one (they close in it),
+		// none when they fail to start.
+		wantOpen func(rounds int) int
+		failed   bool
+	}{
+		{"solves-first", core.DecayGlobal{}, 64 * n, func(r int) int { return r }, false},
+		{"horizon-first", core.DecayGlobal{}, 6, func(int) int { return 5 }, false},
+		{"start-fails", failingRestart{core.DecayGlobal{}, &built}, 64 * n, func(int) int { return 0 }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sched *presampleSchedule
+			watch := &openWatch{sched: &sched}
 			res, err := radio.Run(radio.Config{
 				Net:            d,
-				Algorithm:      stepCounted{alg: alg, runs: &runs},
-				Spec:           radio.Spec{Problem: radio.GlobalBroadcast, Source: 0},
-				Link:           link,
-				Seed:           seed,
+				Algorithm:      tc.alg,
+				Spec:           spec,
+				Link:           keptLink{Presample{C: 1, Horizon: tc.horizon}, &sched},
+				Seed:           7,
 				MaxRounds:      128 * n,
+				Recorder:       watch,
 				UseCliqueCover: true,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !res.Solved || runs[0] != res.Rounds {
-				t.Fatalf("%s seed %d: solved=%v after %d rounds, the real execution stepped its source %d times",
-					alg.Name(), seed, res.Solved, res.Rounds, runs[0])
+			if sched.runs != nil {
+				t.Errorf("%d sample executions open after Run returned", len(sched.runs))
 			}
-			R := res.Rounds
-			presim := 0
-			for _, rounds := range runs[1:] {
-				if rounds > max(2*R, presampleMinBudget) {
-					t.Errorf("%s seed %d: a %d-round presimulation for a %d-round execution", alg.Name(), seed, rounds, R)
-				}
-				presim += rounds
+			if sched.failed != tc.failed {
+				t.Errorf("failed = %v, want %v", sched.failed, tc.failed)
 			}
-			if len(runs[1:])%samples != 0 {
-				t.Errorf("%s seed %d: %d presimulations, not a multiple of %d samples", alg.Name(), seed, len(runs)-1, samples)
+			want := tc.wantOpen(res.Rounds)
+			if len(watch.open) != want || (want > 0 && watch.open[want-1] != want-1) {
+				t.Errorf("samples open in rounds %v of %d, want rounds 0 to %d", watch.open, res.Rounds, want-1)
 			}
-			if bound := samples * max(4*R, presampleMinBudget); presim > bound {
-				t.Errorf("%s seed %d: %d presimulated rounds for a %d-round execution, bound %d",
-					alg.Name(), seed, presim, R, bound)
+			if tc.failed && len(sched.dense) != 0 {
+				t.Errorf("%d rounds labelled after a failed start", len(sched.dense))
 			}
-			t.Logf("%s seed %d: %d rounds, %d presimulated in %d runs (eager: %d)",
-				alg.Name(), seed, R, presim, len(runs)-1, samples*link.Horizon)
+		})
+	}
+
+	if testing.Short() || raceEnabled {
+		return
+	}
+	// Samples left open would each check out a fresh scratch on every host
+	// execution, about twenty slabs apiece.
+	seed := uint64(0)
+	trial := func() {
+		seed++
+		_, err := radio.Run(radio.Config{Net: d, Algorithm: core.DecayGlobal{}, Spec: spec,
+			Link: Presample{C: 1, Horizon: 64 * n}, Seed: seed, MaxRounds: 128 * n, UseCliqueCover: true})
+		if err != nil {
+			t.Fatal(err)
 		}
+	}
+	// Measured at 18: the engine, the Result, the schedule with its seeds,
+	// labels and sample list, and the three sample executions.
+	const budget = 24
+	got := testing.AllocsPerRun(50, trial)
+	t.Logf("presample host trial allocs/op = %v (budget %d)", got, budget)
+	if got > budget {
+		t.Errorf("presample host trial allocs/op = %v, budget %d: are the samples' scratches returned to the pool?", got, budget)
 	}
 }

@@ -157,7 +157,7 @@ func runScale(cfg Config) (*Result, error) {
 		}
 		if sub.n == 1000 {
 			// The sampling-oblivious adversary only runs at the smallest size:
-			// presampling simulates its whole horizon per trial.
+			// each of its samples steps every round the trial runs.
 			rows = append(rows, scaleRow{core.DecayGlobal{}, "presample", func() any { return adversary.Presample{Horizon: 1024} }, budget})
 		}
 		if sub.n <= 10000 {

@@ -59,11 +59,12 @@ func TestAutoPlanResolution(t *testing.T) {
 			cfg.Algorithm = batchAlg{p: 0.5}
 			cfg.Spec = Spec{Problem: GlobalBroadcast, Source: 0}
 			cfg.MaxRounds = 1
-			e, err := newEngine(cfg)
+			x, err := Start(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer e.release()
+			defer x.Close()
+			e := &x.engine
 			if e.plan != tc.want {
 				t.Errorf("resolved %v, want %v", e.plan, tc.want)
 			}

@@ -131,11 +131,12 @@ func (a splitCohortAlg) NewProcesses(net *graph.Dual, spec Spec, rng *bitrand.So
 // it ended, and whether it was ever on.
 func cohortOff(t *testing.T, cfg Config) (off, wasOn bool) {
 	t.Helper()
-	e, err := newEngine(cfg)
+	x, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.release()
+	defer x.Close()
+	e := &x.engine
 	var res Result
 	for r := 0; r < cfg.MaxRounds && !e.mon.done(); r++ {
 		wasOn = wasOn || e.cohort != nil
@@ -309,14 +310,14 @@ func TestBulkThresholdReuse(t *testing.T) {
 	} {
 		cfg := Config{Net: net, Algorithm: mixedAlg{}, Spec: Spec{Problem: GlobalBroadcast, Source: 5},
 			Seed: 48, MaxRounds: 120, IgnoreCompletion: true}
-		e, err := newEngine(cfg)
+		x, err := Start(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !e.allBulk || e.cohort != nil {
-			t.Fatalf("allBulk %v, cohort %v: the execution must take the per-node bulk loop", e.allBulk, e.cohort)
+		if !x.allBulk || x.cohort != nil {
+			t.Fatalf("allBulk %v, cohort %v: the execution must take the per-node bulk loop", x.allBulk, x.cohort)
 		}
-		e.release()
+		x.Close()
 		want, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -56,11 +56,12 @@ func TestPushPlanesClearEveryRound(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Spec, cfg.Plan, cfg.MaxRounds = local, PlanBitmap, 80
-			e, err := newEngine(cfg)
+			x, err := Start(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer e.release()
+			defer x.Close()
+			e := &x.engine
 			var res Result
 			for r := 0; r < cfg.MaxRounds; r++ {
 				if e.epochIdx+1 < len(e.epochs) && e.epochs[e.epochIdx+1].Start == r {

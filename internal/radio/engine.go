@@ -112,15 +112,90 @@ type Result struct {
 	TxByNode []int64
 }
 
-// Run executes the configuration to completion or MaxRounds.
+// Run executes the configuration to completion or MaxRounds: it starts an
+// Execution, advances it to MaxRounds and finishes it.
 func Run(cfg Config) (Result, error) {
-	e, err := newEngine(cfg)
+	x, err := Start(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := e.run()
-	e.release()
-	return res, err
+	x.Advance(x.cfg.MaxRounds)
+	return x.Finish(), nil
+}
+
+// Execution is an execution that runs in steps: Start sets it up, Advance
+// runs it on to a round count, and Finish ends it with its Result. Run is
+// exactly these three steps, so advancing in any chunks and then finishing
+// gives the Result Run gives, and the same recorded rounds. An execution
+// that is not finished must be closed, or its pooled scratch falls to the
+// GC. An Execution belongs to one goroutine; once it is finished or closed,
+// Advance and Close do nothing and Finish panics.
+type Execution struct {
+	engine
+	res Result
+	// next is the number of rounds executed; stop is the round count the
+	// execution ends at: MaxRounds, the solving round + 1 once the problem
+	// is solved (unless IgnoreCompletion), or next once it is closed.
+	next, stop int
+}
+
+// Start validates cfg and sets up its execution — the processes, the
+// monitor, the adversary's commitment and the delivery plan — without
+// running a round.
+func Start(cfg Config) (*Execution, error) {
+	x := new(Execution)
+	if err := x.init(cfg); err != nil {
+		return nil, err
+	}
+	x.stop = x.cfg.MaxRounds
+	return x, nil
+}
+
+// Advance runs the execution on until rounds rounds have run in all, or it
+// ends: at MaxRounds, or at the solving round unless IgnoreCompletion is
+// set. A count at or below the rounds already run does nothing, and one
+// past MaxRounds stops there.
+//
+//dglint:noalloc gate=TestAdvanceAllocs
+func (x *Execution) Advance(rounds int) {
+	e := &x.engine
+	for ; x.next < min(rounds, x.stop); x.next++ {
+		r := x.next
+		if e.epochIdx+1 < len(e.epochs) && e.epochs[e.epochIdx+1].Start == r {
+			e.swapEpoch()
+		}
+		e.step(r, &x.res)
+		if !x.res.Solved && e.mon.done() {
+			x.res.Solved = true
+			x.res.Rounds = r + 1
+			if !e.cfg.IgnoreCompletion {
+				x.stop = r + 1
+			}
+		}
+	}
+}
+
+// Finish ends the execution and returns its Result over the rounds run so
+// far: Rounds is the solving round + 1 when solved, and the rounds run
+// otherwise. It closes the execution.
+func (x *Execution) Finish() Result {
+	if x.sc == nil {
+		panic("radio: Finish on an ended Execution")
+	}
+	res := x.res
+	if !res.Solved {
+		res.Rounds = x.next
+	}
+	x.fill(&res)
+	x.Close()
+	return res
+}
+
+// Close ends the execution without a Result and releases its scratch;
+// closing an ended execution does nothing.
+func (x *Execution) Close() {
+	x.stop = x.next
+	x.release()
 }
 
 // ErrBadConfig wraps configuration validation failures.
@@ -225,27 +300,29 @@ type engine struct {
 	recordBuf []Delivery
 }
 
-func newEngine(cfg Config) (*engine, error) {
+// init sets the engine up for cfg (see Start). On failure the engine holds
+// no scratch.
+func (e *engine) init(cfg Config) error {
 	if len(cfg.Epochs) > 0 {
 		eps := cfg.Epochs
 		if eps[0].Start != 0 {
-			return nil, fmt.Errorf("%w: epoch schedule starts at round %d, want 0", ErrBadConfig, eps[0].Start)
+			return fmt.Errorf("%w: epoch schedule starts at round %d, want 0", ErrBadConfig, eps[0].Start)
 		}
 		for i, ep := range eps {
 			if ep.Net == nil {
-				return nil, fmt.Errorf("%w: epoch %d has nil network", ErrBadConfig, i)
+				return fmt.Errorf("%w: epoch %d has nil network", ErrBadConfig, i)
 			}
 			if ep.Net.N() != eps[0].Net.N() {
-				return nil, fmt.Errorf("%w: epoch %d has %d nodes, epoch 0 has %d (the vertex set is fixed across epochs)",
+				return fmt.Errorf("%w: epoch %d has %d nodes, epoch 0 has %d (the vertex set is fixed across epochs)",
 					ErrBadConfig, i, ep.Net.N(), eps[0].Net.N())
 			}
 			if i > 0 && ep.Start <= eps[i-1].Start {
-				return nil, fmt.Errorf("%w: epoch %d starts at round %d, not after epoch %d (round %d)",
+				return fmt.Errorf("%w: epoch %d starts at round %d, not after epoch %d (round %d)",
 					ErrBadConfig, i, ep.Start, i-1, eps[i-1].Start)
 			}
 		}
 		if cfg.Net != nil && cfg.Net != eps[0].Net {
-			return nil, fmt.Errorf("%w: Net is set but differs from Epochs[0].Net; leave Net nil with an epoch schedule", ErrBadConfig)
+			return fmt.Errorf("%w: Net is set but differs from Epochs[0].Net; leave Net nil with an epoch schedule", ErrBadConfig)
 		}
 		// Normalize: the initial network is the schedule's first epoch, so
 		// everything keyed off cfg.Net (process construction, the arena, the
@@ -253,42 +330,42 @@ func newEngine(cfg Config) (*engine, error) {
 		cfg.Net = eps[0].Net
 	}
 	if cfg.Net == nil {
-		return nil, fmt.Errorf("%w: nil network", ErrBadConfig)
+		return fmt.Errorf("%w: nil network", ErrBadConfig)
 	}
 	if cfg.Algorithm == nil {
-		return nil, fmt.Errorf("%w: nil algorithm", ErrBadConfig)
+		return fmt.Errorf("%w: nil algorithm", ErrBadConfig)
 	}
 	if len(cfg.Spec.Injections) > 0 && cfg.Spec.Problem != Gossip {
-		return nil, fmt.Errorf("%w: rumor injections are only valid for gossip, not %v", ErrBadConfig, cfg.Spec.Problem)
+		return fmt.Errorf("%w: rumor injections are only valid for gossip, not %v", ErrBadConfig, cfg.Spec.Problem)
 	}
 	n := cfg.Net.N()
 	if n > math.MaxInt32 {
-		return nil, fmt.Errorf("%w: %d nodes do not fit the delivery tally's int32 words (at most %d)", ErrBadConfig, n, math.MaxInt32)
+		return fmt.Errorf("%w: %d nodes do not fit the delivery tally's int32 words (at most %d)", ErrBadConfig, n, math.MaxInt32)
 	}
 	if cfg.MaxRounds <= 0 {
 		if n > maxDefaultRoundsNodes {
 			// int64 math: at n = 10⁶ the would-be default is 6.4×10¹³ rounds,
 			// which must survive into the message intact on any platform.
-			return nil, fmt.Errorf("%w: no MaxRounds set for n=%d nodes: the computed 64·n² default would be %d rounds, and the default is only allowed up to the %d-node cap — set an explicit round budget",
+			return fmt.Errorf("%w: no MaxRounds set for n=%d nodes: the computed 64·n² default would be %d rounds, and the default is only allowed up to the %d-node cap — set an explicit round budget",
 				ErrBadConfig, n, 64*int64(n)*int64(n), maxDefaultRoundsNodes)
 		}
 		cfg.MaxRounds = 64 * n * n
 	}
 	if cfg.Plan < PlanAuto || cfg.Plan > PlanBitmap {
-		return nil, fmt.Errorf("%w: unknown delivery plan %d", ErrBadConfig, cfg.Plan)
+		return fmt.Errorf("%w: unknown delivery plan %d", ErrBadConfig, cfg.Plan)
 	}
 	if cfg.Plan == PlanBitmap && cfg.UseCliqueCover {
-		return nil, fmt.Errorf("%w: %v and UseCliqueCover are mutually exclusive delivery accelerators", ErrBadConfig, cfg.Plan)
+		return fmt.Errorf("%w: %v and UseCliqueCover are mutually exclusive delivery accelerators", ErrBadConfig, cfg.Plan)
 	}
-	e := &engine{cfg: cfg, net: cfg.Net, n: n, epochs: cfg.Epochs, sc: getScratch(n)}
+	*e = engine{cfg: cfg, net: cfg.Net, n: n, epochs: cfg.Epochs, sc: getScratch(n)}
 	//dglint:allow viewescape: engine-owned hoist, re-synced by swapEpoch at every epoch boundary
 	e.gOffs, e.gAdj = cfg.Net.G().CSR()
 	//dglint:allow viewescape: engine-owned hoist, re-synced by swapEpoch at every epoch boundary
 	e.exOffs, e.exAdj = cfg.Net.ExtraCSR()
 	e.master.Reseed(cfg.Seed)
-	fail := func(err error) (*engine, error) {
+	fail := func(err error) error {
 		e.release()
-		return nil, err
+		return err
 	}
 
 	// Process arena: when the algorithm is a ProcessFactory and this scratch
@@ -405,14 +482,19 @@ func newEngine(cfg Config) (*engine, error) {
 	}
 
 	e.setupPlan()
-	return e, nil
+	return nil
 }
 
-// release returns the engine's scratch to the pool. The engine (and the
-// monitors built over the scratch) must not be used afterwards.
+// release ends the engine: it closes a committed schedule that holds
+// resources (see ScheduleCloser) and returns the scratch to the pool. The
+// engine (and the monitors built over the scratch) must not be used
+// afterwards; releasing it again does nothing.
 func (e *engine) release() {
 	if e.sc == nil {
 		return
+	}
+	if c, ok := e.committed.(ScheduleCloser); ok {
+		c.Close()
 	}
 	// Hand the append-grown buffer back so its capacity is retained.
 	if e.recordBuf != nil {
@@ -421,29 +503,6 @@ func (e *engine) release() {
 	sc := e.sc
 	e.sc = nil
 	putScratch(sc)
-}
-
-func (e *engine) run() (Result, error) {
-	var res Result
-	for r := 0; r < e.cfg.MaxRounds; r++ {
-		if e.epochIdx+1 < len(e.epochs) && e.epochs[e.epochIdx+1].Start == r {
-			e.swapEpoch()
-		}
-		e.step(r, &res)
-		if !res.Solved && e.mon.done() {
-			res.Solved = true
-			res.Rounds = r + 1
-			if !e.cfg.IgnoreCompletion {
-				e.fill(&res)
-				return res, nil
-			}
-		}
-	}
-	if !res.Solved {
-		res.Rounds = e.cfg.MaxRounds
-	}
-	e.fill(&res)
-	return res, nil
 }
 
 // swapEpoch advances to the next epoch of the topology schedule: the

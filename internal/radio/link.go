@@ -80,16 +80,31 @@ func (v *View) SumTransmitProbs() float64 {
 // SelectorFor is first asked about it, and keep what it computed, as long as
 // SelectorFor(r) depends only on r and on information fixed at commit — never
 // on when, how often or in what order it is asked. The engine calls
-// SelectorFor from one goroutine, once per round in ascending order.
+// SelectorFor from one goroutine, once per round in ascending order. A
+// schedule that holds resources while it labels (a presimulation's open
+// Execution) implements ScheduleCloser to learn when the execution ends.
 type Schedule interface {
 	// SelectorFor returns the E'\E selection for the given round.
 	SelectorFor(round int) graph.EdgeSelector
 }
 
+// ScheduleCloser is a Schedule that holds resources while it labels. The
+// engine calls Close once when the execution that committed the schedule
+// ends — when Run returns, or when the Execution is finished or closed — and
+// asks for no selection after it. Close must not change any selection the
+// schedule would return: a schedule asked again after Close (outside an
+// engine) still answers as committed.
+type ScheduleCloser interface {
+	Schedule
+	Close()
+}
+
 // ObliviousLink is a link process that must commit its entire behavior
 // before round 1. CommitSchedule is invoked exactly once; the returned
 // Schedule receives no execution information, enforcing obliviousness by
-// construction.
+// construction. A Schedule may itself presimulate the public algorithm
+// through its own Executions (see Execution), suspended between the rounds
+// it is asked about.
 type ObliviousLink interface {
 	CommitSchedule(env *Env) Schedule
 }

@@ -55,9 +55,8 @@ func (m *MemRecorder) TransmissionsIn(from, to int) int {
 	return total
 }
 
-// TxCountRecorder records only the per-round transmitter counts. Sampling
-// adversaries use it to build their dense/sparse labels without retaining
-// full traces.
+// TxCountRecorder records only the per-round transmitter counts: what a
+// sampling adversary labels rounds from, without retaining full traces.
 type TxCountRecorder struct {
 	Counts []int
 }

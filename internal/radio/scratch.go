@@ -83,7 +83,7 @@ type scratch struct {
 	// cohortFrom[u] is the first round an awake cohort member takes part in
 	// (see CohortMember), written by wake and read only for awake nodes.
 	rngBlock   []bitrand.Source
-	algRng     bitrand.Source //dglint:allow scratchreset: newEngine reseeds it before any draw, every execution
+	algRng     bitrand.Source //dglint:allow scratchreset: engine.init reseeds it before any draw, every execution
 	probers    []TransmitProber
 	bulkSteps  []BulkStepper
 	awake      []uint64

@@ -84,3 +84,42 @@ func TestScratchPoolClasses(t *testing.T) {
 		t.Errorf("oversized scratch was pooled; it must go to the GC")
 	}
 }
+
+// TestEndedExecutionReturnsScratch pins the resumable execution's side of
+// pooling: a finished or closed execution hands its scratch back, and the
+// next execution of its class checks the same one out; ending or advancing
+// it again does nothing, so it never steps on a scratch it gave back.
+func TestEndedExecutionReturnsScratch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops sync.Pool items on purpose")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := Config{Net: lineDual(100), Algorithm: coinAlg{p: 0.2}, Spec: Spec{Problem: GlobalBroadcast, Source: 0}, MaxRounds: 60}
+	for name, end := range map[string]func(*Execution){
+		"finished": func(x *Execution) { x.Finish() },
+		"closed":   (*Execution).Close,
+	} {
+		x, err := Start(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := x.sc
+		x.Advance(10)
+		end(x)
+		if x.sc != nil {
+			t.Errorf("%s: the execution still holds its scratch", name)
+		}
+		x.Close()
+		if x.Advance(20); x.next != 10 {
+			t.Errorf("%s: an ended execution advanced to round %d", name, x.next)
+		}
+		y, err := Start(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if y.sc != sc {
+			t.Errorf("%s: the next execution did not reuse the ended one's scratch", name)
+		}
+		y.Close()
+	}
+}

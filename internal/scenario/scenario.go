@@ -15,6 +15,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/bitrand"
@@ -49,6 +50,28 @@ type Scenario struct {
 	// a compiled schedule. Churn-window adversaries consume this to know
 	// when the topology is worth attacking.
 	Degradation []Degradation
+
+	// generated is what Generate built while it drew the epochs, so Compile
+	// applies no op a second time; nil for a scenario Generate did not
+	// return.
+	generated *generated
+}
+
+// generated holds the revisions Generate built, as a compiled schedule
+// (sched[0] is the base), with a private copy of the epochs they were built
+// from. Compile hands the schedule back only while the scenario's Base and
+// Epochs still equal these, so a scenario edited after Generate compiles
+// from its ops.
+type generated struct {
+	epochs []Epoch
+	sched  []radio.Epoch
+}
+
+// matches reports whether s still has the base and epochs g was built from.
+func (g *generated) matches(s Scenario) bool {
+	return g.sched[0].Net == s.Base && slices.EqualFunc(g.epochs, s.Epochs, func(a, b Epoch) bool {
+		return a.Start == b.Start && slices.Equal(a.Ops, b.Ops)
+	})
 }
 
 // Degradation quantifies how far one epoch's topology has drifted from the
@@ -158,10 +181,14 @@ func (s Scenario) DegradedWindows() []bool {
 
 // Compile materializes the scenario into a radio epoch schedule: revision 0
 // is the base, and each scenario epoch derives the next immutable revision
-// through graph.Revision. The result is safe to share across trials.
+// through graph.Revision. A scenario as Generate returned it hands back the
+// revisions Generate built. The result is safe to share across trials.
 func (s Scenario) Compile() ([]radio.Epoch, error) {
 	if s.Base == nil {
 		return nil, fmt.Errorf("scenario: nil base network")
+	}
+	if g := s.generated; g != nil && g.matches(s) {
+		return slices.Clone(g.sched), nil
 	}
 	epochs := make([]radio.Epoch, 0, len(s.Epochs)+1)
 	epochs = append(epochs, radio.Epoch{Start: 0, Net: s.Base})
@@ -277,6 +304,7 @@ func Generate(base *graph.Dual, src *bitrand.Source, cfg GenConfig) (Scenario, e
 	}
 
 	sc := Scenario{Base: base, Degradation: []Degradation{{}}}
+	sched := []radio.Epoch{{Start: 0, Net: base}}
 	rv := graph.NewRevision(base)
 	var pendingJoins []graph.NodeID     // nodes that left last epoch
 	var pendingRestores []graph.ChurnOp // demoted G edges to re-add
@@ -376,6 +404,7 @@ func Generate(base *graph.Dual, src *bitrand.Source, cfg GenConfig) (Scenario, e
 		}
 		rv = next
 		sc.Epochs = append(sc.Epochs, Epoch{Start: e * cfg.EpochLen, Ops: ops})
+		sched = append(sched, radio.Epoch{Start: e * cfg.EpochLen, Net: rv.Dual()})
 		sc.Degradation = append(sc.Degradation, DegradationBetween(base, rv.Dual()))
 	}
 
@@ -395,8 +424,10 @@ func Generate(base *graph.Dual, src *bitrand.Source, cfg GenConfig) (Scenario, e
 		}
 		rv = next
 		sc.Epochs = append(sc.Epochs, Epoch{Start: (cfg.Epochs + 1) * cfg.EpochLen, Ops: heal})
+		sched = append(sched, radio.Epoch{Start: (cfg.Epochs + 1) * cfg.EpochLen, Net: rv.Dual()})
 		sc.Degradation = append(sc.Degradation, DegradationBetween(base, rv.Dual()))
 	}
+	sc.generated = &generated{epochs: cloneEpochs(sc.Epochs), sched: sched}
 
 	// Staggered injections: rumor j enters when churn epoch (j mod E)+1
 	// begins, spreading contention across the timeline.
@@ -416,6 +447,15 @@ func Generate(base *graph.Dual, src *bitrand.Source, cfg GenConfig) (Scenario, e
 		})
 	}
 	return sc, nil
+}
+
+// cloneEpochs copies epochs and their op lists.
+func cloneEpochs(epochs []Epoch) []Epoch {
+	out := make([]Epoch, len(epochs))
+	for i, ep := range epochs {
+		out[i] = Epoch{Start: ep.Start, Ops: slices.Clone(ep.Ops)}
+	}
+	return out
 }
 
 func containsNode(xs []graph.NodeID, u graph.NodeID) bool {

@@ -349,3 +349,81 @@ func TestGenerateStormBudget(t *testing.T) {
 		t.Fatalf("storm-free config rejected by the storm-budget check: %v", err)
 	}
 }
+
+// sameTopology reports whether two duals have equal reliable and unreliable
+// CSR rows.
+func sameTopology(a, b *graph.Dual) bool {
+	ao, aa := a.G().CSR()
+	bo, ba := b.G().CSR()
+	ax, axa := a.ExtraCSR()
+	bx, bxa := b.ExtraCSR()
+	return reflect.DeepEqual(ao, bo) && reflect.DeepEqual(aa, ba) && reflect.DeepEqual(ax, bx) && reflect.DeepEqual(axa, bxa)
+}
+
+// TestCompileReusesGenerated pins that a scenario as Generate returned it
+// compiles to the revisions Generate built — every Compile hands back the
+// same duals, equal to the ones applying the ops builds — and that a
+// scenario edited after Generate (an op changed in place, an epoch
+// appended, another base, a literal copy) compiles from its ops.
+func TestCompileReusesGenerated(t *testing.T) {
+	net := baseNet(t)
+	gen := func() Scenario {
+		sc, err := Generate(net, bitrand.New(11), genCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc
+	}
+	compile := func(sc Scenario) []radio.Epoch {
+		eps, err := sc.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eps
+	}
+	// fromOps compiles a literal copy of sc, which has only its ops.
+	fromOps := func(sc Scenario) []radio.Epoch {
+		return compile(Scenario{Base: sc.Base, Epochs: sc.Epochs, Injections: sc.Injections})
+	}
+	check := func(name string, got, want []radio.Epoch, shared bool) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d epochs, want %d", name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Start != want[i].Start || !sameTopology(got[i].Net, want[i].Net) {
+				t.Fatalf("%s: epoch %d differs from the one its ops build", name, i)
+			}
+			if i > 0 && (got[i].Net == want[i].Net) != shared {
+				t.Fatalf("%s: epoch %d shares its revision = %v, want %v", name, i, !shared, shared)
+			}
+		}
+	}
+
+	sc := gen()
+	first := compile(sc)
+	check("generated", first, fromOps(sc), false)
+	check("compiled again", compile(sc), first, true)
+	mine := compile(sc)
+	mine[1].Net = net
+	check("after a caller edits its copy", compile(sc), first, true)
+
+	edited := gen()
+	op := &edited.Epochs[0].Ops[0]
+	op.Kind, op.U, op.V = graph.ChurnAddExtraEdge, 1, 23
+	check("op edited in place", compile(edited), fromOps(edited), false)
+	if sameTopology(compile(edited)[1].Net, first[1].Net) {
+		t.Fatal("the edited op changed nothing; the case is vacuous")
+	}
+
+	appended := gen()
+	last := appended.Epochs[len(appended.Epochs)-1].Start
+	appended.Epochs = append(appended.Epochs, Epoch{Start: last + 10, Ops: []graph.ChurnOp{{Kind: graph.ChurnLeave, U: 3}}})
+	got := compile(appended)
+	check("epoch appended", got, fromOps(appended), false)
+	check("epoch appended, prefix", got[:len(got)-1], first, false)
+
+	rebased := gen()
+	rebased.Base = graph.UniformDual(net.G())
+	check("base replaced", compile(rebased), fromOps(rebased), false)
+}
