@@ -212,6 +212,52 @@ func (s *Source) CoinBelow(t uint64) bool {
 	return x < t
 }
 
+// CohortCoins flips one coin for each node u in [lo, hi) with from[u] ≤ r:
+// streams[u].CoinBelow(t), bit for bit — the same value, the same consumed
+// count, the same buffer left behind — in ascending u, and appends every u
+// whose coin comes up heads to heads. Nodes with from[u] > r draw nothing.
+// The draw is written out in the loop, so a run of coins makes no call, and
+// the append grows heads only when it has no room for hi − lo more entries.
+//
+//dglint:noalloc gate=TestCohortCoinsAllocs
+func CohortCoins(heads []int, streams []Source, from []int, lo, hi, r int, t uint64) []int {
+	const k = 53
+	from, streams = from[lo:hi], streams[lo:hi]
+	for i, f := range from {
+		if f > r {
+			continue
+		}
+		s := &streams[i]
+		s.consumed += k
+		var x uint64
+		if s.nbuf >= k {
+			x = s.buf & (1<<k - 1)
+			s.buf >>= k
+			s.nbuf -= k
+		} else {
+			// CoinBelow's refill: the buffered bits go out first, and the
+			// fresh xoshiro256** word supplies the rest.
+			st := &s.s
+			w := bits.RotateLeft64(st[1]*5, 7) * 9
+			u := st[1] << 17
+			st[2] ^= st[0]
+			st[3] ^= st[1]
+			st[1] ^= st[2]
+			st[0] ^= st[3]
+			st[2] ^= u
+			st[3] = bits.RotateLeft64(st[3], 45)
+			have, need := s.nbuf, k-s.nbuf
+			x = s.buf | (w&(1<<need-1))<<have
+			s.buf = w >> need
+			s.nbuf = 64 - need
+		}
+		if x < t {
+			heads = append(heads, lo+i)
+		}
+	}
+	return heads
+}
+
 // Intn returns a uniform value in [0, n). It panics if n <= 0, mirroring
 // math/rand, because a nonpositive bound is a programming error.
 func (s *Source) Intn(n int) int {

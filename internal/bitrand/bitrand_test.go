@@ -3,6 +3,7 @@ package bitrand
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -238,6 +239,22 @@ func TestCoinBelowAllocs(t *testing.T) {
 	}
 }
 
+// TestCohortCoinsAllocs is the //dglint:noalloc gate for CohortCoins, the
+// engine's cohort coin loop: a run of draws allocates nothing when heads
+// has room for the run.
+func TestCohortCoinsAllocs(t *testing.T) {
+	const n = 64
+	streams, from := make([]Source, n), make([]int, n)
+	for u := range streams {
+		streams[u].Reseed(uint64(u))
+	}
+	heads := make([]int, 0, n)
+	th := CoinThreshold(0.3)
+	if got := testing.AllocsPerRun(1000, func() { heads = CohortCoins(heads[:0], streams, from, 0, n, 0, th) }); got != 0 {
+		t.Fatalf("CohortCoins allocs/op = %v, want 0", got)
+	}
+}
+
 func TestCoinProbability(t *testing.T) {
 	s := New(77)
 	const trials = 30000
@@ -432,6 +449,71 @@ func FuzzBits(f *testing.F) {
 		for i := 0; i+1 < len(ops); i += 2 {
 			if msg, ok := drawBoth(got, ref, ops[i], ops[i+1], p); !ok {
 				t.Fatalf("draw %d: %s", i/2, msg)
+			}
+		}
+	})
+}
+
+// FuzzCohortCoins runs CohortCoins against a loop of CoinBelow over twin
+// streams, for a few rounds. Each stream is seeded from the fuzzed seed and
+// its index and then draws a fuzzed Bits(k) prefix, k in 0–64, so its
+// buffer can start at every phase 0–63. sel picks the threshold — 0, 1,
+// 2⁵³−1, 2⁵³ or the fuzzed th — and, per stream, from below, at or above
+// the round; the run [lo, hi) is fuzzed within the streams, empty, single
+// and full runs included. The heads lists must be equal, and so must every
+// stream's Consumed and its next Bits(k) draws for k = 1, 11, 53 and 64,
+// which read the buffer each side left behind (Uint64 would discard it).
+func FuzzCohortCoins(f *testing.F) {
+	phases := make([]byte, 64)
+	for i := range phases {
+		phases[i] = byte(i)
+	}
+	f.Add(uint64(1), phases, uint64(1)<<52, []byte{4, 0, 1, 2}, byte(0), byte(64), uint8(3))
+	f.Add(uint64(2), []byte{53, 11, 0, 64, 1}, uint64(0), []byte{0, 1}, byte(2), byte(0), uint8(2))
+	f.Add(uint64(3), []byte{7, 63}, uint64(5), []byte{1, 0, 0, 2, 1}, byte(1), byte(1), uint8(4))
+	f.Add(uint64(4), []byte{0}, uint64(0), []byte{2, 0}, byte(0), byte(9), uint8(1))
+	f.Add(uint64(5), []byte{12, 40, 52, 54}, uint64(0), []byte{3, 1, 1}, byte(3), byte(2), uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, prefix []byte, th uint64, sel []byte, lo, span byte, rounds uint8) {
+		n := len(prefix)
+		if n == 0 || n > 256 || len(sel) == 0 {
+			return
+		}
+		got, ref := make([]Source, n), make([]Source, n)
+		for u := range got {
+			got[u].Reseed(seed + uint64(u))
+			got[u].Bits(uint(prefix[u]) % 65)
+			ref[u] = got[u]
+		}
+		start := int(lo) % (n + 1)
+		end := start + int(span)%(n-start+1)
+		from := make([]int, n)
+		for round := 0; round < int(rounds%4)+1; round++ {
+			r := 10 + round
+			for u := range from {
+				from[u] = r + int(sel[(u+round)%len(sel)]%3) - 1
+			}
+			t0 := [...]uint64{0, 1, 1<<53 - 1, 1 << 53, th}[int(sel[round%len(sel)])%5]
+			heads := CohortCoins(append(make([]int, 0, n+1), -1), got, from, start, end, r, t0)
+			want := []int{-1}
+			for u := start; u < end; u++ {
+				if from[u] <= r && ref[u].CoinBelow(t0) {
+					want = append(want, u)
+				}
+			}
+			if !slices.Equal(heads, want) {
+				t.Fatalf("round %d, run [%d, %d), threshold %d: heads %v, CoinBelow loop %v", r, start, end, t0, heads, want)
+			}
+			for u := range got {
+				if got[u].Consumed() != ref[u].Consumed() {
+					t.Fatalf("round %d: stream %d consumed %d bits, CoinBelow loop %d", r, u, got[u].Consumed(), ref[u].Consumed())
+				}
+			}
+		}
+		for u := range got {
+			for _, k := range []uint{1, 11, 53, 64} {
+				if a, b := got[u].Bits(k), ref[u].Bits(k); a != b {
+					t.Fatalf("stream %d: next Bits(%d) %#x, CoinBelow loop %#x", u, k, a, b)
+				}
 			}
 		}
 	})

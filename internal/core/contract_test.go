@@ -97,9 +97,11 @@ func TestTransmitProberContract(t *testing.T) {
 // local and ALOHA broadcasters — and checks the contract the engine's
 // cohort loop relies on: over five phases after waking, TransmitProb(r) is
 // the cohort's RoundProb(r) from the node's first round on and 0 before it,
-// one slab's members name == cohorts, and Cohort allocates nothing. A
-// decay global node other than the source starts after round 0, since its
-// cohort's round-0 probability is the source's.
+// Frame(r) is one pointer in every round, and still that pointer after a
+// second message from another origin, one slab's members name == cohorts,
+// and Cohort allocates nothing. A decay global node other than the source
+// starts after round 0, since its cohort's round-0 probability is the
+// source's.
 func TestCohortContract(t *testing.T) {
 	net, _ := graph.DualClique(32, 2)
 	global := radio.Spec{Problem: radio.GlobalBroadcast, Source: 0}
@@ -153,6 +155,15 @@ func TestCohortContract(t *testing.T) {
 				if mb.u != tc.spec.Source && tc.spec.Problem == radio.GlobalBroadcast && from <= 0 {
 					t.Fatalf("node %d starts at round %d, not after the source's round 0", mb.u, from)
 				}
+				frame := m.Frame(from)
+				sameFrame := func(after string) {
+					t.Helper()
+					for r := mb.at + 1; r <= mb.at+1+5*levels; r++ {
+						if got := m.Frame(r); got != frame {
+							t.Fatalf("node %d, round %d%s: Frame %p, not its first round's %p", mb.u, r, after, got, frame)
+						}
+					}
+				}
 				for r := mb.at + 1; r <= mb.at+1+5*levels; r++ {
 					want := 0.0
 					if r >= from {
@@ -162,6 +173,9 @@ func TestCohortContract(t *testing.T) {
 						t.Fatalf("node %d, round %d (first round %d): TransmitProb %v, cohort says %v", mb.u, r, from, got, want)
 					}
 				}
+				sameFrame("")
+				m.Deliver(mb.at+2, &radio.Message{Origin: mb.u + 1})
+				sameFrame(" after a foreign message")
 			}
 		})
 	}

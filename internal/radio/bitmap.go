@@ -23,7 +23,8 @@ const (
 	// footprint clear the gates below, and the CSR walk otherwise (always
 	// with a recorder or clique cover attached). Within a bitmap epoch,
 	// every round whose selector has rows runs the push kernel, whose cost
-	// is the transmitters' row blocks, however few transmit.
+	// is the transmitters' row blocks, however few transmit, plus at most
+	// as much again to serve the listeners heard once.
 	PlanAuto DeliveryPlan = iota
 	// PlanScalar forces the CSR walk.
 	PlanScalar
@@ -55,9 +56,10 @@ func (p DeliveryPlan) String() string {
 // Auto-plan thresholds. Below bitmapMinNodes the rounds are too cheap for
 // the plan to matter. Above it the gate is density, at every n. Both paths
 // cost the transmitters' side of a round: the walk one tally add per
-// transmitter edge, the push kernel three passes over the transmitters' row
-// blocks. The kernel wins where a block packs many neighbors, so the rows
-// are taken only when the average G' degree clears n/64 (E(G') ≥ n²/128).
+// transmitter edge, the push kernel a push, a serve and a clear, each at
+// most one pass over the transmitters' row blocks. The kernel wins where a
+// block packs many neighbors, so the rows are taken only when the average
+// G' degree clears n/64 (E(G') ≥ n²/128).
 // Measured on a 2-vCPU x86-64 host (medians of 6–15 trials, three
 // alternating pairs): on the dense 10⁴ circulant of degree 512, which clears
 // the gate and packs ~57 neighbors a block, a decay trial takes 36–43 ms on
@@ -130,24 +132,36 @@ func (e *engine) roundMasks(selector graph.EdgeSelector) *graph.SparseNeighborMa
 }
 
 // deliverPush is the word-parallel delivery kernel. It pushes from the
-// transmitters, in three passes over their rows of m:
+// transmitters, in three passes:
 //
 //  1. each transmitter sets its bit in the transmitter bitmap and ORs its
-//     row's blocks into two bit-planes, heardOnce (at least one transmitter
-//     neighbors the listener) and heardTwice (at least two do);
-//  2. each transmitter serves every listener of its row whose bit is in
-//     heardOnce and in neither heardTwice nor the transmitter bitmap: the
-//     transmitter is that listener's only transmitting neighbor, so every
-//     receiving listener is served once, by the row that holds its bit;
+//     row of m's blocks into two bit-planes, heardOnce (at least one
+//     transmitter neighbors the listener) and heardTwice (at least two do);
+//  2. every listener whose bit is in heardOnce and in neither heardTwice
+//     nor the transmitter bitmap is served the message of its only
+//     transmitting neighbor, from the cheaper side. When the first pass
+//     pushed at most W blocks (W words a plane), each transmitter serves
+//     the listeners its row holds. Otherwise one popcount a plane word
+//     counts the heard-once listeners: with none the pass is skipped, and
+//     when their rows, at m's average row length, cost less than the
+//     pushed blocks, each is served from its own row, whose first block
+//     that meets the transmitter bitmap holds its transmitter (m's rows are
+//     symmetric: G's, G′'s, or G's plus a committed selection, and
+//     EdgeSelector.Includes is symmetric); else the transmitters serve;
 //  3. the words the first pass touched go back to 0: row by row, or with
-//     one clear of each plane when the rows pushed more blocks than a plane
-//     has words, which is cheaper and still no more than the push.
+//     one clear of each plane when the rows pushed more than W blocks,
+//     which is cheaper and still no more than the push.
 //
-// A round therefore costs the transmitters' row blocks, with no term in n.
-// Silence goes to awake nodes only, between the second and third passes,
-// and to none when every process is a BulkStepper. The serving order is the
-// transmitters', so with a recorder attached the round's deliveries are
-// sorted into ascending listener order.
+// A round over P pushed blocks therefore costs P, plus the smaller of P
+// and its heard-once listeners' rows (as the average row length prices
+// them), plus W when P > W: no term in n beyond the planes' width. The
+// listener side is the pull half of direction-optimizing BFS (Beamer,
+// Asanović, Patterson, SC'12) beside the kernel's push half, bounded by the
+// listeners heard once instead of by n. Silence goes to awake nodes only,
+// between the second and third passes, and to none when every process is a
+// BulkStepper. The transmitter side serves in transmitter order, so with a
+// recorder attached the round's deliveries are sorted into ascending
+// listener order, the listener side's own order.
 //
 //dglint:noalloc gate=TestSparseDeliveryAllocs
 func (e *engine) deliverPush(r int, res *Result, m *graph.SparseNeighborMasks) []Delivery {
@@ -174,15 +188,47 @@ func (e *engine) deliverPush(r int, res *Result, m *graph.SparseNeighborMasks) [
 	if record {
 		recorded = e.recordBuf[:0]
 	}
-	for _, v := range e.tx {
-		msg := e.msgOf[v]
-		for k := offs[v]; k < offs[v+1]; k++ {
-			b := idx[k]
-			for x := words[k] & once[b] &^ (twice[b] | txw[b]); x != 0; x &= x - 1 {
-				u := int(b)<<6 | bits.TrailingZeros64(x)
-				e.receive(r, u, msg, res)
+	// Pass 2. Past W pushed blocks the heard-once listeners are counted, and
+	// served from their own rows when those cost less than the pushed
+	// blocks, at m's average row length apiece.
+	heard := -1 // not counted
+	if pushed > len(txw) {
+		heard = 0
+		for b, w := range once {
+			heard += bits.OnesCount64(w &^ (twice[b] | txw[b]))
+		}
+	}
+	switch {
+	case heard == 0:
+		// Nobody is heard once.
+	case heard > 0 && int64(heard)*int64(m.Entries()) < int64(pushed)*int64(e.n):
+		for b, w := range once {
+			for x := w &^ (twice[b] | txw[b]); x != 0; x &= x - 1 {
+				// Rows are symmetric, so u's only transmitting neighbor is in
+				// u's own row, in the first block that meets the transmitters.
+				u := b<<6 | bits.TrailingZeros64(x)
+				k := offs[u]
+				for words[k]&txw[idx[k]] == 0 {
+					k++
+				}
+				v := int(idx[k])<<6 | bits.TrailingZeros64(words[k]&txw[idx[k]])
+				e.receive(r, u, e.msgOf[v], res)
 				if record {
 					recorded = append(recorded, Delivery{To: u, From: v})
+				}
+			}
+		}
+	default:
+		for _, v := range e.tx {
+			msg := e.msgOf[v]
+			for k := offs[v]; k < offs[v+1]; k++ {
+				b := idx[k]
+				for x := words[k] & once[b] &^ (twice[b] | txw[b]); x != 0; x &= x - 1 {
+					u := int(b)<<6 | bits.TrailingZeros64(x)
+					e.receive(r, u, msg, res)
+					if record {
+						recorded = append(recorded, Delivery{To: u, From: v})
+					}
 				}
 			}
 		}

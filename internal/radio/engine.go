@@ -399,6 +399,9 @@ func (e *engine) init(cfg Config) error {
 	e.awake, e.awakeWords = e.sc.awake, e.sc.awakeWords
 	e.rngs = e.sc.rngBlock
 	e.cohortFrom = e.sc.cohortFrom
+	// wake stores a cohort member's frame, so the frames are in place first.
+	e.msgOf = e.sc.msgOf
+	e.noise = e.sc.noise
 	e.allBulk = true
 	for u, p := range e.procs {
 		if tp, ok := p.(TransmitProber); ok {
@@ -472,10 +475,8 @@ func (e *engine) init(cfg Config) error {
 	e.txByNode = e.sc.txByNode
 	e.touched = e.sc.touched[:0]
 	e.tx = e.sc.tx[:0]
-	e.msgOf = e.sc.msgOf
 	e.probs = e.sc.probs
 	e.lastTx = e.sc.lastTx[:0]
-	e.noise = e.sc.noise
 	e.recordBuf = e.sc.recordBuf[:0]
 	if e.accel != nil {
 		e.cliqueTx, e.cliqueS = e.sc.clique(e.accel.Count)
@@ -742,34 +743,49 @@ func (e *engine) cohortProbs(r int, p float64) {
 
 // cohortCoins runs the round's coins with the cohort on: every awake node
 // with from ≤ r flips one coin at the round's probability p, from its own
-// stream in ascending order, and transmits its Frame on heads. As in
-// bitrand's Coin, p ≤ 0 draws nothing and p ≥ 1 transmits without a draw;
-// otherwise each coin is one 53-bit draw against the round's threshold.
+// stream in ascending order, and transmits on heads the frame joinCohort
+// stored for it. As in bitrand's Coin, p ≤ 0 draws nothing and p ≥ 1
+// transmits without a draw; otherwise bitrand.CohortCoins flips each awake
+// run's coins, one 53-bit draw against the round's threshold a node.
 func (e *engine) cohortCoins(r int, p float64) {
 	if p <= 0 {
 		return
 	}
-	sure, t := p >= 1, bitrand.CoinThreshold(p)
-	rngs, from := e.rngs, e.cohortFrom
-	for lo, hi := e.awakeRun(0); lo < e.n; lo, hi = e.awakeRun(hi) {
-		for u := lo; u < hi; u++ {
-			if from[u] <= r && (sure || rngs[u].CoinBelow(t)) {
-				e.transmitFrame(r, u)
+	from := e.cohortFrom
+	if p >= 1 {
+		for lo, hi := e.awakeRun(0); lo < e.n; lo, hi = e.awakeRun(hi) {
+			for u := lo; u < hi; u++ {
+				if from[u] <= r {
+					e.tx = append(e.tx, u)
+				}
 			}
 		}
+	} else {
+		t := bitrand.CoinThreshold(p)
+		for lo, hi := e.awakeRun(0); lo < e.n; lo, hi = e.awakeRun(hi) {
+			e.tx = bitrand.CohortCoins(e.tx, e.rngs, from, lo, hi, r, t)
+		}
+	}
+	for _, u := range e.tx {
+		e.txByNode[u]++
 	}
 }
 
 // transmitFrame adds bulk stepper u to the round's transmitters with its
-// round-r Frame, or its noise frame when Frame is nil.
+// round-r Frame (see frame).
 func (e *engine) transmitFrame(r int, u graph.NodeID) {
-	msg := e.bulkSteps[u].Frame(r)
-	if msg == nil {
-		msg = &e.noise[u]
-	}
 	e.tx = append(e.tx, u)
-	e.msgOf[u] = msg
+	e.msgOf[u] = e.frame(r, u)
 	e.txByNode[u]++
+}
+
+// frame returns bulk stepper u's round-r Frame, or its noise frame when
+// Frame is nil.
+func (e *engine) frame(r int, u graph.NodeID) *Message {
+	if msg := e.bulkSteps[u].Frame(r); msg != nil {
+		return msg
+	}
+	return &e.noise[u]
 }
 
 // The CSR walk's tally holds one word per node for the round: 0 means the
@@ -991,9 +1007,10 @@ func (e *engine) wake(u graph.NodeID) {
 	}
 }
 
-// joinCohort keeps woken node u's first cohort round, or switches the
-// cohort off for the rest of the execution when u is not a member or names
-// a cohort other than the execution's (see CohortMember).
+// joinCohort keeps woken node u's first cohort round and its frame, which
+// is one message for the rest of the execution (see CohortMember), or
+// switches the cohort off for the rest of the execution when u is not a
+// member or names a cohort other than the execution's.
 func (e *engine) joinCohort(u graph.NodeID) {
 	m, ok := e.procs[u].(CohortMember)
 	if !ok {
@@ -1009,6 +1026,7 @@ func (e *engine) joinCohort(u graph.NodeID) {
 		return
 	}
 	e.cohortFrom[u] = from
+	e.msgOf[u] = e.frame(from, u)
 }
 
 // silence hands nil to every awake node except those the CSR walk's

@@ -125,9 +125,9 @@ func BenchmarkEngineRoundDelivery(b *testing.B) {
 // ring-with-chords substrates, and shows what PlanAuto picks at 10⁵. Every
 // node transmits at p = 1/2, so half the nodes transmit each round. Both
 // paths cost the transmitters' side of the round, the walk one add per
-// transmitter edge and the kernel three passes over the transmitters' row
-// blocks, and a sparse row holds about one neighbor a block, so the two
-// come out level — on a 2-vCPU x86-64 host, 127–134 ms/op on the kernel
+// transmitter edge and the kernel a push, a serve and a clear, each at most
+// one pass over the transmitters' row blocks, and a sparse row holds about
+// one neighbor a block, so the two come out level — on a 2-vCPU x86-64 host, 127–134 ms/op on the kernel
 // against 128–155 ms/op on the walk at n = 10⁵ (a third walk run read
 // 367 ms), and 0.79–0.92 s against 0.75–0.88 s at 10⁶ — and PlanAuto's
 // density gate keeps sparse networks on the walk, which builds no masks, at

@@ -182,22 +182,23 @@ type Cohort interface {
 // geometric schedule and ALOHA's fixed probability are. Cohort reports the
 // schedule c and the first round from in which the node takes part; once
 // the node is awake, TransmitProb(r) must be c.RoundProb(r) for r ≥ from
-// and 0 for r < from, for the rest of the execution and across epoch swaps.
+// and 0 for r < from, and Frame(r) must be one message (one pointer, or
+// nil) for every r, for the rest of the execution and across epoch swaps.
 // RoundProb must depend on r alone, c must be a comparable value (the
 // engine compares cohorts with ==), and Cohort must not allocate.
 //
-// The engine asks each node once, when it wakes, and keeps from. The
-// execution's cohort is the first member's; it stays on while every node
-// that wakes is a member naming a cohort == to it, and is off for the rest
-// of the execution once a node that is not a member wakes, or a member
-// names another one. While it is on, and every process is a BulkStepper,
-// the round's coin loop evaluates RoundProb(r) once and draws one 53-bit
-// coin per awake node with from ≤ r against one threshold
-// (bitrand.CoinThreshold), with no call per node; the adaptive view's
-// TransmitProbs come from the same value. Both loops draw the same coins
-// from the same streams in the same ascending order, so the execution is
-// the one the per-node loop runs, and switching at a round boundary is
-// exact.
+// The engine asks each node once, when it wakes, and keeps from and the
+// node's frame. The execution's cohort is the first member's; it stays on
+// while every node that wakes is a member naming a cohort == to it, and is
+// off for the rest of the execution once a node that is not a member wakes,
+// or a member names another one. While it is on, and every process is a
+// BulkStepper, the round's coin loop evaluates RoundProb(r) once and draws
+// one 53-bit coin per awake node with from ≤ r against one threshold
+// (bitrand.CoinThreshold), and a heads transmits the kept frame, with no
+// call per node; the adaptive view's TransmitProbs come from the same
+// value. Both loops draw the same coins from the same streams in the same
+// ascending order, so the execution is the one the per-node loop runs, and
+// switching at a round boundary is exact.
 type CohortMember interface {
 	BulkStepper
 	Cohort() (c Cohort, from int)

@@ -225,8 +225,12 @@ func (s *scratch) grow(n int) {
 	s.monR = s.monR[:n]
 	clear(s.monR)
 	s.rngBlock = s.rngBlock[:n]
-	// probers and bulkSteps need no clear: the engine writes every entry.
-	// Nor does cohortFrom: wake writes a node's entry before any read.
+	// The engine writes every entry of probers and bulkSteps below n, but the
+	// entries past it are cleared: like msgOf's, they would pin a larger
+	// network's processes while the scratch cycles through the pool.
+	// cohortFrom needs no clear: wake writes a node's entry before any read.
+	clear(s.probers[n:cap(s.probers)])
+	clear(s.bulkSteps[n:cap(s.bulkSteps)])
 	s.probers = s.probers[:n]
 	s.bulkSteps = s.bulkSteps[:n]
 	s.cohortFrom = s.cohortFrom[:n]

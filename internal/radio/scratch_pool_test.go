@@ -123,3 +123,49 @@ func TestEndedExecutionReturnsScratch(t *testing.T) {
 		y.Close()
 	}
 }
+
+// TestPooledScratchDropsLargerRun pins grow's clear of the per-node
+// interface views past n: a 1000-node run and then a 600-node run share a
+// class-10 scratch, and once the second run hands it back, no entry of
+// probers or bulkSteps past 600 may still hold the first run's processes.
+func TestPooledScratchDropsLargerRun(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops sync.Pool items on purpose")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	spec := Spec{Problem: GlobalBroadcast, Source: 0}
+	var scs []*scratch
+	for _, n := range []int{1000, 600} {
+		x, err := Start(Config{Net: lineDual(n), Algorithm: batchAlg{p: 0.5}, Spec: spec, MaxRounds: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scs = append(scs, x.sc)
+		x.Advance(20)
+		x.Finish()
+	}
+	sc := scs[1]
+	if sc != scs[0] || sc.class != 10 {
+		t.Fatalf("the 600-node run did not reuse the 1000-node run's class-10 scratch")
+	}
+	for name, tail := range map[string]int{
+		"probers":   countNonNil(sc.probers[600:cap(sc.probers)]),
+		"bulkSteps": countNonNil(sc.bulkSteps[600:cap(sc.bulkSteps)]),
+	} {
+		if tail != 0 {
+			t.Errorf("%s holds %d non-nil entries past n = 600 in the pooled scratch", name, tail)
+		}
+	}
+}
+
+// countNonNil counts the non-nil entries of s.
+func countNonNil[T comparable](s []T) int {
+	var zero T
+	k := 0
+	for _, v := range s {
+		if v != zero {
+			k++
+		}
+	}
+	return k
+}
